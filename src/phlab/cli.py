@@ -70,10 +70,15 @@ def _require_deformed(system, name):
         raise ConfigError(f"{name} needs a deformed or tilde system config")
 
 
-def _fd_jacobian(system, pts, h=1e-6):
-    """Central-difference ambient Jacobians for a batch of points."""
+def _fd_jacobian(system, pts):
+    """Central-difference ambient Jacobians for a batch of points.
+
+    The step is 1e-3 of the bump's transition width delta/k, so that the
+    difference quotient resolves the steepest part of the deformation.
+    """
     from .torus import torus_displacement
 
+    h = 1e-3 * system.params.delta / system.params.k
     pts = np.atleast_2d(pts)
     n, d = pts.shape
     jac = np.zeros((n, d, d))

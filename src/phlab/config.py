@@ -27,7 +27,6 @@ class ExperimentConfig:
     seed: int
     system: dict
     task: dict = field(default_factory=dict)
-    workers: int = 1
     output_dir: str = "out"
 
     @classmethod
@@ -46,7 +45,7 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError("top level: expected an object")
         seed = raw.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0:
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ConfigError("seed: expected a non-negative integer")
         system = raw.get("system")
         if not isinstance(system, dict):
@@ -59,19 +58,18 @@ class ExperimentConfig:
         task = raw.get("task", {})
         if not isinstance(task, dict):
             raise ConfigError("task: expected an object")
-        workers = raw.get("workers", 1)
-        if not isinstance(workers, int) or workers < 1:
-            raise ConfigError("workers: expected a positive integer")
         out = raw.get("output_dir", "out")
         if not isinstance(out, str):
             raise ConfigError("output_dir: expected a string")
         _validate_system(system)
-        return cls(seed=seed, system=system, task=task, workers=workers, output_dir=out)
+        return cls(seed=seed, system=system, task=task, output_dir=out)
 
     def task_value(self, key, default):
         value = self.task.get(key, default)
-        if not isinstance(value, type(default)) and not (
-            isinstance(default, float) and isinstance(value, int)
+        # bool is a subclass of int, so it is told apart explicitly
+        if isinstance(value, bool) != isinstance(default, bool) or (
+            not isinstance(value, type(default))
+            and not (isinstance(default, float) and isinstance(value, int))
         ):
             raise ConfigError(f"task.{key}: expected {type(default).__name__}")
         return value

@@ -321,9 +321,6 @@ class DeformedSystem:
         """Analytic Jacobian of f^{-1} at x, i.e. inv(Df) at the preimage."""
         return np.linalg.inv(self.jacobian(self.step_inverse(x)))
 
-    def jacobian_chart_inverse(self, x):
-        return np.linalg.inv(self.jacobian_chart(self.step_inverse(x)))
-
     # -- variants --------------------------------------------------------------
 
     def make_tilde(self, eps_tilde: float) -> "DeformedSystem":

@@ -86,8 +86,7 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class FactorMaps:
-    """Projections of the product: pi12 to the base, pi2 to the fiber, and the
-    composition pi with the base's Anosov factor (identity for linear bases)."""
+    """Projections of the product: pi12 to the base, pi2 to the fiber."""
 
     base_dim: int
     fiber_dim: int
@@ -97,9 +96,6 @@ class FactorMaps:
 
     def pi2(self, z):
         return np.asarray(z, dtype=float)[..., self.base_dim :]
-
-    def pi(self, z):
-        return self.pi12(z)
 
 
 class ProductSystem:
@@ -203,7 +199,7 @@ def _grid_points(dim, n):
 def commuting_diagram_check(ps: ProductSystem, n_points: int = 1000, rng=None):
     """Max residuals of the two factor diagrams over random points.
 
-    Returns {"base": max ||pi12(g z) - f(pi12 z)||, "fiber":同 for pi2/T},
+    Returns {"base": max ||pi12(g z) - f(pi12 z)||, "fiber": the same for pi2/T},
     both in the torus metric; exact products give values at rounding level.
     """
     if rng is None:

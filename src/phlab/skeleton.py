@@ -6,6 +6,10 @@ within 1e-8 of 1 are rejected as non-hyperbolic.  Manifold arcs grow by
 fundamental-domain continuation: a tiny eigen-segment is iterated, with
 midpoint re-insertion wherever image spacing exceeds the resolution.
 
+Heteroclinic evidence is the exact minimal torus distance between arc
+vertices, found by a block search that skips block pairs whose lower bound
+exceeds the best distance so far.
+
 A skeleton keeps a maximal subset of periodic records such that no pair is
 connected by heteroclinic intersections in both directions; the survivor of a
 mutual pair is chosen by (lower period, lexicographic point), an explicit
@@ -23,6 +27,10 @@ from .torus import reduce_torus, torus_displacement, torus_distance
 
 HYPERBOLIC_MULTIPLIER_TOL = 1e-6
 PERIODIC_RESIDUAL_TOL = 1e-10
+
+_BLOCK = 16  # polyline vertices per block in the heteroclinic distance search
+_PAIR_BATCH = 2048  # block pairs per vectorised batch of that search
+_BOUND_SLACK = 1e-12  # covers rounding in the block lower bounds
 
 
 class NewtonDidNotConverge(PhlabError):
@@ -260,26 +268,85 @@ class HeteroclinicEvidence:
         return self.tol <= self.min_distance < 10.0 * self.tol
 
 
+def _blocks(poly):
+    """Cut a polyline into ``_BLOCK``-vertex blocks.
+
+    Returns the vertices as (blocks, _BLOCK, dim), the last block padded with
+    copies of the final vertex, and per block a centroid and a radius that
+    bounds the torus distance from the centroid to each of its vertices.
+    """
+    n, dim = poly.shape
+    pad = np.minimum(np.arange(-(-n // _BLOCK) * _BLOCK), n - 1)
+    verts = poly[pad].reshape(-1, _BLOCK, dim)
+    lifted = verts - verts[:, :1]
+    lifted -= np.round(lifted)  # each block unwrapped around its first vertex
+    centre = lifted.mean(axis=1)
+    radius = np.linalg.norm(lifted - centre[:, None], axis=2).max(axis=1)
+    return verts, centre + verts[:, 0], radius
+
+
+def _closest_in_blocks(va, vb, ia, ib, n_a, n_b):
+    """Closest vertex pair over the block pairs (ia, ib).
+
+    Returns (distance, i, j) with the smallest (i, j) among exact ties.
+    """
+    d = va[ia][:, :, None, :] - vb[ib][:, None, :, :]
+    d -= np.round(d)
+    dist = np.linalg.norm(d, axis=-1)
+    best = dist.min()
+    p, s, t = np.nonzero(dist == best)
+    i = np.minimum(ia[p] * _BLOCK + s, n_a - 1)
+    j = np.minimum(ib[p] * _BLOCK + t, n_b - 1)
+    k = np.argmin(i * n_b + j)
+    return float(best), int(i[k]), int(j[k])
+
+
 def heteroclinic_test(unstable_arc: ManifoldArc, stable_arc: ManifoldArc,
-                      tol: float = 1e-4, chunk: int = 2000) -> HeteroclinicEvidence:
-    """Minimal torus distance between an unstable and a stable polyline."""
+                      tol: float = 1e-4) -> HeteroclinicEvidence:
+    """Minimal torus distance between the vertices of an unstable and a stable polyline.
+
+    The result is exact: it equals, bit for bit, the minimum over all vertex
+    pairs of ``norm(a - b - round(a - b))``, and among exact ties the witnesses
+    are the pair with the smallest (unstable index, stable index).  Both arcs
+    are cut into ``_BLOCK``-vertex blocks; a block pair is scanned only if its
+    centroid distance minus both radii does not exceed the best distance found
+    so far, starting from the block pair with the smallest such bound.  Work
+    arrays hold at most ``_PAIR_BATCH`` block pairs, so memory is bounded
+    independently of the product of the arc sizes.
+    """
     if unstable_arc.kind != "unstable" or stable_arc.kind != "stable":
         raise ValueError("expected (unstable, stable) arcs in that order")
     a = unstable_arc.polyline
     b = stable_arc.polyline
-    best = np.inf
-    wa = a[0]
-    wb = b[0]
-    for i in range(0, len(a), chunk):
-        blk = a[i : i + chunk]
-        d = blk[:, None, :] - b[None, :, :]
+    if len(a) == 0 or len(b) == 0:
+        raise ValueError("both polylines need at least one vertex")
+    va, ca, ra = _blocks(a)
+    vb, cb, rb = _blocks(b)
+    rows = max(1, _PAIR_BATCH // len(cb))  # blocks of A per bound batch
+    starts = range(0, len(ca), rows)
+
+    def bounds(lo):
+        """Lower bounds on the vertex distances of blocks lo.. of A to all of B."""
+        d = ca[lo : lo + rows, None, :] - cb[None, :, :]
         d -= np.round(d)
-        dist = np.linalg.norm(d, axis=2)
-        j = np.unravel_index(np.argmin(dist), dist.shape)
-        if dist[j] < best:
-            best = float(dist[j])
-            wa, wb = blk[j[0]], b[j[1]]
-    return HeteroclinicEvidence(min_distance=best, witness_a=wa, witness_b=wb, tol=tol)
+        return np.linalg.norm(d, axis=2) - ra[lo : lo + rows, None] - rb[None, :]
+
+    lowest = (np.inf, 0, 0)  # (bound, block of A, block of B)
+    for lo in starts:
+        lb = bounds(lo)
+        r, c = np.unravel_index(np.argmin(lb), lb.shape)
+        lowest = min(lowest, (lb[r, c], lo + r, c))
+    best = _closest_in_blocks(va, vb, np.array([lowest[1]]), np.array([lowest[2]]),
+                              len(a), len(b))
+    for lo in starts:
+        ia, ib = np.nonzero(bounds(lo) <= best[0] + _BOUND_SLACK)
+        ia += lo
+        for k in range(0, len(ia), _PAIR_BATCH):
+            cand = _closest_in_blocks(va, vb, ia[k : k + _PAIR_BATCH],
+                                      ib[k : k + _PAIR_BATCH], len(a), len(b))
+            best = min(best, cand)
+    dist, i, j = best
+    return HeteroclinicEvidence(min_distance=dist, witness_a=a[i], witness_b=b[j], tol=tol)
 
 
 @dataclass

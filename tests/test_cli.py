@@ -1,9 +1,10 @@
 import filecmp
 import json
 
+import numpy as np
 import pytest
 
-from phlab.cli import main, run_task
+from phlab.cli import _fd_jacobian, main, run_task
 from phlab.config import ExperimentConfig, build_system
 from phlab.errors import ConfigError
 
@@ -125,6 +126,31 @@ def test_main_usage_error_exit_2(tmp_path, capsys):
     assert main(["verify-cones", str(bad)]) == 2
     missing = tmp_path / "does-not-exist.json"
     assert main(["verify-cones", str(missing)]) == 2
+
+
+@pytest.mark.parametrize("override, field", [
+    ({"seed": True}, "seed"),
+    ({"task": {"n_orbits": True}}, "task.n_orbits"),
+])
+def test_main_rejects_bool_for_int(tmp_path, capsys, override, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**DEFORMED, **override}))
+    assert main(["lyapunov", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+
+
+def test_fd_jacobian_resolves_bump_transition(system):
+    """Chart points inside the bump's transition band, of width delta/k."""
+    pts = np.concatenate([
+        system.chart_p.from_chart(np.array([[0.0038407363508507594, 0.0017512654996811874,
+                                             4.119587494895091e-06, 0.0019363112836730026]])),
+        system.chart_q.from_chart(np.array([[0.012249419841894869, 0.00977913583965552,
+                                             0.01442490850486202, 4.438731059399487e-06]])),
+    ])
+    ja = system.jacobian(pts)
+    rel = np.linalg.norm(ja - _fd_jacobian(system, pts), axis=(1, 2)) / np.linalg.norm(
+        ja, axis=(1, 2))
+    assert np.max(rel) < 1e-5
 
 
 def test_main_pass_exit_0(tmp_path):

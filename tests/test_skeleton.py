@@ -1,12 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phlab.errors import NotHyperbolicError
 from phlab.ergodic import make_rng
+from phlab import skeleton
 from phlab.product import LinearSystem, build_product
 from phlab.skeleton import (
+    ManifoldArc,
     NewtonDidNotConverge,
     distinct_records,
     extract_skeleton,
@@ -21,6 +26,7 @@ from phlab.torus import (
     ToralAutomorphism,
     enumerate_periodic,
     fixed_point_count,
+    reduce_torus,
     torus_distance,
 )
 
@@ -179,8 +185,6 @@ def test_homoclinic_density_linear(cat):
     # exclude a neighborhood of the root to witness a true homoclinic point
     keep_u = ua.polyline[torus_distance(ua.polyline, rec.point) > 0.2]
     keep_s = sa.polyline[torus_distance(sa.polyline, rec.point) > 0.2]
-    from phlab.skeleton import ManifoldArc
-
     ev = heteroclinic_test(
         ManifoldArc(rec, "unstable", keep_u, 0.0, ua.seed_direction),
         ManifoldArc(rec, "stable", keep_s, 0.0, sa.seed_direction),
@@ -200,6 +204,68 @@ def test_short_arc_distance_is_separation(cat):
     ev = heteroclinic_test(ua, sa, 1e-4)
     sep = float(torus_distance(rec0.point, rec1.point))
     assert abs(ev.min_distance - sep) < 1e-2
+
+
+def _all_pairs_closest(a, b):
+    """Oracle: every vertex pair at once, first (i, j) in row-major order on ties."""
+    d = a[:, None, :] - b[None, :, :]
+    d -= np.round(d)
+    dist = np.linalg.norm(d, axis=2)
+    i, j = np.unravel_index(np.argmin(dist), dist.shape)
+    return float(dist[i, j]), a[i], b[j]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dim=st.sampled_from([2, 4]),
+    n_a=st.integers(1, 70),
+    n_b=st.integers(1, 70),
+    step=st.sampled_from([1e-3, 0.05, 0.4]),
+    far=st.booleans(),
+    snap=st.booleans(),
+    batch=st.sampled_from([1, 3, skeleton._PAIR_BATCH]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_heteroclinic_matches_all_pairs(dim, n_a, n_b, step, far, snap, batch, seed):
+    """Exact agreement with the all-pairs scan on wrapping random polylines.
+
+    ``far`` puts the arcs half a period apart, where pruning removes little;
+    ``snap`` puts the vertices on a 1/8 grid, which makes exact ties; a small
+    ``batch`` splits the search into many batches.
+    """
+    rng = np.random.default_rng(seed)
+
+    def walk(n, start):
+        pts = start + np.cumsum(step * rng.standard_normal((n, dim)), axis=0)
+        if snap:
+            pts = np.round(8.0 * pts) / 8.0
+        return reduce_torus(pts)
+
+    a = walk(n_a, rng.random(dim))
+    b = walk(n_b, a[0] + 0.5 if far else rng.random(dim))
+    with mock.patch.object(skeleton, "_PAIR_BATCH", batch):
+        ev = heteroclinic_test(ManifoldArc(None, "unstable", a, 0.0, None),
+                               ManifoldArc(None, "stable", b, 0.0, None))
+    dist, wa, wb = _all_pairs_closest(a, b)
+    assert ev.min_distance == dist
+    assert np.array_equal(ev.witness_a, wa)
+    assert np.array_equal(ev.witness_b, wb)
+
+
+def test_heteroclinic_tie_on_a_tight_block_bound():
+    """A tie in a block pair whose lower bound equals the minimum exactly.
+
+    Block pair (0, 0) has the smallest bound and a pair at distance 0.125;
+    block pair (0, 1) is bounded by exactly 0.125 and holds the tie (0, 16),
+    which comes first and must still be found.
+    """
+    a = np.array([[0.25, 0.3]] + [[0.5, 0.3]] * 15)
+    b = np.array([[0.625, 0.3]] * 16 + [[0.125, 0.3]])
+    ev = heteroclinic_test(ManifoldArc(None, "unstable", a, 0.0, None),
+                           ManifoldArc(None, "stable", b, 0.0, None))
+    assert ev.min_distance == 0.125
+    assert np.array_equal(ev.witness_a, a[0])
+    assert np.array_equal(ev.witness_b, b[16])
 
 
 def test_heteroclinic_requires_kinds(cat):
