@@ -121,12 +121,20 @@ def _validate_system(system):
     else:
         if not system.get("auto_params", True):
             for key in ("n", "m", "k"):
-                if not isinstance(system.get(key), (int, float)):
+                if not _is_number(system.get(key)):
                     raise ConfigError(f"system.{key}: required when auto_params is false")
+        delta = system.get("delta", 1.0 / 40.0)
+        if not _is_number(delta) or not 0 < delta <= 1.0 / 40.0:
+            raise ConfigError("system.delta: expected a number in (0, 1/40]")
         if kind == "tilde":
             et = system.get("eps_tilde", 0.05)
-            if not isinstance(et, (int, float)) or et <= 0:
+            if not _is_number(et) or et <= 0:
                 raise ConfigError("system.eps_tilde: expected a positive number")
+
+
+def _is_number(value):
+    # bool is a subclass of int, so it is told apart explicitly
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def build_system(config: ExperimentConfig):

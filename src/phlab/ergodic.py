@@ -1,14 +1,18 @@
 """Lyapunov exponents, Birkhoff averages, Pesin-block tests, growth identities.
 
-Spectra use the QR (Benettin) scheme with re-orthonormalization every step.
-Bundle exponents follow a single direction: forward propagation for the
-expanding bundles (uu, and cu inside the exactly invariant center plane),
-backward propagation for the contracting ones.  Seeds start on the linear
-eigen-axes and converge along the orbit; a transient prefix is discarded.
+Spectra use the QR (Benettin) scheme with re-orthonormalization every step,
+and add up log|det Df| along the same steps.  Bundle exponents follow a single
+direction in the chart eigenbasis, where the Jacobian is block triangular over
+the exactly invariant (u, s) plane: forward propagation for the expanding
+bundles (uu, and cu inside the center plane), backward propagation for the
+contracting ones (cs inside the plane, and ss).  The top rate of the
+contracting 2-plane cs + ss is therefore the cs rate.  Seeds start on the
+linear eigen-axes and converge along the orbit; a transient prefix is
+discarded.  One batched loop serves every bundle; a single orbit is a batch of
+one.
 
 All orbit statistics carry a convergence flag: the last-quarter mean must sit
-within three standard errors of the full mean.  Batched variants step many
-orbits simultaneously; merging across chunks uses compensated summation.
+within three standard errors of the full mean.
 """
 
 from __future__ import annotations
@@ -51,19 +55,14 @@ def make_rng(seed, worker: int = 0):
     )
 
 
-def merge_weighted(values, weights):
-    """Weighted average with compensated summation; order-independent to 1e-12."""
-    num = math.fsum(v * w for v, w in zip(values, weights))
-    den = math.fsum(weights)
-    return num / den
-
-
 @dataclass
 class LyapunovSpectrum:
-    """Exponents sorted descending plus a running-estimate history."""
+    """Exponents sorted descending, a running-estimate history, and the
+    Birkhoff average of log|det Df| over the same steps."""
 
     exponents: np.ndarray
     history: np.ndarray  # rows (step, est_1, ..., est_d)
+    log_det: float
     length: int
     transient: int
     start: np.ndarray
@@ -102,6 +101,7 @@ def lyapunov_spectrum(system, orbit: OrbitSpec, history_points: int = 200,
         frame, _ = _qr_step(system.jacobian(x), frame)
         x = system.step(x)
     sums = np.zeros(d)
+    log_det = 0.0
     steps = orbit.length - orbit.transient - frame_warmup
     if steps < 1:
         raise ValueError("orbit too short for transient plus frame warm-up")
@@ -111,6 +111,7 @@ def lyapunov_spectrum(system, orbit: OrbitSpec, history_points: int = 200,
         jac = system.jacobian(x)
         frame, growth = _qr_step(jac, frame)
         sums += np.log(growth)
+        log_det += np.log(np.abs(np.linalg.det(jac)))
         x = system.step(x)
         if t % stride == 0 or t == steps:
             history.append((t, *(sums / t)))
@@ -119,205 +120,135 @@ def lyapunov_spectrum(system, orbit: OrbitSpec, history_points: int = 200,
     return LyapunovSpectrum(
         exponents=np.sort(sums / steps)[::-1],
         history=np.array(history),
+        log_det=log_det / steps,
         length=orbit.length,
         transient=orbit.transient,
         start=orbit.resolve_start(d),
     )
 
 
-def lyapunov_spectrum_batch(system, starts, length: int, transient: int = 100,
-                            frame_dim: int | None = None,
-                            frame_warmup: int | None = None):
-    """Benettin spectra for many orbits at once; returns (N, frame_dim) exponents."""
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    n, d = starts.shape
-    kf = d if frame_dim is None else frame_dim
-    x = starts.copy()
-    for _ in range(transient):
-        x = system.step(x)
-    frames = np.broadcast_to(np.eye(d)[:, :kf], (n, d, kf)).copy()
-    if frame_warmup is None:
-        frame_warmup = min(200, (length - transient) // 2)
-    for _ in range(frame_warmup):
-        frames, _ = _qr_step(system.jacobian(x), frames)
-        x = system.step(x)
-    sums = np.zeros((n, kf))
-    steps = length - transient - frame_warmup
-    if steps < 1:
-        raise ValueError("orbit too short for transient plus frame warm-up")
-    for _ in range(steps):
-        jacs = system.jacobian(x)
-        frames, growth = _qr_step(jacs, frames)
-        sums += np.log(growth)
-        x = system.step(x)
-    if not np.all(np.isfinite(sums)):
-        raise OrbitDivergedError("non-finite Lyapunov sums in batch")
-    return sums / steps
-
-
 @dataclass
 class RunningAverage:
-    """Birkhoff value with history and the last-quarter convergence flag."""
+    """Birkhoff value with the last-quarter convergence flag."""
 
     value: float
-    history: np.ndarray
     converged: bool
-    stderr: float
 
 
-def _running_average(samples, history_points=200):
-    samples = np.asarray(samples, dtype=float)
-    n = len(samples)
-    cum = np.cumsum(samples) / np.arange(1, n + 1)
-    stride = max(1, n // history_points)
-    idx = np.arange(stride - 1, n, stride)
-    history = np.column_stack([idx + 1, cum[idx]])
-    quarter = samples[3 * n // 4 :]
-    se = float(np.std(quarter) / math.sqrt(len(quarter))) if len(quarter) > 1 else 0.0
-    floor = 1e-9 * (1.0 + abs(float(cum[-1])))  # absorbs pure rounding jitter
-    converged = abs(float(np.mean(quarter)) - float(cum[-1])) <= 3.0 * se + floor
-    return RunningAverage(value=float(cum[-1]), history=history, converged=converged, stderr=se)
+class _Tally:
+    """Streaming per-orbit mean over steps t >= transient, with the flag.
+
+    converged: the mean of the last quarter of the kept steps lies within
+    three (i.i.d.) standard errors of the full mean, plus a rounding floor.
+    """
+
+    def __init__(self, n, length, transient):
+        if length <= transient:
+            raise ValueError("orbit length must exceed the transient")
+        self.transient = transient
+        self.q_start = transient + 3 * (length - transient) // 4
+        self.total = np.zeros(n)
+        self.q_sum = np.zeros(n)
+        self.q_sq = np.zeros(n)
+        self.kept = 0
+        self.q_kept = 0
+
+    def add(self, t, vals):
+        if t < self.transient:
+            return
+        self.total += vals
+        self.kept += 1
+        if t >= self.q_start:
+            self.q_sum += vals
+            self.q_sq += vals * vals
+            self.q_kept += 1
+
+    def result(self):
+        mean = self.total / self.kept
+        q_mean = self.q_sum / self.q_kept
+        q_var = np.maximum(self.q_sq / self.q_kept - q_mean**2, 0.0)
+        se = np.sqrt(q_var / self.q_kept)
+        floor = 1e-9 * (1.0 + np.abs(mean))  # absorbs pure rounding jitter
+        return mean, np.abs(q_mean - mean) <= 3.0 * se + floor
 
 
-def birkhoff_average(system, orbit: OrbitSpec, observable, history_points: int = 200
-                     ) -> RunningAverage:
+def birkhoff_average(system, orbit: OrbitSpec, observable) -> RunningAverage:
     """Cesaro average of a bounded observable along the orbit, after burn-in."""
+    tally = _Tally(1, orbit.length, orbit.transient)
     x = orbit.resolve_start(system.dim)
-    for _ in range(orbit.transient):
+    for t in range(orbit.length):
+        if t >= orbit.transient:
+            tally.add(t, observable(x))
         x = system.step(x)
-    vals = np.empty(orbit.length - orbit.transient)
-    for t in range(len(vals)):
-        vals[t] = observable(x)
-        x = system.step(x)
-    return _running_average(vals, history_points)
+    mean, converged = tally.result()
+    return RunningAverage(value=float(mean[0]), converged=bool(converged[0]))
 
 
 # -- single-direction bundle exponents ---------------------------------------
 
+_SEED_AXIS = {"uu": 0, "ss": 1, "cu": 2, "cs": 3}
 _PLANE = slice(2, 4)
 
 
-def _seed_for(system, bundle):
-    table = {"uu": 0, "ss": 1, "cu": 2, "cs": 3}
-    e = np.zeros(4)
-    e[table[bundle]] = 1.0
-    return e
-
-
-def bundle_exponent(system, orbit: OrbitSpec, bundle: str) -> RunningAverage:
-    """Birkhoff average of log ||Df restricted to one extracted bundle||.
+def bundle_exponent_batch(system, starts, length: int, transient: int, bundle: str):
+    """Birkhoff averages of log ||Df restricted to one bundle||, many orbits at once.
 
     Forward bundles (uu, cu) propagate a seed along the forward orbit; the
     contracting ones (cs, ss) along the backward orbit, with the sign flipped
-    so the value always refers to forward time.  "cs_ss" gives the top rate of
-    the 2-dimensional contracting bundle via a backward 2-frame.
+    so the value always refers to forward time.  "cs_ss", the top rate of the
+    contracting 2-plane, is the cs rate (see the module docstring).  Returns
+    (values, converged flags), one per row of ``starts``.
     """
     if bundle == "cs_ss":
-        return _pair_exponent(system, orbit)
-    if bundle not in ("uu", "cu", "cs", "ss"):
+        bundle = "cs"
+    if bundle not in _SEED_AXIS:
         raise ValueError(f"unknown bundle {bundle!r}")
+    x = np.atleast_2d(np.asarray(starts, dtype=float)).copy()
+    tally = _Tally(x.shape[0], length, transient)
     forward = bundle in ("uu", "cu")
-    in_plane = bundle in ("cu", "cs")
-    x = orbit.resolve_start(system.dim)
-    v = _seed_for(system, bundle)
-    if in_plane:
-        v = v[_PLANE]
-    vals = np.empty(orbit.length)
-    for t in range(orbit.length):
-        if forward:
-            jac = system.jacobian_chart(x)
-            m = jac[_PLANE, _PLANE] if in_plane else jac
-            w = m @ v
-            g = np.linalg.norm(w)
-            vals[t] = math.log(g)
-            v = w / g
-            x = system.step(x)
-        else:
-            xp = system.step_inverse(x)
-            jac = system.jacobian_chart(xp)
-            m = jac[_PLANE, _PLANE] if in_plane else jac
-            w = np.linalg.solve(m, v)
-            g = np.linalg.norm(w)
-            vals[t] = -math.log(g)
-            v = w / g
-            x = xp
-    return _running_average(vals[orbit.transient :])
-
-
-def _pair_exponent(system, orbit: OrbitSpec) -> RunningAverage:
-    """Top forward rate of the contracting 2-plane (cs + ss), backward 2-frame."""
-    x = orbit.resolve_start(system.dim)
-    frame = np.eye(4)[:, [1, 3]]  # ss and s axes seed the backward-dominant plane
-    vals = np.empty(orbit.length)
-    for t in range(orbit.length):
-        xp = system.step_inverse(x)
-        jac_inv = np.linalg.inv(system.jacobian_chart(xp))
-        frame, growth = _qr_step(jac_inv, frame)
-        vals[t] = -math.log(growth[1])  # slower backward direction = cs rate
-        x = xp
-    return _running_average(vals[orbit.transient :])
-
-
-def bundle_exponent_batch(system, starts, length: int, transient: int, bundle: str):
-    """Batched bundle exponents; returns (values, converged flags).
-
-    Same propagation scheme as bundle_exponent, vectorized across orbits.
-    """
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    n = starts.shape[0]
-    x = starts.copy()
-    forward = bundle in ("uu", "cu")
-    in_plane = bundle in ("cu", "cs")
-    pair = bundle == "cs_ss"
-    if pair:
-        frames = np.broadcast_to(np.eye(4)[:, [1, 3]], (n, 4, 2)).copy()
-    else:
-        v = _seed_for(system, bundle)
-        v = v[_PLANE] if in_plane else v
-        vs = np.broadcast_to(v, (n, v.size)).copy()
-    total = np.zeros(n)
-    quarter_sum = np.zeros(n)
-    quarter_sq = np.zeros(n)
-    steps = length - transient
-    q_start = transient + 3 * steps // 4
-    kept = 0
-    q_kept = 0
+    block = _PLANE if bundle in ("cu", "cs") else slice(0, 4)
+    seed = np.zeros(4)
+    seed[_SEED_AXIS[bundle]] = 1.0
+    vs = np.tile(seed[block], (x.shape[0], 1))
     for t in range(length):
         if forward:
-            jac = system.jacobian_chart(x)
-            m = jac[:, _PLANE, _PLANE] if in_plane else jac
+            m = system.jacobian_chart(x)[:, block, block]
             w = np.einsum("nij,nj->ni", m, vs)
-            g = np.linalg.norm(w, axis=1)
-            vals = np.log(g)
-            vs = w / g[:, None]
             x = system.step(x)
         else:
-            xp = system.step_inverse(x)
-            jac = system.jacobian_chart(xp)
-            if pair:
-                frames, growth = _qr_step(np.linalg.inv(jac), frames)
-                vals = -np.log(growth[:, 1])
-            else:
-                m = jac[:, _PLANE, _PLANE] if in_plane else jac
-                w = np.linalg.solve(m, vs[:, :, None])[:, :, 0]
-                g = np.linalg.norm(w, axis=1)
-                vals = -np.log(g)
-                vs = w / g[:, None]
-            x = xp
-        if t >= transient:
-            total += vals
-            kept += 1
-            if t >= q_start:
-                quarter_sum += vals
-                quarter_sq += vals * vals
-                q_kept += 1
-    mean = total / kept
-    q_mean = quarter_sum / q_kept
-    q_var = np.maximum(quarter_sq / q_kept - q_mean**2, 0.0)
-    se = np.sqrt(q_var / q_kept)
-    floor = 1e-9 * (1.0 + np.abs(mean))
-    converged = np.abs(q_mean - mean) <= 3.0 * se + floor
-    return mean, converged
+            x = system.step_inverse(x)
+            m = system.jacobian_chart(x)[:, block, block]
+            w = np.linalg.solve(m, vs[:, :, None])[:, :, 0]
+        g = np.linalg.norm(w, axis=1)
+        tally.add(t, np.log(g) if forward else -np.log(g))
+        vs = w / g[:, None]
+    return tally.result()
+
+
+def bundle_exponent(system, orbit: OrbitSpec, bundle: str) -> RunningAverage:
+    """bundle_exponent_batch on the single orbit ``orbit``."""
+    mean, converged = bundle_exponent_batch(
+        system, orbit.resolve_start(system.dim)[None, :], orbit.length, orbit.transient,
+        bundle)
+    return RunningAverage(value=float(mean[0]), converged=bool(converged[0]))
+
+
+def push_forward(system, x, v, n: int):
+    """Propagate the direction of v for n steps from x along Df, renormalizing.
+
+    Returns (unit image direction, per-step log growths); the log growths add
+    up to log ||Df^n u|| for the unit vector u = v / ||v||.
+    """
+    v = np.asarray(v, dtype=float)
+    v = v / np.linalg.norm(v)
+    logs = np.empty(n)
+    for t in range(n):
+        w = system.jacobian(x) @ v
+        g = np.linalg.norm(w)
+        logs[t] = math.log(g)
+        v = w / g
+        x = system.step(x)
+    return v, logs
 
 
 # -- Pesin blocks --------------------------------------------------------------
@@ -353,36 +284,24 @@ def pesin_block_membership(system, x, query: PesinBlockQuery, extractor=None):
         extractor = lambda pt: extract_splitting(system, pt, n_iter=40)
     x = np.asarray(x, dtype=float)
     log_bound = -query.alpha * query.l
-
-    log_prod = 0.0
-    y = x
-    for i in range(query.horizon):
-        est = extractor(y)
-        basis = np.column_stack([est.directions["cs"], est.directions["ss"]])
-        m = np.eye(4)
-        z = y
-        for _ in range(query.l):
-            m = system.jacobian(z) @ m
-            z = system.step(z)
-        log_prod += math.log(np.linalg.norm(m @ basis, ord=2))
-        if log_prod > (i + 1) * log_bound + 1e-12:
-            return False, i + 1
-        y = z
-
-    log_prod = 0.0
-    y = x
-    for i in range(query.horizon):
-        est = extractor(y)
-        basis = np.column_stack([est.directions["uu"], est.directions["cu"]])
-        m = np.eye(4)
-        z = y
-        for _ in range(query.l):
-            m = system.jacobian_inverse(z) @ m
-            z = system.step_inverse(z)
-        log_prod += math.log(np.linalg.norm(m @ basis, ord=2))
-        if log_prod > (i + 1) * log_bound + 1e-12:
-            return False, i + 1
-        y = z
+    for bundles, jacobian, step in (
+        (("cs", "ss"), system.jacobian, system.step),
+        (("uu", "cu"), system.jacobian_inverse, system.step_inverse),
+    ):
+        log_prod = 0.0
+        y = x
+        for i in range(query.horizon):
+            est = extractor(y)
+            basis = np.column_stack([est.directions[b] for b in bundles])
+            m = np.eye(4)
+            z = y
+            for _ in range(query.l):
+                m = jacobian(z) @ m
+                z = step(z)
+            log_prod += math.log(np.linalg.norm(m @ basis, ord=2))
+            if log_prod > (i + 1) * log_bound + 1e-12:
+                return False, i + 1
+            y = z
     return True, None
 
 
@@ -404,15 +323,7 @@ def entropy_volume_identity(system, orbit: OrbitSpec, seed=None):
     seed = np.asarray(seed, dtype=float)
     if abs(float(seed @ axis)) < 1e-12:
         raise ValueError("seed has no component along the skew-unstable axis")
-    x = orbit.resolve_start(system.dim)
-    v = seed / np.linalg.norm(seed)
-    vals = np.empty(orbit.length)
-    for t in range(orbit.length):
-        w = system.jacobian(x) @ v
-        g = np.linalg.norm(w)
-        vals[t] = math.log(g)
-        v = w / g
-        x = system.step(x)
-    estimate = float(np.mean(vals[orbit.transient :]))
+    _, logs = push_forward(system, orbit.resolve_start(system.dim), seed, orbit.length)
+    estimate = float(np.mean(logs[orbit.transient :]))
     log_rate = math.log(rate)
     return estimate, log_rate, abs(estimate - log_rate)

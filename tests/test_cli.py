@@ -139,6 +139,28 @@ def test_main_rejects_bool_for_int(tmp_path, capsys, override, field):
     assert f"config error: {field}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand, system, task, field", [
+    ("lyapunov", {}, {"orbit_length": 100, "transient": 200}, "task.orbit_length"),
+    ("lyapunov", {}, {"orbit_length": 200}, "task.orbit_length"),
+    ("gibbs", {}, {"plaque_samples": 100, "cesaro_steps": 5, "integral_orbit": 200},
+     "task.integral_orbit"),
+    ("lyapunov", {"delta": "x"}, {}, "system.delta"),
+    ("lyapunov", {"delta": 0.5}, {}, "system.delta"),
+    ("lyapunov", {"delta": 0.0}, {}, "system.delta"),
+    ("lyapunov", {"delta": True}, {}, "system.delta"),
+    ("lyapunov", {"auto_params": False, "n": True, "m": 1, "k": 3803}, {}, "system.n"),
+    ("lyapunov", {"auto_params": False, "n": 3, "m": 1, "k": False}, {}, "system.k"),
+    ("lyapunov", {"kind": "tilde", "eps_tilde": True}, {}, "system.eps_tilde"),
+])
+def test_main_bad_values_exit_2_naming_the_field(tmp_path, capsys, subcommand, system,
+                                                 task, field):
+    cfg = {**DEFORMED, "system": {**DEFORMED["system"], **system}, "task": task}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([subcommand, str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+
+
 def test_fd_jacobian_resolves_bump_transition(system):
     """Chart points inside the bump's transition band, of width delta/k."""
     pts = np.concatenate([

@@ -11,11 +11,10 @@ from phlab.ergodic import (
     bundle_exponent_batch,
     entropy_volume_identity,
     lyapunov_spectrum,
-    lyapunov_spectrum_batch,
     make_rng,
-    merge_weighted,
     pesin_block_membership,
 )
+from phlab.ergodic import _Tally
 from phlab.product import LinearSystem
 from phlab.torus import cat_power_product
 
@@ -32,6 +31,11 @@ def expected_logs(pure_A):
 def test_orbit_spec_validation():
     with pytest.raises(ValueError):
         OrbitSpec(length=10, transient=10)
+
+
+def test_batch_rejects_length_within_transient(system):
+    with pytest.raises(ValueError, match="transient"):
+        bundle_exponent_batch(system, np.zeros((2, 4)), 100, 200, "cu")
 
 
 def test_pure_A_spectrum_exact(pure_A, rng):
@@ -79,18 +83,45 @@ def test_spectrum_sum_matches_log_det(system, rng):
         x = system.step(x)
     acc = []
     for _ in range(steps):
-        acc.append(math.log(abs(np.linalg.det(system.jacobian(x)))))
+        acc.append(np.log(np.abs(np.linalg.det(system.jacobian(x)))))
         x = system.step(x)
     assert abs(spec.total - math.fsum(acc) / steps) < 1e-8
+    assert spec.log_det == sum(acc) / steps  # same steps, same summation order
 
 
-def test_batch_matches_single(system, rng):
-    starts = rng.random((4, 4))
-    batch = lyapunov_spectrum_batch(system, starts, length=1500, transient=50)
-    for i in range(4):
-        single = lyapunov_spectrum(system, OrbitSpec(start=starts[i], length=1500,
-                                                     transient=50))
-        assert np.max(np.abs(np.sort(batch[i])[::-1] - single.exponents)) < 1e-12
+def _pair_exponent_oracle(system, starts, length, transient):
+    """The generic cs_ss path: a backward 2-frame seeded on (ss, s), propagated
+    by the inverse 4x4 chart Jacobian with QR; the growth of its second (slower)
+    direction gives the top forward rate of the cs + ss plane."""
+    x = np.array(starts, dtype=float)
+    frames = np.broadcast_to(np.eye(4)[:, [1, 3]], (len(x), 4, 2)).copy()
+    tally = _Tally(len(x), length, transient)
+    for t in range(length):
+        x = system.step_inverse(x)
+        q, r = np.linalg.qr(np.linalg.inv(system.jacobian_chart(x)) @ frames)
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        frames = q * np.where(diag < 0, -1.0, 1.0)[:, None, :]
+        tally.add(t, -np.log(np.abs(diag[:, 1])))
+    return tally.result()
+
+
+@pytest.mark.parametrize("which", ["system", "tilde"])
+def test_cs_ss_matches_generic_pair_exponent_bitwise(which, request):
+    """On the block-triangular chart Jacobian the 2x2 center solve reproduces
+    the 4x4 inverse + QR 2-frame exactly, in the charts and outside them."""
+    sys_ = request.getfixturevalue(which)
+    rng = make_rng(31)
+    half = 2.0 * sys_.params.delta
+    starts = np.concatenate([
+        rng.random((6, 4)),
+        sys_.chart_p.from_chart((rng.random((5, 4)) - 0.5) * 2 * half),
+        sys_.chart_q.from_chart((rng.random((5, 4)) - 0.5) * 2 * half),
+    ])
+    for length, transient in ((300, 30), (2000, 200)):
+        got = bundle_exponent_batch(sys_, starts, length, transient, "cs_ss")
+        want = _pair_exponent_oracle(sys_, starts, length, transient)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
 
 def test_bundle_exponents_pure_A(pure_A, rng):
@@ -201,11 +232,3 @@ def test_entropy_volume_rejects_fiber_seed(system):
         entropy_volume_identity(system, OrbitSpec(length=100, transient=0),
                                 seed=system.chart_p.axes[:, 2])
 
-
-def test_merge_weighted_order_independent(rng):
-    vals = list(rng.random(50))
-    wts = list(rng.random(50) + 0.1)
-    a = merge_weighted(vals, wts)
-    order = rng.permutation(50)
-    b = merge_weighted([vals[i] for i in order], [wts[i] for i in order])
-    assert abs(a - b) < 1e-12
