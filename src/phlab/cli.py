@@ -20,7 +20,7 @@ from . import cones as cones_mod
 from . import gibbs as gibbs_mod
 from . import skeleton as skel_mod
 from .config import ExperimentConfig, build_system
-from .deformation import _slab_grid, _swap_cd, small_partial_sup
+from .deformation import _fine_axis_on, _slab_grid, small_partial_sup
 from .deformation import center_gap_condition, rate_inequalities
 from .bump import compute_M
 from .ergodic import (
@@ -154,14 +154,12 @@ def run_verify_construction(config: ExperimentConfig, report: RunReport, out_dir
     rand_pts = (rng.random((n_rand, 4)) - 0.5) * 4 * delta
     slab = _slab_grid(delta, params.k, n_c=41, n_abd=9)
     allpts = np.concatenate([mesh, rand_pts, slab])
-    pc = system.p_gradient(allpts)[..., 2]
-    qd = system.q_gradient(_swap_cd(allpts))[..., 3]
-    report.add("splitting-dPdc-lower", np.min(pc) >= 1.0 - tol, float(np.min(pc)), ">= 1")
-    report.add("splitting-dPdc-upper", np.max(pc) <= system.luu / 2 + tol,
-               float(np.max(pc)), f"<= {system.luu / 2:.10g}")
-    report.add("splitting-dQdd-lower", np.min(qd) >= 1.0 - tol, float(np.min(qd)), ">= 1")
-    report.add("splitting-dQdd-upper", np.max(qd) <= 1 / (2 * system.lss) + tol,
-               float(np.max(qd)), f"<= {1 / (2 * system.lss):.10g}")
+    for cube, name, upper in zip(system.cubes, ("dPdc", "dQdd"),
+                                 (system.luu / 2, 1 / (2 * system.lss))):
+        dy = system.field_gradient(cube, _fine_axis_on(allpts, cube.j))[..., cube.j]
+        report.add(f"splitting-{name}-lower", np.min(dy) >= 1.0 - tol, float(np.min(dy)), ">= 1")
+        report.add(f"splitting-{name}-upper", np.max(dy) <= upper + tol,
+                   float(np.max(dy)), f"<= {upper:.10g}")
 
     n_round = config.task_value("roundtrip_points", 10_000)
     n_chart = config.task_value("roundtrip_chart_points", 1000)
@@ -240,6 +238,7 @@ def run_verify_cones(config: ExperimentConfig, report: RunReport, out_dir: str):
     report.set_params(**resolved)
     n_points = config.task_value("n_points", 2000)
     n_vectors = config.task_value("n_vectors", 5)
+    sandwich_steps = config.task_value("sandwich_steps", 20)
     cones = cones_mod.standard_cones(system)
     plan = [
         ("uu-forward", "forward", True),
@@ -270,8 +269,7 @@ def run_verify_cones(config: ExperimentConfig, report: RunReport, out_dir: str):
     cone = cones.get("uu-forward")
     v = cone.sample(make_rng(config.seed, 23), 1)[0]
     x = make_rng(config.seed, 29).random(4)
-    lo, val, hi = cones_mod.growth_sandwich_check(
-        system, x, v, config.task_value("sandwich_steps", 20), cone, system.luu)
+    lo, val, hi = cones_mod.growth_sandwich_check(system, x, v, sandwich_steps, cone, system.luu)
     report.add("growth-sandwich", lo * (1 - cones_mod.SANDWICH_RTOL) <= val <= hi, val / lo,
                f"in [1 - {cones_mod.SANDWICH_RTOL:g}, {np.sqrt(cone.width ** 2 + 1):.9f}]",
                "||Df^n v|| between rate^n |v_core| and sqrt(w^2+1) of it, "
@@ -288,6 +286,7 @@ def run_lyapunov(config: ExperimentConfig, report: RunReport, out_dir: str):
     transient = config.task_value("transient", 200)
     if length <= transient:
         raise ConfigError(f"task.orbit_length: must exceed task.transient ({transient})")
+    horizon = config.task_value("pesin_horizon", 4)
     starts = make_rng(config.seed, 1).random((n_orbits, 4))
 
     cu_vals, cu_conv = bundle_exponent_batch(system, starts, length, transient, "cu")
@@ -319,7 +318,7 @@ def run_lyapunov(config: ExperimentConfig, report: RunReport, out_dir: str):
     from .ergodic import PesinBlockQuery, pesin_block_membership
 
     alpha = 0.5 * float(np.log(system.lu))
-    q = PesinBlockQuery(alpha=alpha, l=1, horizon=config.task_value("pesin_horizon", 4))
+    q = PesinBlockQuery(alpha=alpha, l=1, horizon=horizon)
     member, _ = pesin_block_membership(system, starts[0], q)
     report.add("pesin-member-generic", member, member, "member",
                f"alpha = log(lu)/2 = {alpha:.4f}")

@@ -72,7 +72,14 @@ class ExperimentConfig:
             and not (isinstance(default, float) and isinstance(value, int))
         ):
             raise ConfigError(f"task.{key}: expected {type(default).__name__}")
+        low = _TASK_MINIMUM.get(key, 1)
+        if isinstance(default, int) and not isinstance(default, bool) and value < low:
+            raise ConfigError(f"task.{key}: expected an integer >= {low}, got {value}")
         return value
+
+
+# lower bounds of integer task values that differ from the default bound of 1
+_TASK_MINIMUM = {"n_orbits": 2, "transient": 0, "tracker_warmup": 0}
 
 
 def _cat_power_from_id(base_id):

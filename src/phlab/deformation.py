@@ -3,16 +3,18 @@
 The automorphism is the block product A = D^n x D^m of cat-map powers with
 rates luu > lu > 1 > ls > lss.  Around two fixed points p and q, affine charts
 aligned with the (orthonormal) eigenbasis carry coordinates (a, b, c, d)
-ordered (uu, ss, u, s).  Inside the chart cube of half-width 2*delta the
-deformation rescales a single coordinate:
+ordered (uu, ss, u, s).  Inside each chart cube of half-width 2*delta the
+deformation changes one coordinate y through F = s(ky) s(r) y coef + y mul/div,
+r the radius over the other three axes; DeformedSystem.cubes holds the rest:
 
-    at p:  c  ->  P(a,b,c,d) / lu,   P = s(kc) s(r) c (1 - lu - et) + lu c,
-    at q:  the inverse deformation sends d -> ls * Q(a,b,c,d),
-           Q = s(kd) s(r') d (1 - 1/ls - et) + d / ls,
+    cube   y   coef            mul   div   explicit direction
+    p (P)  c   1 - lu - et     lu    1     I_eps:     c -> P / lu
+    q (Q)  d   1 - 1/ls - et   1     ls    I_eps^-1:  d -> ls * Q
 
-with r = sqrt(a^2+b^2+d^2), r' = sqrt(a^2+b^2+c^2), and et >= 0 the optional
-extra flattening that makes both fixed points hyperbolic (et = 0 gives the
-plain construction where Df at p has a unit eigenvalue along c).
+The q cube mirrors the p cube: (c, d) swap roles, and so do the explicit
+direction (y -> F div/mul) and the root-solved one (F = y mul/div on
+[-2 delta, 2 delta]).  et >= 0 is the optional extra flattening that makes
+both fixed points hyperbolic (et = 0: Df at p has a unit eigenvalue along c).
 
 Everything here is vectorized over point batches of shape (N, 4); a single
 point of shape (4,) is accepted everywhere and returned in kind.
@@ -117,6 +119,29 @@ def center_gap_condition(eps1: float, lu: float):
     return value, low, high, (value > 0.0 and low < 1.0 < high)
 
 
+@dataclass(frozen=True)
+class Cube:
+    """One row of the cube table: chart, changed axis j and field constants."""
+
+    chart: ChartBox
+    j: int
+    coef: float
+    mul: float
+    div: float
+    forward_explicit: bool
+
+    @property
+    def others(self):
+        """The three chart axes the cube leaves unchanged, in order."""
+        return [i for i in range(4) if i != self.j]
+
+    def split(self, coords):
+        """The changed coordinate y and the radius r over the other three axes."""
+        cols = np.moveaxis(np.asarray(coords, dtype=float), -1, 0)
+        o0, o1, o2 = (cols[i] for i in self.others)
+        return cols[self.j], np.sqrt(o0 * o0 + o1 * o1 + o2 * o2)
+
+
 class DeformedSystem:
     """The map f = A o I_eps with analytic Jacobians and exact charts."""
 
@@ -131,8 +156,12 @@ class DeformedSystem:
         luu, lss, lu, ls = eigenvalue_rates(params.n, params.m)
         self.rates = np.array([luu, lss, lu, ls])
         self.luu, self.lss, self.lu, self.ls = luu, lss, lu, ls
-        self.coef_p = 1.0 - lu - params.eps_tilde
-        self.coef_q = 1.0 - 1.0 / ls - params.eps_tilde
+        et = params.eps_tilde
+        self.cubes = (
+            Cube(chart_p, j=2, coef=1.0 - lu - et, mul=lu, div=1.0, forward_explicit=True),
+            Cube(chart_q, j=3, coef=1.0 - 1.0 / ls - et, mul=1.0, div=ls,
+                 forward_explicit=False),
+        )
         # centers must sit far enough apart for the 3*delta support boxes
         gap = torus_distance(chart_p.center, chart_q.center)
         if gap <= 12.0 * params.delta:
@@ -141,91 +170,55 @@ class DeformedSystem:
                 f"<= 12*delta = {12 * params.delta:.4f}"
             )
 
-    # -- deformation scalar fields -------------------------------------------
+    # -- the deformation field of each cube ------------------------------------
 
-    def p_value(self, coords):
-        a, b, c, d = np.moveaxis(np.asarray(coords, dtype=float), -1, 0)
-        r = np.sqrt(a * a + b * b + d * d)
-        return self.bump(self.params.k * c) * self.bump(r) * c * self.coef_p + self.lu * c
+    def field(self, cube, coords):
+        """P at p, Q at q (see the module docstring)."""
+        y, r = cube.split(coords)
+        return (self.bump(self.params.k * y) * self.bump(r) * y * cube.coef
+                + y * cube.mul / cube.div)
 
-    def q_value(self, coords):
-        a, b, c, d = np.moveaxis(np.asarray(coords, dtype=float), -1, 0)
-        r = np.sqrt(a * a + b * b + c * c)
-        return self.bump(self.params.k * d) * self.bump(r) * d * self.coef_q + d / self.ls
-
-    def p_gradient(self, coords):
-        """(dP/da, dP/db, dP/dc, dP/dd) stacked on the last axis."""
-        k = self.params.k
-        a, b, c, d = np.moveaxis(np.asarray(coords, dtype=float), -1, 0)
-        r = np.sqrt(a * a + b * b + d * d)
-        skc = self.bump(k * c)
+    def field_gradient(self, cube, coords):
+        """The four partials of the field, stacked on the last axis."""
+        k, coef = self.params.k, cube.coef
+        coords = np.asarray(coords, dtype=float)
+        y, r = cube.split(coords)
+        sky = self.bump(k * y)
         sr = self.bump(r)
-        dc = sr * self.coef_p * (skc + k * c * self.bump.derivative(k * c)) + self.lu
+        dy = sr * coef * (sky + k * y * self.bump.derivative(k * y)) + cube.mul / cube.div
         # radial factor; the singularity at r = 0 is removable (s' vanishes there)
         common = np.zeros_like(r)
         pos = r > 0
-        common[pos] = (skc * c * self.coef_p)[pos] * self.bump.derivative(r[pos]) / r[pos]
-        return np.stack([common * a, common * b, dc, common * d], axis=-1)
-
-    def q_gradient(self, coords):
-        k = self.params.k
-        a, b, c, d = np.moveaxis(np.asarray(coords, dtype=float), -1, 0)
-        r = np.sqrt(a * a + b * b + c * c)
-        skd = self.bump(k * d)
-        sr = self.bump(r)
-        dd = sr * self.coef_q * (skd + k * d * self.bump.derivative(k * d)) + 1.0 / self.ls
-        common = np.zeros_like(r)
-        pos = r > 0
-        common[pos] = (skd * d * self.coef_q)[pos] * self.bump.derivative(r[pos]) / r[pos]
-        return np.stack([common * a, common * b, common * c, dd], axis=-1)
+        common[pos] = (sky * y * coef)[pos] * self.bump.derivative(r[pos]) / r[pos]
+        grad = common[..., None] * coords
+        grad[..., cube.j] = dy
+        return grad
 
     # -- the coordinate change I_eps ------------------------------------------
 
-    def _solve_p(self, coords):
-        """u in [-2d, 2d] with P(a,b,u,d)/lu = target c (strictly increasing)."""
-        target = coords[..., 2] * self.lu
+    def _solve(self, cube, coords):
+        """u in [-2d, 2d] with F(y=u) = y mul/div (F strictly increasing in u)."""
+        j = cube.j
+        target = coords[..., j] * cube.mul / cube.div
+
+        def at(u):
+            cc = coords.copy()
+            cc[..., j] = u
+            return cc
 
         def f(u):
-            cc = coords.copy()
-            cc[..., 2] = u
-            return self.p_value(cc) - target
+            return self.field(cube, at(u)) - target
 
-        def fprime(u):
-            cc = coords.copy()
-            cc[..., 2] = u
-            return self.p_gradient(cc)[..., 2]
-
-        return self._bracketed_solve(f, fprime, coords[..., 2].shape)
-
-    def _solve_q(self, coords):
-        """u in [-2d, 2d] with ls * Q(a,b,c,u) = target d (strictly increasing)."""
-        target = coords[..., 3] / self.ls
-
-        def f(u):
-            cc = coords.copy()
-            cc[..., 3] = u
-            return self.q_value(cc) - target
-
-        def fprime(u):
-            cc = coords.copy()
-            cc[..., 3] = u
-            return self.q_gradient(cc)[..., 3]
-
-        return self._bracketed_solve(f, fprime, coords[..., 3].shape)
-
-    def _bracketed_solve(self, f, fprime, shape):
         w = 2.0 * self.params.delta
-        lo = np.full(shape, -w)
-        hi = np.full(shape, w)
+        lo, hi = np.full(coords[..., j].shape, -w), np.full(coords[..., j].shape, w)
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            val = f(mid)
-            neg = val < 0
+            neg = f(mid) < 0
             lo = np.where(neg, mid, lo)
             hi = np.where(neg, hi, mid)
         u = 0.5 * (lo + hi)
         for _ in range(3):
-            u = np.clip(u - f(u) / fprime(u), -w, w)
+            u = np.clip(u - f(u) / self.field_gradient(cube, at(u))[..., j], -w, w)
         resid = np.max(np.abs(f(u))) if u.size else 0.0
         if resid > ROOT_TOL * max(1.0, self.lu):
             raise RootFindError(
@@ -233,42 +226,29 @@ class DeformedSystem:
             )
         return u
 
-    def deform(self, x):
-        """I_eps: changes c inside the p-cube, d inside the q-cube, else identity."""
+    def _deform(self, x, forward):
+        """I_eps (forward) or its inverse: one pass over the cube table."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = reduce_torus(np.atleast_2d(x)).copy()
-        cp, in_p = self.chart_p.to_chart(pts)
-        if np.any(in_p):
-            sub = cp[in_p]
-            new_c = self.p_value(sub) / self.lu
-            shift = (new_c - sub[..., 2])[:, None] * self.chart_p.axes[:, 2]
-            pts[in_p] = reduce_torus(pts[in_p] + shift)
-        cq, in_q = self.chart_q.to_chart(pts)
-        if np.any(in_q):
-            sub = cq[in_q]
-            new_d = self._solve_q(sub)
-            shift = (new_d - sub[..., 3])[:, None] * self.chart_q.axes[:, 3]
-            pts[in_q] = reduce_torus(pts[in_q] + shift)
+        for cube in self.cubes:
+            coords, inside = cube.chart.to_chart(pts)
+            if np.any(inside):
+                sub = coords[inside]
+                if forward == cube.forward_explicit:
+                    new = self.field(cube, sub) * cube.div / cube.mul
+                else:
+                    new = self._solve(cube, sub)
+                shift = (new - sub[..., cube.j])[:, None] * cube.chart.axes[:, cube.j]
+                pts[inside] = reduce_torus(pts[inside] + shift)
         return pts[0] if single else pts
 
+    def deform(self, x):
+        """I_eps: changes c inside the p-cube, d inside the q-cube, else identity."""
+        return self._deform(x, forward=True)
+
     def deform_inverse(self, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = reduce_torus(np.atleast_2d(x)).copy()
-        cp, in_p = self.chart_p.to_chart(pts)
-        if np.any(in_p):
-            sub = cp[in_p]
-            new_c = self._solve_p(sub)
-            shift = (new_c - sub[..., 2])[:, None] * self.chart_p.axes[:, 2]
-            pts[in_p] = reduce_torus(pts[in_p] + shift)
-        cq, in_q = self.chart_q.to_chart(pts)
-        if np.any(in_q):
-            sub = cq[in_q]
-            new_d = self.ls * self.q_value(sub)
-            shift = (new_d - sub[..., 3])[:, None] * self.chart_q.axes[:, 3]
-            pts[in_q] = reduce_torus(pts[in_q] + shift)
-        return pts[0] if single else pts
+        return self._deform(x, forward=False)
 
     # -- the map f and its derivatives ----------------------------------------
 
@@ -285,30 +265,24 @@ class DeformedSystem:
 
         At p this is diag(luu, lss, 1, ls) (plain map); at q it is
         diag(luu, lss, lu, 1); outside both cubes diag(luu, lss, lu, ls).
+        In a cube only row j differs: grad P at p, the implicit row at q.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = reduce_torus(np.atleast_2d(x))
-        n = pts.shape[0]
-        jac = np.zeros((n, 4, 4))
-        jac[:] = np.diag(self.rates)
-        cp, in_p = self.chart_p.to_chart(pts)
-        if np.any(in_p):
-            jac[in_p, 2, :] = self.p_gradient(cp[in_p])
-        cq, in_q = self.chart_q.to_chart(pts)
-        if np.any(in_q):
-            sub = cq[in_q].copy()
-            sub[..., 3] = self._solve_q(sub)  # Q-partials live at the image point
-            g = self.q_gradient(sub)
-            qd = g[..., 3]
-            row = np.empty_like(g)
-            row[..., 0] = -self.ls * g[..., 0] / qd
-            row[..., 1] = -self.ls * g[..., 1] / qd
-            row[..., 2] = -self.ls * g[..., 2] / qd
-            row[..., 3] = 1.0 / qd
-            block = jac[in_q]
-            block[:, 3, :] = row
-            jac[in_q] = block
+        jac = np.tile(np.diag(self.rates), (pts.shape[0], 1, 1))
+        for cube in self.cubes:
+            coords, inside = cube.chart.to_chart(pts)
+            if np.any(inside):
+                j, sub = cube.j, coords[inside]
+                if cube.forward_explicit:
+                    row = self.field_gradient(cube, sub)
+                else:
+                    sub[..., j] = self._solve(cube, sub)  # partials live at the image point
+                    g = self.field_gradient(cube, sub)
+                    row = -self.rates[j] * g / g[..., j:j + 1]
+                    row[..., j] = 1.0 / g[..., j]
+                jac[inside, j, :] = row
         return jac[0] if single else jac
 
     def jacobian(self, x):
@@ -335,22 +309,18 @@ class DeformedSystem:
         sys2 = DeformedSystem(self.auto, self.bump, params, self.chart_p, self.chart_q)
         if eps_tilde > 0:
             grid = _slab_grid(params.delta, params.k)
-            if np.min(sys2.p_gradient(grid)[..., 2]) <= 1e-9:
-                raise ParameterTooLargeError(
-                    f"eps_tilde={eps_tilde} destroys monotonicity of the c-change"
-                )
-            if np.min(sys2.q_gradient(_swap_cd(grid))[..., 3]) <= 1e-9:
-                raise ParameterTooLargeError(
-                    f"eps_tilde={eps_tilde} destroys monotonicity of the d-change"
-                )
+            for cube in sys2.cubes:
+                dy = sys2.field_gradient(cube, _fine_axis_on(grid, cube.j))[..., cube.j]
+                if np.min(dy) <= 1e-9:
+                    raise ParameterTooLargeError(
+                        f"eps_tilde={eps_tilde} destroys monotonicity of the "
+                        f"{'abcd'[cube.j]}-change"
+                    )
         return sys2
 
     def fixed_point_jacobians(self):
         """Chart Jacobians at p and q (diagonal for every eps_tilde)."""
-        return (
-            self.jacobian_chart(self.chart_p.center),
-            self.jacobian_chart(self.chart_q.center),
-        )
+        return tuple(self.jacobian_chart(cube.chart.center) for cube in self.cubes)
 
     def skew_unstable_bundle(self):
         """Strong-unstable axis and exact rate of the skew structure over the
@@ -366,23 +336,21 @@ def _slab_grid(delta, k, n_c=41, n_abd=13):
     return np.stack([aa, bb, cc, dd], axis=-1).reshape(-1, 4)
 
 
-def _swap_cd(coords):
-    out = coords.copy()
-    out[..., [2, 3]] = out[..., [3, 2]]
+def _fine_axis_on(grid, j):
+    """Points with axis 2 (the slab grid's fine axis) swapped onto axis j."""
+    if j == 2:
+        return grid
+    out = grid.copy()
+    out[..., [2, j]] = out[..., [j, 2]]
     return out
 
 
 def small_partial_sup(system: DeformedSystem) -> float:
     """Grid sup of the six cross partials (dP/da,b,d and dQ/da,b,c)."""
     grid = _slab_grid(system.params.delta, system.params.k)
-    gp = system.p_gradient(grid)
-    gq = system.q_gradient(_swap_cd(grid))
-    return float(
-        max(
-            np.max(np.abs(gp[..., [0, 1, 3]])),
-            np.max(np.abs(gq[..., [0, 1, 2]])),
-        )
-    )
+    grads = [system.field_gradient(cube, _fine_axis_on(grid, cube.j)) for cube in system.cubes]
+    return float(max(np.max(np.abs(g[..., cube.others]))
+                     for cube, g in zip(system.cubes, grads)))
 
 
 def _fixed_points(auto: ToralAutomorphism):

@@ -102,10 +102,11 @@ def test_02_splitting_bounds(system, capfd):
         rng = make_rng(101)
         rand = (rng.random((100_000, 4)) - 0.5) * 4 * d
         pts = np.concatenate([mesh, rand])
-        pc = system.p_gradient(pts)[..., 2]
-        from phlab.deformation import _swap_cd
+        cube_p, cube_q = system.cubes
+        pc = system.field_gradient(cube_p, pts)[..., 2]
+        from phlab.deformation import _fine_axis_on
 
-        qd = system.q_gradient(_swap_cd(pts))[..., 3]
+        qd = system.field_gradient(cube_q, _fine_axis_on(pts, 3))[..., 3]
         tol = 1e-9
         assert np.min(pc) >= 1.0 - tol and np.max(pc) <= system.luu / 2 + tol
         assert np.min(qd) >= 1.0 - tol and np.max(qd) <= 1 / (2 * system.lss) + tol

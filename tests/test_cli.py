@@ -151,6 +151,16 @@ def test_main_rejects_bool_for_int(tmp_path, capsys, override, field):
     ("lyapunov", {"auto_params": False, "n": True, "m": 1, "k": 3803}, {}, "system.n"),
     ("lyapunov", {"auto_params": False, "n": 3, "m": 1, "k": False}, {}, "system.k"),
     ("lyapunov", {"kind": "tilde", "eps_tilde": True}, {}, "system.eps_tilde"),
+    ("lyapunov", {}, {"n_orbits": 1}, "task.n_orbits"),
+    ("lyapunov", {}, {"n_orbits": 0}, "task.n_orbits"),
+    ("lyapunov", {}, {"transient": -5}, "task.transient"),
+    ("lyapunov", {}, {"pesin_horizon": 0}, "task.pesin_horizon"),
+    ("gibbs", {}, {"plaque_samples": 0}, "task.plaque_samples"),
+    ("gibbs", {}, {"cesaro_steps": 0}, "task.cesaro_steps"),
+    ("gibbs", {}, {"grid_side": 0}, "task.grid_side"),
+    ("verify-cones", {}, {"n_points": 0}, "task.n_points"),
+    ("verify-cones", {}, {"n_vectors": 0}, "task.n_vectors"),
+    ("verify-cones", {}, {"sandwich_steps": -1}, "task.sandwich_steps"),
 ])
 def test_main_bad_values_exit_2_naming_the_field(tmp_path, capsys, subcommand, system,
                                                  task, field):
