@@ -16,12 +16,20 @@ direction (y -> F div/mul) and the root-solved one (F = y mul/div on
 [-2 delta, 2 delta]).  et >= 0 is the optional extra flattening that makes
 both fixed points hyperbolic (et = 0: Df at p has a unit eigenvalue along c).
 
+The root-solved direction is a bracketed Newton iteration per point.  It
+starts at u = y, which is the root bit for bit wherever s(ky) s(r) = 0, that
+is outside the band |ky| < delta, r < delta, so most chart points cost one
+evaluation; in the band it bisects its bracket whenever a Newton step would
+leave it or fails to halve, since plain Newton can 2-cycle across the steep
+edge of the bump.
+
 Everything here is vectorized over point batches of shape (N, 4); a single
 point of shape (4,) is accepted everywhere and returned in kind.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -34,15 +42,18 @@ from .errors import (
     RootFindError,
 )
 from .torus import (
+    IntegerMatrix,
     ToralAutomorphism,
     cat_power_product,
     enumerate_periodic,
+    periodic_order,
     reduce_torus,
     torus_displacement,
     torus_distance,
 )
 
 ROOT_TOL = 1e-12
+ROOT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -175,8 +186,7 @@ class DeformedSystem:
     def field(self, cube, coords):
         """P at p, Q at q (see the module docstring)."""
         y, r = cube.split(coords)
-        return (self.bump(self.params.k * y) * self.bump(r) * y * cube.coef
-                + y * cube.mul / cube.div)
+        return self._field_y(cube, y, self.bump(self.params.k * y), self.bump(r))
 
     def field_gradient(self, cube, coords):
         """The four partials of the field, stacked on the last axis."""
@@ -185,7 +195,7 @@ class DeformedSystem:
         y, r = cube.split(coords)
         sky = self.bump(k * y)
         sr = self.bump(r)
-        dy = sr * coef * (sky + k * y * self.bump.derivative(k * y)) + cube.mul / cube.div
+        dy = self._field_dy(cube, y, sky, sr)
         # radial factor; the singularity at r = 0 is removable (s' vanishes there)
         common = np.zeros_like(r)
         pos = r > 0
@@ -194,37 +204,67 @@ class DeformedSystem:
         grad[..., cube.j] = dy
         return grad
 
+    @staticmethod
+    def _field_y(cube, y, sky, sr):
+        """The field at changed coordinate y, given s(ky) and s(r)."""
+        return sky * sr * y * cube.coef + y * cube.mul / cube.div
+
+    def _field_dy(self, cube, y, sky, sr):
+        """dF/dy at changed coordinate y, given s(ky) and s(r)."""
+        ky = self.params.k * y
+        return sr * cube.coef * (sky + ky * self.bump.derivative(ky)) + cube.mul / cube.div
+
     # -- the coordinate change I_eps ------------------------------------------
 
     def _solve(self, cube, coords):
-        """u in [-2d, 2d] with F(y=u) = y mul/div (F strictly increasing in u)."""
-        j = cube.j
-        target = coords[..., j] * cube.mul / cube.div
+        """u in [-2d, 2d] with F(y=u) = y mul/div, for coords of shape (N, 4).
 
-        def at(u):
-            cc = coords.copy()
-            cc[..., j] = u
-            return cc
-
-        def f(u):
-            return self.field(cube, at(u)) - target
-
-        w = 2.0 * self.params.delta
-        lo, hi = np.full(coords[..., j].shape, -w), np.full(coords[..., j].shape, w)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            neg = f(mid) < 0
-            lo = np.where(neg, mid, lo)
-            hi = np.where(neg, hi, mid)
-        u = 0.5 * (lo + hi)
-        for _ in range(3):
-            u = np.clip(u - f(u) / self.field_gradient(cube, at(u))[..., j], -w, w)
-        resid = np.max(np.abs(f(u))) if u.size else 0.0
-        if resid > ROOT_TOL * max(1.0, self.lu):
+        F is strictly increasing in u and equals u mul/div wherever
+        s(ku) s(r) = 0, so the start u = y is the root, bit for bit, outside
+        the band |ky| < delta, r < delta.  Each point runs Newton inside its
+        bracket, first [-2d, 2d], and bisects the bracket instead when the
+        Newton step would leave it or is not below half the step before last
+        (rtsafe): plain Newton can 2-cycle across the steep edge of s(ku).
+        A point stops at F = target, or when its last step or its bracket is
+        within 2 ulp of u; only points still moving are evaluated again.  The
+        result is each point's evaluated iterate of least |F - target|.
+        """
+        y, r = cube.split(coords)
+        target = y * cube.mul / cube.div
+        sr = self.bump(r)
+        k, w = self.params.k, 2.0 * self.params.delta
+        u, best, resid = y.copy(), y.copy(), np.full_like(y, np.inf)
+        lo, hi = np.full_like(y, -w), np.full_like(y, w)
+        step = np.full_like(y, 2.0 * w)  # the last step; prev is the one before it
+        prev = step.copy()
+        act = np.arange(u.size)
+        for _ in range(ROOT_MAX_ITER):
+            ua = u[act]
+            sky = self.bump(k * ua)
+            f = self._field_y(cube, ua, sky, sr[act]) - target[act]
+            closer = np.abs(f) < np.abs(resid[act])
+            best[act[closer]], resid[act[closer]] = ua[closer], f[closer]
+            lo[act] = np.where(f < 0, ua, lo[act])
+            hi[act] = np.where(f > 0, ua, hi[act])
+            ulp2 = 2.0 * np.spacing(np.abs(ua))
+            go = (f != 0) & (np.abs(step[act]) > ulp2) & (hi[act] - lo[act] > ulp2)
+            act, ua, sky, f = act[go], ua[go], sky[go], f[go]
+            if not act.size:
+                break
+            df = self._field_dy(cube, ua, sky, sr[act])
+            new = ua - f / df
+            lo_a, hi_a = lo[act], hi[act]
+            bisect = (new < lo_a) | (new > hi_a) | (np.abs(2.0 * f) > np.abs(prev[act] * df))
+            new = np.where(bisect, 0.5 * (lo_a + hi_a), new)
+            prev[act] = step[act]
+            step[act] = new - ua
+            u[act] = new
+        worst = np.max(np.abs(resid)) if u.size else 0.0
+        if worst > ROOT_TOL * max(1.0, self.lu):
             raise RootFindError(
-                f"deformation solve stalled: residual {resid:.3e} on {u.size} points"
+                f"deformation solve stalled: residual {worst:.3e} on {u.size} points"
             )
-        return u
+        return best
 
     def _deform(self, x, forward):
         """I_eps (forward) or its inverse: one pass over the cube table."""
@@ -353,25 +393,34 @@ def small_partial_sup(system: DeformedSystem) -> float:
                      for cube, g in zip(system.cubes, grads)))
 
 
-def _fixed_points(auto: ToralAutomorphism):
-    return enumerate_periodic(auto.matrix, 1)
-
-
 def select_fixed_point_pair(auto: ToralAutomorphism, delta: float):
     """p = origin and the fixed point q farthest from it on the torus.
+
+    A = D^n x D^m is a block product, so its fixed points are the pairs of
+    factor fixed points, and the farthest ones pair the farthest points of
+    each factor: only the two factors are enumerated (at most 103,680 points,
+    for D^12).  Ties go to the point first in enumerate_periodic's order for
+    A, so q is the one a scan over every fixed point of A would keep.
 
     The pair must keep the 3*delta support boxes disjoint; for every feasible
     (n, m) with n >= 2 the first factor has at least 5 fixed points spaced
     >= 0.44 apart, so a valid q always exists at delta <= 1/40.
     """
-    pts = _fixed_points(auto)
+    e = auto.matrix.entries
+    farthest = []
+    for i in (0, 2):
+        block = IntegerMatrix([row[i:i + 2] for row in e[i:i + 2]])
+        pts = np.array(enumerate_periodic(block, 1))
+        gap = torus_distance(pts, np.zeros(2))
+        # exact ties may round apart; distinct rational gaps differ by far more
+        farthest.append(pts[gap >= np.max(gap) - 1e-12])
     p = np.zeros(auto.dim)
-    best, best_gap = None, 0.0
-    for cand in pts:
-        gap = float(torus_distance(cand, p))
-        if gap > best_gap:
-            best, best_gap = cand, gap
-    if best is None or best_gap <= 12.0 * delta:
+    cands = [np.concatenate(pair) for pair in itertools.product(*farthest)]
+    gaps = [float(torus_distance(c, p)) for c in cands]
+    best_gap = max(gaps)
+    best = min((c for c, g in zip(cands, gaps) if g == best_gap),
+               key=lambda c: periodic_order(auto.matrix, 1, c))
+    if best_gap <= 12.0 * delta:
         raise InfeasibleParamsError(
             "no fixed point q with a disjoint support box; a low-period point "
             "and its return map would be required (not provided at desk scale)"

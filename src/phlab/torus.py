@@ -335,15 +335,9 @@ def smith_normal_form(mat):
     return u, a, v
 
 
-def enumerate_periodic(matrix: IntegerMatrix, n: int, cap: int = ENUMERATION_CAP):
-    """All period-n points of A on the torus: solutions of (A^n - I)x in Z^d.
-
-    Uses the Smith normal form of A^n - I, so every point is an exact rational
-    reduced to [0, 1).  Raises TooManyPointsError above ``cap`` points.
-    """
-    count = fixed_point_count(matrix, n)
-    if count > cap:
-        raise TooManyPointsError(f"{count} period-{n} points exceed cap {cap}")
+def _periodic_lattice(matrix: IntegerMatrix, n: int):
+    """Smith data (v, diag, lcm) of A^n - I: the period-n points are
+    v (combo * lcm / diag) / lcm mod 1 for combo in the box range(diag)."""
     d = matrix.dim
     p = matrix.power(n)
     b = [
@@ -352,7 +346,21 @@ def enumerate_periodic(matrix: IntegerMatrix, n: int, cap: int = ENUMERATION_CAP
     ]
     _, s, v = smith_normal_form(b)
     diag = [abs(s[i][i]) for i in range(d)]
-    lcm = math.lcm(*diag)
+    return v, diag, math.lcm(*diag)
+
+
+def enumerate_periodic(matrix: IntegerMatrix, n: int, cap: int = ENUMERATION_CAP):
+    """All period-n points of A on the torus: solutions of (A^n - I)x in Z^d.
+
+    Uses the Smith normal form of A^n - I, so every point is an exact rational
+    reduced to [0, 1).  Raises TooManyPointsError above ``cap`` points.  The
+    points come in the order of periodic_order.
+    """
+    count = fixed_point_count(matrix, n)
+    if count > cap:
+        raise TooManyPointsError(f"{count} period-{n} points exceed cap {cap}")
+    d = matrix.dim
+    v, diag, lcm = _periodic_lattice(matrix, n)
     scale = [lcm // di for di in diag]
     points = []
     for combo in itertools.product(*(range(di) for di in diag)):
@@ -363,3 +371,15 @@ def enumerate_periodic(matrix: IntegerMatrix, n: int, cap: int = ENUMERATION_CAP
         points.append(np.array([num / lcm for num in nums]))
     assert len(points) == count
     return points
+
+
+def periodic_order(matrix: IntegerMatrix, n: int, x) -> tuple:
+    """Sort key of the period-n point x in enumerate_periodic's order, found
+    without listing the points: the combo that maps to x."""
+    v, diag, lcm = _periodic_lattice(matrix, n)
+    v_inv = IntegerMatrix(v).inverse().entries
+    nums = [round(float(xi) * lcm) % lcm for xi in x]
+    return tuple(
+        sum(v_inv[k][j] * nums[j] for j in range(matrix.dim)) % lcm // (lcm // diag[k])
+        for k in range(matrix.dim)
+    )

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from phlab.bump import compute_M, make_bump
-from phlab.deformation import ParamCaps, build_deformed_system, search_params
+from phlab.deformation import (
+    ParamCaps,
+    build_deformed_system,
+    center_gap_condition,
+    eigenvalue_rates,
+    search_params,
+)
 from phlab.ergodic import make_rng
 
 
@@ -40,6 +46,12 @@ def chart_points(system, rng, n):
     """Uniform points in the p-chart cube, mapped to the torus."""
     coords = (rng.random((n, 4)) - 0.5) * 4.0 * system.params.delta
     return system.chart_p.from_chart(coords)
+
+
+def eps1_for(n, m):
+    """The eps1 that search_params picks for the pair (n, m)."""
+    lu = eigenvalue_rates(n, m)[2]
+    return next(e for e in ParamCaps().eps1_candidates if center_gap_condition(e, lu)[3])
 
 
 def random_cloud(rng, n, d=4):

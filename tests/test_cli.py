@@ -6,7 +6,11 @@ import pytest
 
 from phlab.cli import _fd_jacobian, main, run_task
 from phlab.config import ExperimentConfig, build_system
+from phlab.deformation import DeformationParams, build_deformed_system
+from phlab.ergodic import make_rng
 from phlab.errors import ConfigError
+
+from conftest import eps1_for
 
 DEFORMED = {
     "seed": 11,
@@ -183,6 +187,26 @@ def test_fd_jacobian_resolves_bump_transition(system):
     rel = np.linalg.norm(ja - _fd_jacobian(system, pts), axis=(1, 2)) / np.linalg.norm(
         ja, axis=(1, 2))
     assert np.max(rel) < 1e-5
+
+
+@pytest.mark.parametrize("eps_tilde", [0.0, 0.5])
+def test_fd_jacobian_in_band_both_cubes(eps_tilde):
+    """In-band points of both cubes at k = 1e4, where the transition band delta/k
+    is 2.5e-6 wide; a tenth of them lie 1000 times closer to the fixed plane y = 0."""
+    system = build_deformed_system(
+        DeformationParams(n=3, m=1, delta=1.0 / 40.0, k=1e4, eps1=eps1_for(3, 1))
+    ).make_tilde(eps_tilde)
+    d, k = system.params.delta, system.params.k
+    rng = make_rng(5)
+    for cube in system.cubes:
+        coords = (rng.random((400, 4)) - 0.5) * d  # r < delta
+        coords[:, cube.j] = (rng.random(400) - 0.5) * 2 * d / k  # |ky| < delta
+        coords[:40, cube.j] *= 1e-3
+        pts = cube.chart.from_chart(coords)
+        ja = system.jacobian(pts)
+        rel = np.linalg.norm(ja - _fd_jacobian(system, pts), axis=(1, 2)) / np.linalg.norm(
+            ja, axis=(1, 2))
+        assert np.max(rel) < 1e-5
 
 
 def test_main_pass_exit_0(tmp_path):

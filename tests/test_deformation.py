@@ -15,13 +15,14 @@ from phlab.deformation import (
     eigenvalue_rates,
     rate_inequalities,
     search_params,
+    select_fixed_point_pair,
     small_partial_sup,
 )
 from phlab.ergodic import make_rng
 from phlab.errors import InfeasibleParamsError, ParameterTooLargeError
-from phlab.torus import torus_distance
+from phlab.torus import cat_power_product, enumerate_periodic, torus_distance
 
-from conftest import chart_points
+from conftest import chart_points, eps1_for
 
 
 def test_chart_round_trip(system, rng):
@@ -177,6 +178,87 @@ def test_bijectivity_random_and_grid(system, rng):
     assert np.max(err) < 1e-10
 
 
+def _bisection_solve(system, cube, coords):
+    """The former root solve, kept as an oracle: 80 bisections of [-2d, 2d],
+    then 3 Newton steps.  Returns the root and the residual function."""
+    j = cube.j
+    target = coords[..., j] * cube.mul / cube.div
+
+    def at(u):
+        cc = coords.copy()
+        cc[..., j] = u
+        return cc
+
+    def f(u):
+        return system.field(cube, at(u)) - target
+
+    w = 2.0 * system.params.delta
+    lo, hi = np.full(coords[..., j].shape, -w), np.full(coords[..., j].shape, w)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        neg = f(mid) < 0
+        lo = np.where(neg, mid, lo)
+        hi = np.where(neg, hi, mid)
+    u = 0.5 * (lo + hi)
+    for _ in range(3):
+        u = np.clip(u - f(u) / system.field_gradient(cube, at(u))[..., j], -w, w)
+    return u, f
+
+
+# p-cube chart point of the default system where plain Newton from u = c
+# alternates between two iterates across the steep edge of s(kc)
+TWO_CYCLE_P = [-2.86344481e-3, -9.04460866e-3, 3.906360740312792e-6, 2.40997158e-3]
+
+
+def test_solve_two_cycle_point_converges(system):
+    cube = system.cubes[0]
+    coords = np.array([TWO_CYCLE_P])
+    y = coords[:, cube.j]
+    _, f = _bisection_solve(system, cube, coords)
+
+    def newton(u):
+        cc = coords.copy()
+        cc[:, cube.j] = u
+        return u - f(u) / system.field_gradient(cube, cc)[:, cube.j]
+
+    assert abs(newton(newton(y))[0] - y[0]) < 1e-12 * abs(y[0])  # plain Newton cycles
+    u = system._solve(cube, coords)
+    assert abs(f(u)[0]) < 1e-18
+    assert abs(u[0] - _bisection_solve(system, cube, coords)[0][0]) <= 1e-16
+
+
+@pytest.mark.parametrize("kind", ["plain", "tilde"])
+def test_solve_matches_bisection_oracle(system, tilde, rng, kind):
+    """In-band, out-of-band, r < delta/2 and r >= delta points of both cubes."""
+    sys_ = system if kind == "plain" else tilde
+    d, k = sys_.params.delta, sys_.params.k
+    n = 2000
+    for cube in sys_.cubes:
+        coords = (rng.random((4 * n, 4)) - 0.5) * 4 * d
+        y = coords[:, cube.j]
+        others = coords[:, cube.others]
+        y[:2 * n] = (rng.random(2 * n) - 0.5) * 2 * d / k  # |ky| < delta
+        others[:n] = (rng.random((n, 3)) - 0.5) * d  # r < delta
+        others[n:2 * n] = (rng.random((n, 3)) - 0.5) * d / 2  # r < delta / 2
+        others[2 * n:3 * n, 0] = d + rng.random(n) * d  # r >= delta
+        y[3 * n:] = np.sign(y[3 * n:]) * (d / k + rng.random(n) * (2 * d - d / k))  # |ky| >= d
+        coords[:, cube.others] = others
+        coords[2 * n:2 * n + 100, cube.j] = (rng.random(100) - 0.5) * 2 * d / k  # in band, r >= d
+
+        u = sys_._solve(cube, coords)
+        old, f = _bisection_solve(sys_, cube, coords)
+        assert np.max(np.abs(u - old)) <= 1e-16
+        # both roots sit at the rounding floor of evaluating F, whose two terms
+        # are up to |u| (|coef| + mul/div) in size: the new residual may exceed
+        # the oracle's at the same point by that floor, not more
+        floor = 4 * np.spacing(np.abs(u) * (abs(cube.coef) + cube.mul / cube.div))
+        assert np.all(np.abs(f(u)) <= np.abs(f(old)) + floor)
+        y, r = cube.split(coords)
+        out_of_band = (np.abs(k * y) >= d) | (r >= d)
+        assert np.count_nonzero(out_of_band) >= 2 * n
+        assert np.array_equal(u[out_of_band], y[out_of_band])
+
+
 def test_fixed_point_jacobians(system):
     jp, jq = system.fixed_point_jacobians()
     assert np.allclose(jp, np.diag([system.luu, system.lss, 1.0, system.ls]), atol=1e-12)
@@ -298,10 +380,41 @@ def test_partial_sup_below_budget(system):
     assert small_partial_sup(system) < system.params.eps0
 
 
-# Rate-feasible pairs with n + m above this either exceed torus.ENUMERATION_CAP
-# in select_fixed_point_pair, which lists every fixed point of the 4-D map, or
-# take seconds to build; the ones kept build in well under a second.
-MAX_N_PLUS_M = 10
+def _rate_feasible_pairs(bump_bound):
+    # the bump is one profile rescaled to delta, so M does not depend on delta
+    caps = ParamCaps()
+    return [(n, m) for n in range(2, caps.n_max + 1) for m in range(1, min(n, caps.m_max + 1))
+            if all(ok for *_, ok in rate_inequalities(bump_bound.M, n, m))]
+
+
+def test_default_q_unchanged(system):
+    assert np.array_equal(system.chart_q.center, [0.5, 0.5, 0.0, 0.0])
+
+
+def test_q_matches_scan_over_every_fixed_point(bump_bound):
+    """The per-factor choice equals the first farthest point of a scan over all
+    fixed points of D^n x D^m, ties included; pairs with n + m <= 10 keep the
+    scan below a second."""
+    p = np.zeros(4)
+    for n, m in _rate_feasible_pairs(bump_bound):
+        if n + m > 10:
+            continue
+        auto = cat_power_product(n, m)
+        best, best_gap = None, 0.0
+        for cand in enumerate_periodic(auto.matrix, 1):
+            gap = float(torus_distance(cand, p))
+            if gap > best_gap:
+                best, best_gap = cand, gap
+        assert np.array_equal(select_fixed_point_pair(auto, 1.0 / 40.0)[1], best), (n, m)
+
+
+def test_every_rate_feasible_pair_builds(bump, bump_bound):
+    pairs = _rate_feasible_pairs(bump_bound)
+    assert len(pairs) == 41
+    for n, m in pairs:
+        params = DeformationParams(n=n, m=m, delta=1.0 / 40.0, k=100.0, eps1=eps1_for(n, m))
+        system = build_deformed_system(params, bump=bump, bound=bump_bound)
+        assert torus_distance(system.chart_p.center, system.chart_q.center) > 12 * params.delta
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -309,21 +422,15 @@ MAX_N_PLUS_M = 10
 def test_construction_across_param_caps(bump_bound, data):
     """Round trips, the FD Jacobian and the gluing on systems drawn across ParamCaps."""
     caps = ParamCaps()
-    # the bump is one profile rescaled to delta, so M does not depend on delta
-    pairs = [(n, m) for n in range(2, caps.n_max + 1) for m in range(1, min(n, caps.m_max + 1))
-             if n + m <= MAX_N_PLUS_M
-             and all(ok for *_, ok in rate_inequalities(bump_bound.M, n, m))]
-    n, m = data.draw(st.sampled_from(pairs), label="n, m")
-    # delta/k >= 1e-7 keeps the FD step 1e-3 * delta/k clear of rounding
+    n, m = data.draw(st.sampled_from(_rate_feasible_pairs(bump_bound)), label="n, m")
+    # delta/k >= 1e-7 keeps the FD step 5e-4 * delta/k clear of rounding
     d = data.draw(st.floats(1e-3, caps.delta), label="delta")
     k = 10.0 ** data.draw(st.floats(np.log10(2.0), 4.0), label="log10 k")
     # on (0.95, 1) I_eps is nearly singular at p (Df = 1 - eps_tilde along c) and
     # round trips lose about 1e-16 * lu / (1 - eps_tilde); from 1 on make_tilde rejects
     eps_tilde = data.draw(st.floats(0.0, 1.2).filter(lambda e: not 0.95 < e < 1.0),
                           label="eps_tilde")
-    lu = eigenvalue_rates(n, m)[2]
-    eps1 = next(e for e in caps.eps1_candidates if center_gap_condition(e, lu)[3])
-    system = build_deformed_system(DeformationParams(n=n, m=m, delta=d, k=k, eps1=eps1))
+    system = build_deformed_system(DeformationParams(n=n, m=m, delta=d, k=k, eps1=eps1_for(n, m)))
     try:
         system = system.make_tilde(eps_tilde)
     except ParameterTooLargeError:

@@ -13,6 +13,7 @@ from phlab.torus import (
     enumerate_periodic,
     fixed_point_count,
     identity_matrix,
+    periodic_order,
     reduce_torus,
     smith_normal_form,
     torus_distance,
@@ -144,6 +145,14 @@ def test_enumerate_degenerate_period():
 def test_enumerate_cap():
     with pytest.raises(TooManyPointsError):
         enumerate_periodic(D, 5, cap=10)
+
+
+def test_periodic_order_is_enumeration_order():
+    for matrix, n in ((D, 5), (cat_power_product(3, 1).matrix, 1),
+                      (cat_power_product(4, 2).matrix, 1), (cat_power_product(2, 1).matrix, 2)):
+        keys = [periodic_order(matrix, n, x) for x in enumerate_periodic(matrix, n)]
+        assert len(set(keys)) == len(keys)
+        assert keys == sorted(keys)
 
 
 def test_apply_permutes_periodic_lattice():
