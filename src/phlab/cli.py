@@ -80,18 +80,25 @@ def _fd_jacobian(system, pts):
     that rounding spoils it; with the fourth-order form, a longer step keeps
     rounding below 1e-5 down to delta/k = 1e-7.  h is capped at 1e-2/luu so
     that the images of x +- 2h stay far less than a torus period apart.
+
+    In the q cube f solves Q(u) = d / ls, so its d-profile is steeper than
+    outside by the ratio of dQ/dd at the image to its out-of-band value 1/ls
+    (small when eps_tilde is near 1); h shrinks by that ratio there.  It is
+    exactly 1 at every other point, whose step stays as above.
     """
     from .torus import torus_displacement
 
-    h = min(5e-4 * system.params.delta / system.params.k, 1e-2 / system.luu)
     pts = np.atleast_2d(pts)
+    h = min(5e-4 * system.params.delta / system.params.k, 1e-2 / system.luu)
+    # Df has entry ls at (s, s) outside the q cube and 1 / (dQ/dd) inside it
+    h = h * np.minimum(1.0, system.ls / system.jacobian_chart(pts)[:, 3, 3])
     n, d = pts.shape
     jac = np.zeros((n, d, d))
     for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        d1, d2 = (torus_displacement(system.step(pts + s * e), system.step(pts - s * e)) / (2 * s * h)
-                  for s in (1, 2))
+        e = np.zeros((n, d))
+        e[:, i] = h
+        d1, d2 = (torus_displacement(system.step(pts + s * e), system.step(pts - s * e))
+                  / (2 * s * h[:, None]) for s in (1, 2))
         jac[:, :, i] = (4 * d1 - d2) / 3
     return jac
 

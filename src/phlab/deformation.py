@@ -23,6 +23,17 @@ evaluation; in the band it bisects its bracket whenever a Newton step would
 leave it or fails to halve, since plain Newton can 2-cycle across the steep
 edge of the bump.
 
+One loop over the cube table, DeformedSystem._cube_loop, does all of this:
+it looks each cube up once, moves the points that lie inside, and on the
+forward pass takes row j of Df from the same s, s' values (one pass of
+SmoothBump.profile each at ky and at r, or the solve's own values at its
+root).  deform / deform_inverse and jacobian_chart are thin wrappers over it,
+and advance(x, forward, full) returns one step of f together with its chart
+Jacobian (the (u, s) center block unless full): (f(x), Df(x)) forward,
+(f^-1(x), Df(f^-1(x))) backward, bit for bit what step / step_inverse and
+jacobian_chart give.  Outside both cubes Df is diag(rates), with no field
+arithmetic at all.
+
 Everything here is vectorized over point batches of shape (N, 4); a single
 point of shape (4,) is accepted everywhere and returned in kind.
 """
@@ -66,9 +77,8 @@ class ChartBox:
 
     def to_chart(self, x):
         """Chart coordinates of x and the mask of points inside the cube."""
-        disp = torus_displacement(x, self.center)
-        coords = disp @ self.axes
-        inside = np.all(np.abs(coords) <= self.half_width, axis=-1)
+        coords = torus_displacement(x, self.center) @ self.axes
+        inside = (np.abs(coords) <= self.half_width).all(axis=-1)
         return coords, inside
 
     def from_chart(self, coords):
@@ -148,9 +158,9 @@ class Cube:
 
     def split(self, coords):
         """The changed coordinate y and the radius r over the other three axes."""
-        cols = np.moveaxis(np.asarray(coords, dtype=float), -1, 0)
-        o0, o1, o2 = (cols[i] for i in self.others)
-        return cols[self.j], np.sqrt(o0 * o0 + o1 * o1 + o2 * o2)
+        coords = np.asarray(coords, dtype=float)
+        o0, o1, o2 = (coords[..., i] for i in self.others)
+        return coords[..., self.j], np.sqrt(o0 * o0 + o1 * o1 + o2 * o2)
 
 
 class DeformedSystem:
@@ -190,34 +200,38 @@ class DeformedSystem:
 
     def field_gradient(self, cube, coords):
         """The four partials of the field, stacked on the last axis."""
-        k, coef = self.params.k, cube.coef
         coords = np.asarray(coords, dtype=float)
         y, r = cube.split(coords)
-        sky = self.bump(k * y)
-        sr = self.bump(r)
-        dy = self._field_dy(cube, y, sky, sr)
-        # radial factor; the singularity at r = 0 is removable (s' vanishes there)
-        common = np.zeros_like(r)
-        pos = r > 0
-        common[pos] = (sky * y * coef)[pos] * self.bump.derivative(r[pos]) / r[pos]
-        grad = common[..., None] * coords
-        grad[..., cube.j] = dy
-        return grad
+        sky, dsky = self.bump.profile(self.params.k * y)
+        sr, dsr = self.bump.profile(r)
+        return self._gradient(cube, coords, y, r, sky, dsky, sr, dsr)
 
     @staticmethod
     def _field_y(cube, y, sky, sr):
         """The field at changed coordinate y, given s(ky) and s(r)."""
         return sky * sr * y * cube.coef + y * cube.mul / cube.div
 
-    def _field_dy(self, cube, y, sky, sr):
-        """dF/dy at changed coordinate y, given s(ky) and s(r)."""
-        ky = self.params.k * y
-        return sr * cube.coef * (sky + ky * self.bump.derivative(ky)) + cube.mul / cube.div
+    @staticmethod
+    def _field_dy(cube, ky, sky, dsky, sr):
+        """dF/dy at changed coordinate y, given ky, s(ky), s'(ky) and s(r)."""
+        return sr * cube.coef * (sky + ky * dsky) + cube.mul / cube.div
+
+    def _gradient(self, cube, coords, y, r, sky, dsky, sr, dsr):
+        """Partials of the field at coords with changed coordinate y (the other
+        three are read from coords), given r and s, s' at ky and at r."""
+        common = np.zeros_like(r)
+        pos = r > 0
+        # radial factor; the singularity at r = 0 is removable (s' vanishes there)
+        common[pos] = (sky * y * cube.coef)[pos] * dsr[pos] / r[pos]
+        grad = common[..., None] * coords
+        grad[..., cube.j] = self._field_dy(cube, self.params.k * y, sky, dsky, sr)
+        return grad
 
     # -- the coordinate change I_eps ------------------------------------------
 
-    def _solve(self, cube, coords):
-        """u in [-2d, 2d] with F(y=u) = y mul/div, for coords of shape (N, 4).
+    def _solve(self, cube, y, sr):
+        """u in [-2d, 2d] with F(u) = y mul/div at radius factor sr = s(r), and
+        s(ku), s'(ku) there.
 
         F is strictly increasing in u and equals u mul/div wherever
         s(ku) s(r) = 0, so the start u = y is the root, bit for bit, outside
@@ -229,29 +243,31 @@ class DeformedSystem:
         within 2 ulp of u; only points still moving are evaluated again.  The
         result is each point's evaluated iterate of least |F - target|.
         """
-        y, r = cube.split(coords)
         target = y * cube.mul / cube.div
-        sr = self.bump(r)
         k, w = self.params.k, 2.0 * self.params.delta
         u, best, resid = y.copy(), y.copy(), np.full_like(y, np.inf)
+        sky_best, dsky_best = np.zeros_like(y), np.zeros_like(y)
         lo, hi = np.full_like(y, -w), np.full_like(y, w)
         step = np.full_like(y, 2.0 * w)  # the last step; prev is the one before it
         prev = step.copy()
         act = np.arange(u.size)
         for _ in range(ROOT_MAX_ITER):
             ua = u[act]
-            sky = self.bump(k * ua)
+            kua = k * ua
+            sky, dsky = self.bump.profile(kua)
             f = self._field_y(cube, ua, sky, sr[act]) - target[act]
             closer = np.abs(f) < np.abs(resid[act])
-            best[act[closer]], resid[act[closer]] = ua[closer], f[closer]
+            at = act[closer]
+            best[at], resid[at] = ua[closer], f[closer]
+            sky_best[at], dsky_best[at] = sky[closer], dsky[closer]
             lo[act] = np.where(f < 0, ua, lo[act])
             hi[act] = np.where(f > 0, ua, hi[act])
             ulp2 = 2.0 * np.spacing(np.abs(ua))
             go = (f != 0) & (np.abs(step[act]) > ulp2) & (hi[act] - lo[act] > ulp2)
-            act, ua, sky, f = act[go], ua[go], sky[go], f[go]
+            act, ua, f = act[go], ua[go], f[go]
             if not act.size:
                 break
-            df = self._field_dy(cube, ua, sky, sr[act])
+            df = self._field_dy(cube, kua[go], sky[go], dsky[go], sr[act])
             new = ua - f / df
             lo_a, hi_a = lo[act], hi[act]
             bisect = (new < lo_a) | (new > hi_a) | (np.abs(2.0 * f) > np.abs(prev[act] * df))
@@ -264,24 +280,56 @@ class DeformedSystem:
             raise RootFindError(
                 f"deformation solve stalled: residual {worst:.3e} on {u.size} points"
             )
-        return best
+        return best, sky_best, dsky_best
 
-    def _deform(self, x, forward):
-        """I_eps (forward) or its inverse: one pass over the cube table."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = reduce_torus(np.atleast_2d(x)).copy()
+    def _cube_loop(self, pts, forward, lo=None):
+        """The one pass over the cube table, on reduced points pts of shape (N, 4).
+
+        Moves pts in place to I_eps(pts) (forward) or I_eps^-1(pts), with one
+        chart lookup per cube: axis j changes by the explicit F div/mul or by
+        the root solve.  With ``lo``, returns (jac, hit): jac is diag(rates)
+        restricted to rows and columns lo..3 (lo = 0 the 4x4, lo = 2 the
+        (u, s) block), and the forward pass overwrites row j of each point in
+        a cube with that of Df at the input, from the same bump values; hit
+        tells whether any point lay in a cube.
+        """
+        jac = None
+        if lo is not None:
+            jac = np.empty((pts.shape[0], 4 - lo, 4 - lo))
+            jac[...] = np.diag(self.rates[lo:])
+        rows = forward and jac is not None
+        k, hit = self.params.k, False
         for cube in self.cubes:
             coords, inside = cube.chart.to_chart(pts)
-            if np.any(inside):
-                sub = coords[inside]
-                if forward == cube.forward_explicit:
-                    new = self.field(cube, sub) * cube.div / cube.mul
-                else:
-                    new = self._solve(cube, sub)
-                shift = (new - sub[..., cube.j])[:, None] * cube.chart.axes[:, cube.j]
-                pts[inside] = reduce_torus(pts[inside] + shift)
-        return pts[0] if single else pts
+            if not inside.any():
+                continue
+            hit = True
+            j, sub = cube.j, coords[inside]
+            y, r = cube.split(sub)
+            sr, dsr = self.bump.profile(r, derivative=rows)
+            if forward == cube.forward_explicit:
+                sky, dsky = self.bump.profile(k * y, derivative=rows)
+                new = self._field_y(cube, y, sky, sr) * cube.div / cube.mul
+            else:
+                new, sky, dsky = self._solve(cube, y, sr)
+            if rows:
+                if cube.forward_explicit:  # grad F at the input point
+                    row = self._gradient(cube, sub, y, r, sky, dsky, sr, dsr)
+                else:  # implicit differentiation of F(u) = y mul/div at the root u
+                    g = self._gradient(cube, sub, new, r, sky, dsky, sr, dsr)
+                    row = -self.rates[j] * g / g[..., j:j + 1]
+                    row[..., j] = 1.0 / g[..., j]
+                jac[inside, j - lo, :] = row[..., lo:]
+            shift = (new - sub[..., j])[:, None] * cube.chart.axes[:, j]
+            pts[inside] = reduce_torus(pts[inside] + shift)
+        return jac, hit
+
+    def _deform(self, x, forward):
+        """I_eps (forward) or its inverse: the cube loop without Jacobian rows."""
+        x = np.asarray(x, dtype=float)
+        pts = reduce_torus(np.atleast_2d(x))
+        self._cube_loop(pts, forward)
+        return pts[0] if x.ndim == 1 else pts
 
     def deform(self, x):
         """I_eps: changes c inside the p-cube, d inside the q-cube, else identity."""
@@ -300,6 +348,31 @@ class DeformedSystem:
         """f^{-1} = I_eps^{-1} o A^{-1}."""
         return self.deform_inverse(self.auto.apply_inverse(x))
 
+    def advance(self, x, forward=True, full=False):
+        """One step of f with its chart Jacobian, from one chart lookup per cube.
+
+        Forward returns (f(x), Df(x)), backward (f^{-1}(x), Df(f^{-1}(x))),
+        bit for bit what step / step_inverse and jacobian_chart give.  Df is
+        the (u, s) center block, shape (..., 2, 2), or with ``full`` the 4x4
+        chart Jacobian.  Backward, the preimage is looked up again only when
+        some point lay in a cube: Df there needs its own chart coordinates.
+        """
+        x = np.asarray(x, dtype=float)
+        single = x.ndim == 1
+        lo = 0 if full else 2
+        if forward:
+            pts = reduce_torus(np.atleast_2d(x))
+            jac, _ = self._cube_loop(pts, True, lo)
+            out = self.auto.apply(pts[0] if single else pts)
+        else:
+            # apply_inverse already reduces; atleast_2d views its fresh output
+            out = self.auto.apply_inverse(x)
+            pts = np.atleast_2d(out)
+            jac, hit = self._cube_loop(pts, False, lo)
+            if hit:
+                jac, _ = self._cube_loop(pts.copy(), True, lo)
+        return out, (jac[0] if single else jac)
+
     def jacobian_chart(self, x):
         """Analytic Df in the global eigenbasis, shape (..., 4, 4).
 
@@ -308,22 +381,8 @@ class DeformedSystem:
         In a cube only row j differs: grad P at p, the implicit row at q.
         """
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = reduce_torus(np.atleast_2d(x))
-        jac = np.tile(np.diag(self.rates), (pts.shape[0], 1, 1))
-        for cube in self.cubes:
-            coords, inside = cube.chart.to_chart(pts)
-            if np.any(inside):
-                j, sub = cube.j, coords[inside]
-                if cube.forward_explicit:
-                    row = self.field_gradient(cube, sub)
-                else:
-                    sub[..., j] = self._solve(cube, sub)  # partials live at the image point
-                    g = self.field_gradient(cube, sub)
-                    row = -self.rates[j] * g / g[..., j:j + 1]
-                    row[..., j] = 1.0 / g[..., j]
-                jac[inside, j, :] = row
-        return jac[0] if single else jac
+        jac, _ = self._cube_loop(reduce_torus(np.atleast_2d(x)), True, 0)
+        return jac[0] if x.ndim == 1 else jac
 
     def jacobian(self, x):
         """Analytic Df in ambient coordinates (conjugated by the eigenbasis)."""

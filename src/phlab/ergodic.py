@@ -9,7 +9,9 @@ contracting ones (cs inside the plane, and ss).  The top rate of the
 contracting 2-plane cs + ss is therefore the cs rate.  Seeds start on the
 linear eigen-axes and converge along the orbit; a transient prefix is
 discarded.  One batched loop serves every bundle; a single orbit is a batch of
-one.
+one.  Each of its steps is one ``system.advance`` call, which returns the next
+point and the chart Jacobian block the bundle needs, (u, s) for cu and cs,
+the full 4x4 for uu and ss, at that step's base point.
 
 All orbit statistics carry a convergence flag: the last-quarter mean must sit
 within three standard errors of the full mean.
@@ -206,18 +208,15 @@ def bundle_exponent_batch(system, starts, length: int, transient: int, bundle: s
     x = np.atleast_2d(np.asarray(starts, dtype=float)).copy()
     tally = _Tally(x.shape[0], length, transient)
     forward = bundle in ("uu", "cu")
-    block = _PLANE if bundle in ("cu", "cs") else slice(0, 4)
+    full = bundle in ("uu", "ss")
     seed = np.zeros(4)
     seed[_SEED_AXIS[bundle]] = 1.0
-    vs = np.tile(seed[block], (x.shape[0], 1))
+    vs = np.tile(seed if full else seed[_PLANE], (x.shape[0], 1))
     for t in range(length):
+        x, m = system.advance(x, forward, full)
         if forward:
-            m = system.jacobian_chart(x)[:, block, block]
             w = np.einsum("nij,nj->ni", m, vs)
-            x = system.step(x)
         else:
-            x = system.step_inverse(x)
-            m = system.jacobian_chart(x)[:, block, block]
             w = np.linalg.solve(m, vs[:, :, None])[:, :, 0]
         g = np.linalg.norm(w, axis=1)
         tally.add(t, np.log(g) if forward else -np.log(g))

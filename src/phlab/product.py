@@ -65,6 +65,13 @@ class LinearSystem:
         return self._broadcast(x, np.diag(self.rates * np.sign(
             np.diag(self.axes.T @ self._jac @ self.axes))))
 
+    def advance(self, x, forward=True, full=False):
+        """(A x, Df) forward, (A^-1 x, Df) backward; Df is the constant chart
+        Jacobian, or its (u, s) block unless ``full``."""
+        out = self.step(x) if forward else self.step_inverse(x)
+        jac = self.jacobian_chart(out)
+        return out, (jac if full else jac[..., 2:4, 2:4])
+
     @property
     def chart_p(self):
         from .deformation import ChartBox

@@ -54,6 +54,74 @@ def test_derivative_matches_finite_difference(bump):
     assert np.all((err <= 1e-6 * np.abs(fd)) | (err <= 1e-9))
 
 
+# The two-pass formulas SmoothBump used before its one-pass profile, kept as
+# an oracle: sigma from e(t) and e(1 - t) on the whole array, sigma' from a
+# second evaluation of both exponentials and of e'.
+
+
+def _e(t):
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    pos = t > 0
+    with np.errstate(over="ignore"):
+        out[pos] = np.exp(-1.0 / t[pos])
+    return out
+
+
+def _e_prime(t):
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    pos = t > 0
+    tp = t[pos]
+    out[pos] = np.exp(-1.0 / tp) / (tp * tp)
+    return out
+
+
+def _sigma(t):
+    a, b = _e(t), _e(1.0 - t)
+    out = np.zeros_like(t)
+    mid = (t > 0) & (t < 1)
+    out[mid] = a[mid] / (a[mid] + b[mid])
+    out[t >= 1] = 1.0
+    return out
+
+
+def _sigma_prime(t):
+    out = np.zeros_like(t)
+    mid = (t > 0) & (t < 1)
+    tm = t[mid]
+    a, b = _e(tm), _e(1.0 - tm)
+    da, db = _e_prime(tm), _e_prime(1.0 - tm)
+    out[mid] = (da * b + a * db) / (a + b) ** 2
+    return out
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_one_pass_profile_matches_former_formulas_bitwise(bump, rng):
+    d = bump.delta
+    edges = np.array([0.0, -0.0, d / 2, -d / 2, d, -d])
+    near = np.concatenate([np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+    xs = np.concatenate([
+        edges, near, np.linspace(-2 * d, 2 * d, 4001),
+        np.sign(rng.random(2000) - 0.5) * (0.5 + 0.5 * rng.random(2000)) * d,  # the band
+        (rng.random(500) - 0.5) * 8 * d,  # mostly beyond the support
+    ])
+    t = (d - np.abs(xs)) / (d / 2.0)
+    want = _sigma(t)
+    want_d = _sigma_prime(t) * (-np.sign(xs) / (d / 2.0))
+    assert np.array_equal(_bits(bump(xs)), _bits(want))
+    assert np.array_equal(_bits(bump.derivative(xs)), _bits(want_d))
+    val, der = bump.profile(xs)
+    assert np.array_equal(_bits(val), _bits(want)) and np.array_equal(_bits(der), _bits(want_d))
+    for i in np.concatenate([np.arange(len(edges) + len(near)), [1000, 2000, 4500, 6400]]):
+        v, dv = bump(xs[i]), bump.derivative(xs[i])
+        assert isinstance(v, float) and isinstance(dv, float)
+        assert _bits(v) == _bits(want[i]) and _bits(dv) == _bits(want_d[i])
+
+
 def test_measure_constraint():
     with pytest.raises(MeasureConstraintError):
         make_bump(1.0 / 39.0)

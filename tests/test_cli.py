@@ -189,10 +189,12 @@ def test_fd_jacobian_resolves_bump_transition(system):
     assert np.max(rel) < 1e-5
 
 
-@pytest.mark.parametrize("eps_tilde", [0.0, 0.5])
+@pytest.mark.parametrize("eps_tilde", [0.0, 0.5, 0.8, 0.95])
 def test_fd_jacobian_in_band_both_cubes(eps_tilde):
     """In-band points of both cubes at k = 1e4, where the transition band delta/k
-    is 2.5e-6 wide; a tenth of them lie 1000 times closer to the fixed plane y = 0."""
+    is 2.5e-6 wide; a tenth of them lie 1000 times closer to the fixed plane y = 0.
+    Near eps_tilde = 1 the q-cube profile is steeper still, by the slope ratio
+    the difference step is scaled with."""
     system = build_deformed_system(
         DeformationParams(n=3, m=1, delta=1.0 / 40.0, k=1e4, eps1=eps1_for(3, 1))
     ).make_tilde(eps_tilde)

@@ -205,6 +205,12 @@ def _bisection_solve(system, cube, coords):
     return u, f
 
 
+def _root(system, cube, coords):
+    """The chart solve's root for chart points coords of shape (N, 4)."""
+    y, r = cube.split(coords)
+    return system._solve(cube, y, system.bump(r))[0]
+
+
 # p-cube chart point of the default system where plain Newton from u = c
 # alternates between two iterates across the steep edge of s(kc)
 TWO_CYCLE_P = [-2.86344481e-3, -9.04460866e-3, 3.906360740312792e-6, 2.40997158e-3]
@@ -222,7 +228,7 @@ def test_solve_two_cycle_point_converges(system):
         return u - f(u) / system.field_gradient(cube, cc)[:, cube.j]
 
     assert abs(newton(newton(y))[0] - y[0]) < 1e-12 * abs(y[0])  # plain Newton cycles
-    u = system._solve(cube, coords)
+    u = _root(system, cube, coords)
     assert abs(f(u)[0]) < 1e-18
     assert abs(u[0] - _bisection_solve(system, cube, coords)[0][0]) <= 1e-16
 
@@ -245,7 +251,7 @@ def test_solve_matches_bisection_oracle(system, tilde, rng, kind):
         coords[:, cube.others] = others
         coords[2 * n:2 * n + 100, cube.j] = (rng.random(100) - 0.5) * 2 * d / k  # in band, r >= d
 
-        u = sys_._solve(cube, coords)
+        u = _root(sys_, cube, coords)
         old, f = _bisection_solve(sys_, cube, coords)
         assert np.max(np.abs(u - old)) <= 1e-16
         # both roots sit at the rounding floor of evaluating F, whose two terms
@@ -257,6 +263,126 @@ def test_solve_matches_bisection_oracle(system, tilde, rng, kind):
         out_of_band = (np.abs(k * y) >= d) | (r >= d)
         assert np.count_nonzero(out_of_band) >= 2 * n
         assert np.array_equal(u[out_of_band], y[out_of_band])
+
+
+def _advance_points(sys_, rng, n):
+    """Random torus points; in-band, out-of-band, r < delta/2 and r >= delta
+    points of both cubes; and both fixed points."""
+    d, k = sys_.params.delta, sys_.params.k
+    pts = [rng.random((n, 4))]
+    for cube in sys_.cubes:
+        coords = (rng.random((4 * n, 4)) - 0.5) * 4 * d
+        y = coords[:, cube.j]
+        others = coords[:, cube.others]
+        y[:2 * n] = (rng.random(2 * n) - 0.5) * 2 * d / k  # |ky| < delta
+        others[:n] = (rng.random((n, 3)) - 0.5) * d  # r < delta
+        others[n:2 * n] = (rng.random((n, 3)) - 0.5) * d / 2  # r < delta / 2
+        others[2 * n:3 * n, 0] = d + rng.random(n) * d  # r >= delta
+        y[3 * n:] = np.sign(y[3 * n:]) * (d / k + rng.random(n) * (2 * d - d / k))  # |ky| >= d
+        coords[:, cube.others] = others
+        pts.append(cube.chart.from_chart(coords))
+    return np.concatenate(pts + [np.array([c.chart.center for c in sys_.cubes])])
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _assert_advance_is_step_and_jacobian_chart(sys_, pts, singles):
+    """advance against step / step_inverse and jacobian_chart, bit for bit,
+    in both directions, for the (u, s) block and the full Jacobian, on the
+    batch and on the single points pts[singles]."""
+    for forward in (True, False):
+        img = sys_.step(pts) if forward else sys_.step_inverse(pts)
+        jac = sys_.jacobian_chart(pts if forward else img)
+        for full in (False, True):
+            block = slice(0, 4) if full else slice(2, 4)
+            got_img, got_jac = sys_.advance(pts, forward, full)
+            assert _same_bits(got_img, img), (forward, full)
+            assert _same_bits(got_jac, jac[:, block, block]), (forward, full)
+            for i in singles:
+                one = sys_.step(pts[i]) if forward else sys_.step_inverse(pts[i])
+                got_img, got_jac = sys_.advance(pts[i], forward, full)
+                assert _same_bits(got_img, one), (forward, full, i)
+                at = pts[i] if forward else one
+                assert _same_bits(got_jac, sys_.jacobian_chart(at)[block, block]), (forward, full, i)
+
+
+@pytest.mark.parametrize("eps_tilde", [0.0, 0.5])
+def test_advance_matches_step_and_jacobian_chart_bitwise(system, rng, eps_tilde):
+    sys_ = system.make_tilde(eps_tilde)
+    pts = _advance_points(sys_, rng, 200)
+    n = len(pts)
+    # random; per cube in band, in band at r < delta/2, r >= delta, out of band; p, q
+    singles = [0, 200, 400, 600, 800, 1000, 1200, 1400, 1600, n - 2, n - 1]
+    _assert_advance_is_step_and_jacobian_chart(sys_, pts, singles)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_advance_matches_step_across_param_caps(bump, bump_bound, data):
+    n, m = data.draw(st.sampled_from(_rate_feasible_pairs(bump_bound)), label="n, m")
+    k = 10.0 ** data.draw(st.floats(np.log10(2.0), 4.0), label="log10 k")
+    eps_tilde = data.draw(st.floats(0.0, 0.9), label="eps_tilde")
+    system = build_deformed_system(
+        DeformationParams(n=n, m=m, delta=1.0 / 40.0, k=k, eps1=eps1_for(n, m)),
+        bump=bump, bound=bump_bound)
+    try:
+        system = system.make_tilde(eps_tilde)
+    except ParameterTooLargeError:
+        reject()
+    pts = _advance_points(system, make_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")), 40)
+    _assert_advance_is_step_and_jacobian_chart(system, pts, [0, 40, 200, len(pts) - 1])
+
+
+def _bundle_loop_oracle(system, starts, length, transient, bundle):
+    """The bundle_exponent_batch loop before advance: step or step_inverse
+    plus jacobian_chart each step, sliced to the bundle's block."""
+    from phlab.ergodic import _Tally
+
+    if bundle == "cs_ss":
+        bundle = "cs"
+    x = np.atleast_2d(np.asarray(starts, dtype=float)).copy()
+    tally = _Tally(x.shape[0], length, transient)
+    forward = bundle in ("uu", "cu")
+    block = slice(2, 4) if bundle in ("cu", "cs") else slice(0, 4)
+    seed = np.zeros(4)
+    seed[{"uu": 0, "ss": 1, "cu": 2, "cs": 3}[bundle]] = 1.0
+    vs = np.tile(seed[block], (x.shape[0], 1))
+    for t in range(length):
+        if forward:
+            m = system.jacobian_chart(x)[:, block, block]
+            w = np.einsum("nij,nj->ni", m, vs)
+            x = system.step(x)
+        else:
+            x = system.step_inverse(x)
+            m = system.jacobian_chart(x)[:, block, block]
+            w = np.linalg.solve(m, vs[:, :, None])[:, :, 0]
+        g = np.linalg.norm(w, axis=1)
+        tally.add(t, np.log(g) if forward else -np.log(g))
+        vs = w / g[:, None]
+    return tally.result()
+
+
+@pytest.mark.parametrize("eps_tilde", [0.0, 0.5])
+def test_bundle_exponents_on_advance_match_former_loop(system, eps_tilde):
+    from phlab.ergodic import bundle_exponent_batch
+
+    sys_ = system.make_tilde(eps_tilde)
+    rng = make_rng(41)
+    half = 2.0 * sys_.params.delta
+    starts = np.concatenate([
+        rng.random((10, 4)),
+        sys_.chart_p.from_chart((rng.random((5, 4)) - 0.5) * 2 * half),
+        sys_.chart_q.from_chart((rng.random((5, 4)) - 0.5) * 2 * half),
+        [sys_.chart_p.center, sys_.chart_q.center],
+    ])
+    for bundle in ("cu", "cs_ss", "uu", "ss"):
+        got = bundle_exponent_batch(sys_, starts, 400, 40, bundle)
+        want = _bundle_loop_oracle(sys_, starts, 400, 40, bundle)
+        assert np.array_equal(got[0], want[0]), bundle
+        assert np.array_equal(got[1], want[1]), bundle
 
 
 def test_fixed_point_jacobians(system):

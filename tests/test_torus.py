@@ -95,6 +95,21 @@ def test_reduce_torus_canonical():
     assert np.all(reduce_torus(out) == out)
 
 
+def test_reduce_torus_bitwise_equals_np_mod(rng):
+    """x - floor(x) rounds the same value once as np.mod(x, 1.0)."""
+    edges = np.array([-1e-17, 0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e300, -1e300])
+    x = np.concatenate([
+        edges,
+        rng.normal(size=100_000),
+        rng.normal(size=100_000) * 1e-300,  # tiny, subnormal included
+        (rng.random((100_000)) - 0.5) * 40.0,  # image-sized, as x @ A.T before reduction
+    ])
+    want = np.mod(x, 1.0)
+    assert want[0] == 1.0  # the case the canonical-rep guard exists for
+    want[want >= 1.0] = 0.0
+    assert np.array_equal(reduce_torus(x).view(np.int64), want.view(np.int64))
+
+
 def brute_force_count(matrix, n):
     """Independent oracle: scan the rational lattice with denominator |det|."""
     p = matrix.power(n)
