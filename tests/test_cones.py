@@ -1,18 +1,29 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from phlab.cones import (
     SANDWICH_RTOL,
     ConeField,
+    InvarianceReport,
+    _aligned_residual,
     extract_splitting,
     growth_sandwich_check,
     plane_invariance_residual,
     standard_cones,
     verify_invariance,
 )
+from phlab.deformation import DeformationParams, build_deformed_system
 from phlab.ergodic import make_rng
+from phlab.errors import ParameterTooLargeError
 from phlab.product import LinearSystem
 from phlab.torus import cat_power_product
+
+from conftest import eps1_for
+from test_deformation import _advance_points, _rate_feasible_pairs
 
 
 @pytest.fixture(scope="module")
@@ -20,9 +31,19 @@ def pure_A():
     return LinearSystem(cat_power_product(3, 1))
 
 
+@pytest.fixture(scope="module")
+def tilde_half(system):
+    return system.make_tilde(0.5)
+
+
 def axes_cone(system, width=0.05):
     ax = system.chart_p.axes
     return ConeField("uu", ax[:, 0], ax[:, [2, 3, 1]], width)
+
+
+def ss_axes_cone(system, width=0.05):
+    ax = system.chart_p.axes
+    return ConeField("ss", ax[:, 1], ax[:, [0, 2, 3]], width)
 
 
 def test_cone_membership_cases(system):
@@ -56,16 +77,91 @@ def test_out_of_span_rejected(system):
         cone.contains(system.chart_p.axes[:, 0])
 
 
+def _assert_exact_rates(system, cone, direction, contraction, rate):
+    rep = verify_invariance(system, cone, direction, n_points=100, n_vectors=8,
+                            rng=make_rng(3))
+    assert rep.theta <= contraction + 1e-9
+    assert rep.growth_gamma >= rate / np.sqrt(1 + cone.width**2) - 1e-9
+    assert rep.forward_invariant and rep.unstable
+
+
 def test_linear_invariance_exact_rates(pure_A):
     """For the plain automorphism the contraction and growth rates are exact."""
-    lams = np.abs(pure_A.auto.splitting.eigenvalues)
-    luu, lu = lams[0], lams[1]
-    cone = axes_cone(pure_A, width=0.05)
-    rep = verify_invariance(pure_A, cone, "forward", n_points=100, n_vectors=8,
-                            rng=make_rng(3))
-    assert rep.theta <= lu / luu + 1e-9
-    assert rep.growth_gamma >= luu / np.sqrt(1 + cone.width**2) - 1e-9
-    assert rep.forward_invariant and rep.unstable
+    luu, _, lu, _ = pure_A.rates
+    _assert_exact_rates(pure_A, axes_cone(pure_A, width=0.05), "forward", lu / luu, luu)
+
+
+def test_linear_invariance_exact_rates_backward(pure_A):
+    """Backward, the ss cone contracts by lss/ls and grows by 1/lss exactly."""
+    _, lss, _, ls = pure_A.rates
+    _assert_exact_rates(pure_A, ss_axes_cone(pure_A, width=0.05), "backward",
+                        lss / ls, 1.0 / lss)
+
+
+def _invariance_loop_oracle(system, cone, direction, pts, vs):
+    """The per-point loop verify_invariance ran before it was batched, on given
+    points and cone vectors vs of shape (n_points, n_vectors, dim)."""
+    jacs = system.jacobian(pts) if direction == "forward" else system.jacobian_inverse(pts)
+    theta, gamma, worst_ratio, witness, total = 0.0, np.inf, 0.0, pts[0], 0
+    for i in range(len(pts)):
+        pre = cone.ratio(vs[i])
+        imgs = vs[i] @ jacs[i].T
+        post = cone.ratio(imgs)
+        growth = np.linalg.norm(imgs, axis=1) / np.linalg.norm(vs[i], axis=1)
+        quot = post / pre
+        j = int(np.argmax(quot))
+        if quot[j] > theta:
+            theta, witness, worst_ratio = float(quot[j]), pts[i], float(post[j])
+        gamma = min(gamma, float(np.min(growth)))
+        total += len(vs[i])
+    return InvarianceReport(cone.name, direction, theta, gamma, total,
+                            max(0.0, worst_ratio / cone.width - 1.0), witness, worst_ratio)
+
+
+def _assert_matches_loop_oracle(system, cone, direction, n_points, n_vectors, seed):
+    rng = make_rng(seed)
+    draw = copy.deepcopy(rng)
+    pts = draw.random((n_points, system.dim))
+    vs = cone.sample(draw, n_points * n_vectors).reshape(n_points, n_vectors, -1)
+    got = verify_invariance(system, cone, direction, n_points, n_vectors, rng=rng)
+    want = _invariance_loop_oracle(system, cone, direction, pts, vs)
+    for field in ("cone", "direction", "theta", "growth_gamma", "samples",
+                  "worst_violation", "witness_ratio"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert np.array_equal(got.witness_point, want.witness_point)
+
+
+@pytest.mark.parametrize("kind", ["plain", "tilde"])
+@pytest.mark.parametrize("name, direction", [
+    ("uu-forward", "forward"), ("ss-backward", "backward"),
+    ("center-u", "forward"), ("center-s", "backward")])
+def test_verify_invariance_matches_loop_oracle(system, tilde_half, kind, name, direction):
+    """The batched pass returns what the per-point loop returned, bit for bit."""
+    sys_ = system if kind == "plain" else tilde_half
+    cone = standard_cones(sys_)[name]
+    _assert_matches_loop_oracle(sys_, cone, direction, 300, 5, seed=41)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_verify_invariance_matches_loop_oracle_linear(pure_A, direction):
+    _assert_matches_loop_oracle(pure_A, axes_cone(pure_A), direction, 100, 8, seed=43)
+
+
+class _Identity:
+    """Df = I everywhere: every quotient is exactly 1, so all samples tie."""
+
+    dim = 4
+
+    def jacobian(self, pts):
+        return np.broadcast_to(np.eye(4), (len(pts), 4, 4))
+
+
+def test_verify_invariance_ties_go_to_the_first_point(pure_A):
+    cone = axes_cone(pure_A)
+    rep = verify_invariance(_Identity(), cone, "forward", 20, 4, rng=make_rng(5))
+    assert rep.theta == 1.0
+    assert np.array_equal(rep.witness_point, make_rng(5).random((20, 4))[0])
+    _assert_matches_loop_oracle(_Identity(), cone, "forward", 20, 4, seed=5)
 
 
 def test_five_cone_conditions(system):
@@ -88,6 +184,80 @@ def test_invariance_rejects_bad_args(system):
         verify_invariance(system, cone, "sideways", n_points=10)
     with pytest.raises(ValueError):
         verify_invariance(system, cone, "forward", n_points=0)
+
+
+def _extract_splitting_oracle(system, x, n_iter, tolerance=1e-8):
+    """extract_splitting before it walked its orbit with advance: point lists
+    from step / step_inverse, one jacobian_chart and one inv per matrix, and
+    cu / cs pushed through the 2x2 (u, s) slices.  Returns (directions,
+    residuals, converged)."""
+    def push_pair(mats, seed):
+        v = seed / np.linalg.norm(seed)
+        w = None
+        for idx, m in enumerate(mats):
+            v = m @ v
+            v /= np.linalg.norm(v)
+            if idx == 0:
+                w = seed / np.linalg.norm(seed)
+            else:
+                w = m @ w
+                w /= np.linalg.norm(w)
+        return v, w
+
+    x = np.asarray(x, dtype=float)
+    back, fwd = [x], [x]
+    for _ in range(n_iter):
+        back.append(system.step_inverse(back[-1]))
+        fwd.append(system.step(fwd[-1]))
+    jac_fwd = [system.jacobian_chart(back[j]) for j in range(n_iter, 0, -1)]
+    jac_bwd = [np.linalg.inv(system.jacobian_chart(fwd[j - 1])) for j in range(n_iter, 0, -1)]
+    e = np.eye(4)
+    pairs = {"uu": push_pair(jac_fwd, e[0]), "ss": push_pair(jac_bwd, e[1])}
+    zero = [0.0, 0.0]
+    for name, mats, seed in [("cu", jac_fwd, np.array([1.0, 0.0])),
+                             ("cs", jac_bwd, np.array([0.0, 1.0]))]:
+        v, w = push_pair([m[2:4, 2:4] for m in mats], seed)
+        pairs[name] = (np.concatenate([zero, v]), np.concatenate([zero, w]))
+    residuals = {name: _aligned_residual(v, w) for name, (v, w) in pairs.items()}
+    directions = {name: system.chart_p.axes @ v for name, (v, _) in pairs.items()}
+    return directions, residuals, all(r < tolerance for r in residuals.values())
+
+
+def _assert_extraction_matches_oracle(system, points, n_iters):
+    for x in points:
+        for n_iter in n_iters:
+            est = extract_splitting(system, x, n_iter=n_iter)
+            directions, residuals, converged = _extract_splitting_oracle(system, x, n_iter)
+            for name in directions:
+                assert np.array_equal(est.directions[name], directions[name]), (name, n_iter)
+                assert est.residuals[name] == residuals[name], (name, n_iter)
+            assert est.converged == converged, n_iter
+
+
+@pytest.mark.parametrize("kind", ["plain", "tilde", "pure_A"])
+def test_extract_splitting_matches_point_list_oracle(system, tilde_half, pure_A, kind):
+    """Walking the orbit with advance changes no bit of the extraction, on
+    random points, in-band and out-of-band points of both cubes, p and q."""
+    sys_ = {"plain": system, "tilde": tilde_half, "pure_A": pure_A}[kind]
+    points = _advance_points(system, make_rng(47), 2)
+    _assert_extraction_matches_oracle(sys_, points, (1, 40))
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_extract_splitting_matches_oracle_across_param_caps(bump, bump_bound, data):
+    n, m = data.draw(st.sampled_from(_rate_feasible_pairs(bump_bound)), label="n, m")
+    k = 10.0 ** data.draw(st.floats(np.log10(2.0), 4.0), label="log10 k")
+    eps_tilde = data.draw(st.floats(0.0, 0.9), label="eps_tilde")
+    system = build_deformed_system(
+        DeformationParams(n=n, m=m, delta=1.0 / 40.0, k=k, eps1=eps1_for(n, m)),
+        bump=bump, bound=bump_bound)
+    try:
+        system = system.make_tilde(eps_tilde)
+    except ParameterTooLargeError:
+        reject()
+    pts = _advance_points(system, make_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")), 1)
+    _assert_extraction_matches_oracle(system, pts, (1, 40))
 
 
 def test_extract_splitting_linear_exact(pure_A, rng):
