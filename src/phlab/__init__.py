@@ -47,7 +47,6 @@ from .gibbs import (
     total_variation,
 )
 from .product import (
-    FactorMaps,
     LinearSystem,
     ProductSystem,
     build_product,

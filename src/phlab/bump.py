@@ -89,14 +89,14 @@ class SmoothBump:
         y = np.asarray(y, dtype=float)
         return self(y) + y * self.derivative(y)
 
-    def sup_derivative(self, samples: int = 20001) -> float:
-        """Grid estimate of max |s'| over the transition band."""
-        ys = np.linspace(0.0, self.delta, samples)
+    def sup_derivative(self) -> float:
+        """Estimate of max |s'| on 20001 grid points of [0, delta]."""
+        ys = np.linspace(0.0, self.delta, 20001)
         return float(np.max(np.abs(self.derivative(ys))))
 
-    def sup_y_times_s(self, samples: int = 20001) -> float:
-        """Grid estimate of max |y * s(y)| over [0, delta]."""
-        ys = np.linspace(0.0, self.delta, samples)
+    def sup_y_times_s(self) -> float:
+        """Estimate of max |y * s(y)| on 20001 grid points of [0, delta]."""
+        ys = np.linspace(0.0, self.delta, 20001)
         return float(np.max(np.abs(ys * self(ys))))
 
 
@@ -132,10 +132,11 @@ def _golden_min(f, lo, hi, tol):
     return x, f(x)
 
 
-def compute_M(bump: SmoothBump, grid: int = 2001, tol: float = 1e-8) -> BumpBound:
+def compute_M(bump: SmoothBump, grid: int = 2001) -> BumpBound:
     """Numerical minimum of s(x)(s(y) + y s'(y)) over [0, delta]^2.
 
-    Uniform grid scan followed by coordinate-wise golden-section refinement;
+    Uniform grid scan followed by four rounds of coordinate-wise
+    golden-section refinement, each to an interval of 1e-8 delta;
     the objective is smooth, with the minimizer in the transition band.
     By symmetry of s the same bound holds for x of either sign.
     """
@@ -154,10 +155,10 @@ def compute_M(bump: SmoothBump, grid: int = 2001, tol: float = 1e-8) -> BumpBoun
 
     for _ in range(4):
         y0, best = _golden_min(
-            lambda y: obj(x0, y), max(0.0, y0 - h), min(delta, y0 + h), tol * delta
+            lambda y: obj(x0, y), max(0.0, y0 - h), min(delta, y0 + h), 1e-8 * delta
         )
         x0, best = _golden_min(
-            lambda x: obj(x, y0), max(0.0, x0 - h), min(delta, x0 + h), tol * delta
+            lambda x: obj(x, y0), max(0.0, x0 - h), min(delta, x0 + h), 1e-8 * delta
         )
     min_value = min(best, float(g[i, j]))
     return BumpBound(M=max(0.0, -min_value), argmin=(x0, y0), min_value=min_value, grid=grid)

@@ -25,12 +25,14 @@ from .deformation import center_gap_condition, rate_inequalities
 from .bump import compute_M
 from .ergodic import (
     OrbitSpec,
+    PesinBlockQuery,
     birkhoff_average,
     bundle_exponent,
     bundle_exponent_batch,
     entropy_volume_identity,
     lyapunov_spectrum,
     make_rng,
+    pesin_block_membership,
     push_forward,
 )
 from .errors import ConfigError, PhlabError
@@ -52,23 +54,24 @@ from .torus import (
     ToralAutomorphism,
     enumerate_periodic,
     fixed_point_count,
+    torus_displacement,
     torus_distance,
 )
 
+#: subcommand -> fn(config, report, out_dir, system); run_task builds the system
 TASKS = {}
+#: subcommand -> the system kinds it accepts
+TASK_KINDS = {}
+DEFORMED_KINDS = ("deformed", "tilde")
 
 
-def task(name):
+def task(name, kinds):
     def wrap(fn):
         TASKS[name] = fn
+        TASK_KINDS[name] = kinds
         return fn
 
     return wrap
-
-
-def _require_deformed(system, name):
-    if not hasattr(system, "chart_p") or not hasattr(system, "params"):
-        raise ConfigError(f"{name} needs a deformed or tilde system config")
 
 
 def _fd_jacobian(system, pts):
@@ -86,8 +89,6 @@ def _fd_jacobian(system, pts):
     (small when eps_tilde is near 1); h shrinks by that ratio there.  It is
     exactly 1 at every other point, whose step stays as above.
     """
-    from .torus import torus_displacement
-
     pts = np.atleast_2d(pts)
     h = min(5e-4 * system.params.delta / system.params.k, 1e-2 / system.luu)
     # Df has entry ls at (s, s) outside the q cube and 1 / (dQ/dd) inside it
@@ -106,11 +107,8 @@ def _fd_jacobian(system, pts):
 # ----------------------------------------------------------------------------
 
 
-@task("verify-construction")
-def run_verify_construction(config: ExperimentConfig, report: RunReport, out_dir: str):
-    system, resolved = build_system(config)
-    _require_deformed(system, "verify-construction")
-    report.set_params(**resolved)
+@task("verify-construction", DEFORMED_KINDS)
+def run_verify_construction(config: ExperimentConfig, report: RunReport, out_dir: str, system):
     params = system.params
     bump = system.bump
     delta = params.delta
@@ -244,11 +242,8 @@ def run_verify_construction(config: ExperimentConfig, report: RunReport, out_dir
     report.add("tilde-hyperbolicity", gap > 1e-6, gap, "> 1e-6")
 
 
-@task("verify-cones")
-def run_verify_cones(config: ExperimentConfig, report: RunReport, out_dir: str):
-    system, resolved = build_system(config)
-    _require_deformed(system, "verify-cones")
-    report.set_params(**resolved)
+@task("verify-cones", DEFORMED_KINDS)
+def run_verify_cones(config: ExperimentConfig, report: RunReport, out_dir: str, system):
     n_points = config.task_value("n_points", 2000)
     n_vectors = config.task_value("n_vectors", 5)
     sandwich_steps = config.task_value("sandwich_steps", 20)
@@ -289,11 +284,8 @@ def run_verify_cones(config: ExperimentConfig, report: RunReport, out_dir: str):
                f"less {cones_mod.SANDWICH_RTOL:g} relative rounding at the lower end")
 
 
-@task("lyapunov")
-def run_lyapunov(config: ExperimentConfig, report: RunReport, out_dir: str):
-    system, resolved = build_system(config)
-    _require_deformed(system, "lyapunov")
-    report.set_params(**resolved)
+@task("lyapunov", DEFORMED_KINDS)
+def run_lyapunov(config: ExperimentConfig, report: RunReport, out_dir: str, system):
     n_orbits = config.task_value("n_orbits", 20)
     length = config.task_value("orbit_length", 20_000)
     transient = config.task_value("transient", 200)
@@ -328,8 +320,6 @@ def run_lyapunov(config: ExperimentConfig, report: RunReport, out_dir: str):
 
     # finite-horizon Pesin block: generic points are members below the center
     # gap, the flattened fixed point is expelled immediately
-    from .ergodic import PesinBlockQuery, pesin_block_membership
-
     alpha = 0.5 * float(np.log(system.lu))
     q = PesinBlockQuery(alpha=alpha, l=1, horizon=horizon)
     member, _ = pesin_block_membership(system, starts[0], q)
@@ -354,11 +344,8 @@ def run_lyapunov(config: ExperimentConfig, report: RunReport, out_dir: str):
     )
 
 
-@task("gibbs")
-def run_gibbs(config: ExperimentConfig, report: RunReport, out_dir: str):
-    system, resolved = build_system(config)
-    _require_deformed(system, "gibbs")
-    report.set_params(**resolved)
+@task("gibbs", DEFORMED_KINDS)
+def run_gibbs(config: ExperimentConfig, report: RunReport, out_dir: str, system):
     rng = make_rng(config.seed, 3)
     n_samples = config.task_value("plaque_samples", 10_000)
     n_steps = config.task_value("cesaro_steps", 2000)
@@ -371,8 +358,6 @@ def run_gibbs(config: ExperimentConfig, report: RunReport, out_dir: str):
     anchor = rng.random(4)
     plaque = gibbs_mod.seed_plaque(system, anchor, half_length, n_samples)
     # the base projection of the plaque must carry the uniform segment measure
-    from .torus import torus_displacement
-
     base_dir = plaque.direction[:2] / np.linalg.norm(plaque.direction[:2])
     proj = torus_displacement(plaque.points(), plaque.anchor)[:, :2] @ base_dir
     t = (np.sort(proj) - proj.min()) / (proj.max() - proj.min())
@@ -425,13 +410,14 @@ def run_gibbs(config: ExperimentConfig, report: RunReport, out_dir: str):
     write_csv(os.path.join(out_dir, "cesaro_measure.csv"), rows)
 
 
-@task("skeleton")
-def run_skeleton(config: ExperimentConfig, report: RunReport, out_dir: str):
-    system, resolved = build_system(config)
-    report.set_params(**resolved)
+@task("skeleton", DEFORMED_KINDS + ("linear", "product"))
+def run_skeleton(config: ExperimentConfig, report: RunReport, out_dir: str, system):
     cat = LinearSystem(ToralAutomorphism(CAT_MAP))
     d_mat = IntegerMatrix(CAT_MAP)
     max_period = config.task_value("census_max_period", 5)
+    target = config.task_value("arc_length", 3.0)
+    resolution = config.task_value("arc_resolution", 1e-3)
+    tol = config.task_value("tol", 1e-4)
     rng = make_rng(config.seed, 5)
     rows = [("period", "expected", "found")]
     census_ok = True
@@ -449,8 +435,6 @@ def run_skeleton(config: ExperimentConfig, report: RunReport, out_dir: str):
     report.add("periodic-census", census_ok, rows[-1][2], f"counts match |det(D^n - I)|")
 
     # mutual homoclinic relations collapse same-index fixed points to one
-    target = config.task_value("arc_length", 3.0)
-    resolution = config.task_value("arc_resolution", 1e-3)
     fixed3 = enumerate_periodic(d_mat, 3)
     others = [p for p in fixed3 if np.linalg.norm(p) > 1e-9]
     second = max(others, key=lambda p: float(torus_distance(p, np.zeros(2))))
@@ -465,7 +449,7 @@ def run_skeleton(config: ExperimentConfig, report: RunReport, out_dir: str):
         }
         for i, r in enumerate(recs)
     }
-    cand = skel_mod.extract_skeleton(recs, arcs, tol=config.task_value("tol", 1e-4))
+    cand = skel_mod.extract_skeleton(recs, arcs, tol=tol)
     report.add("skeleton-mutual-collapse", len(cand.members) == 1,
                len(cand.members), "= 1",
                "fully connected pair keeps the lower-period member")
@@ -488,7 +472,7 @@ def run_skeleton(config: ExperimentConfig, report: RunReport, out_dir: str):
                                 bool(cand.connection_matrix[i, j])))
     write_csv(os.path.join(out_dir, "heteroclinic_evidence.csv"), ev_rows)
 
-    if hasattr(system, "make_tilde"):
+    if config.system["kind"] in DEFORMED_KINDS:
         tilde = system if system.params.eps_tilde > 0 else system.make_tilde(0.05)
         rec_p = skel_mod.newton_periodic(tilde, tilde.chart_p.center, 1)
         rec_q = skel_mod.newton_periodic(tilde, tilde.chart_q.center, 1)
@@ -501,12 +485,8 @@ def run_skeleton(config: ExperimentConfig, report: RunReport, out_dir: str):
         report.add("tilde-multiplier-gap", gap > 1e-6, gap, "> 1e-6")
 
 
-@task("product-checks")
-def run_product_checks(config: ExperimentConfig, report: RunReport, out_dir: str):
-    system, resolved = build_system(config)
-    if not hasattr(system, "fiber"):
-        raise ConfigError("product-checks needs a product system config")
-    report.set_params(**resolved)
+@task("product-checks", ("product",))
+def run_product_checks(config: ExperimentConfig, report: RunReport, out_dir: str, system):
     res = commuting_diagram_check(system, config.task_value("diagram_points", 2000),
                                   rng=make_rng(config.seed, 7))
     report.add("diagram-base", res["base"] < 1e-14, res["base"], "< 1e-14")
@@ -565,13 +545,22 @@ def run_product_checks(config: ExperimentConfig, report: RunReport, out_dir: str
 
 
 def run_task(name: str, config: ExperimentConfig, out_dir: str | None = None) -> RunReport:
-    """In-process entry point used by the CLI and the test suite."""
+    """In-process entry point used by the CLI and the test suite.
+
+    Checks the system kind against TASK_KINDS before anything is built, then
+    builds the system, records its resolved parameters and runs the task.
+    """
     if name not in TASKS:
         raise ConfigError(f"unknown subcommand {name!r}; choose from {sorted(TASKS)}")
+    kinds = TASK_KINDS[name]
+    if config.system["kind"] not in kinds:
+        raise ConfigError(f"{name} needs a {' or '.join(kinds)} system config")
     out = out_dir or config.output_dir
     os.makedirs(out, exist_ok=True)
     report = RunReport(task=name, seed=config.seed)
-    TASKS[name](config, report, out)
+    system, resolved = build_system(config)
+    report.set_params(**resolved)
+    TASKS[name](config, report, out, system)
     report.write(out)
     return report
 

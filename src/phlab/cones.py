@@ -23,6 +23,9 @@ import numpy as np
 from .ergodic import push_forward
 
 BUNDLE_ORDER = ("uu", "cu", "cs", "ss")
+#: angular gap between extraction depths n and n-1 below which a bundle counts
+#: as converged
+SPLITTING_TOL = 1e-8
 #: relative rounding allowance below the growth sandwich's lower bound
 SANDWICH_RTOL = 1e-12
 
@@ -78,14 +81,11 @@ class ConeField:
         r = self.ratio(v)
         return r <= self.width + 1e-12, r
 
-    def sample(self, rng, n, ratio_low=None, ratio_high=None):
-        """n unit-ish cone vectors with ratios uniform in [low, high].
-
-        Defaults to the boundary band [width/2, width], where invariance
-        failures would show first.
+    def sample(self, rng, n):
+        """n cone vectors v2 + rho v1, v2 and v1 from random unit coefficients
+        on the core and complement columns, rho uniform in the boundary band
+        [width/2, width], where invariance failures would show first.
         """
-        lo = self.width / 2.0 if ratio_low is None else ratio_low
-        hi = self.width if ratio_high is None else ratio_high
         c2 = rng.standard_normal((n, self.core_dim))
         c2 /= np.linalg.norm(c2, axis=1, keepdims=True)
         v2 = c2 @ self.core.T
@@ -93,7 +93,7 @@ class ConeField:
         c1 = rng.standard_normal((n, k1))
         c1 /= np.linalg.norm(c1, axis=1, keepdims=True)
         v1 = c1 @ self.complement.T
-        rho = rng.uniform(lo, hi, size=n)
+        rho = rng.uniform(self.width / 2.0, self.width, size=n)
         return v2 + rho[:, None] * v1
 
 
@@ -130,6 +130,8 @@ def verify_invariance(system, cone: ConeField, direction: str = "forward",
     """
     if n_points < 1 or n_vectors < 1:
         raise ValueError("sample counts must be >= 1")
+    if cone.width <= 0:
+        raise ValueError(f"cone width must be positive, got {cone.width}")
     if rng is None:
         rng = np.random.default_rng(0)
     pts = rng.random((n_points, system.dim))
@@ -176,8 +178,9 @@ def plane_invariance_residual(system, n_points: int = 200, rng=None) -> float:
     return float(np.max(np.abs(jacs[:, 0:2, 2:4])))
 
 
-def standard_cones(system, eps0: float | None = None):
-    """The four cone fields of the deformed construction, keyed by name.
+def standard_cones(system):
+    """The four cone fields of the deformed construction, keyed by name, all
+    of the width eps0 that the truncation sharpness k is driven against.
 
     With the exact (u, s)-plane invariance (plane_invariance_residual) they
     make the five cone conditions.  Axes come from the chart eigenbasis:
@@ -185,7 +188,7 @@ def standard_cones(system, eps0: float | None = None):
     """
     ax = system.chart_p.axes
     e_uu, e_ss, e_u, e_s = ax[:, 0], ax[:, 1], ax[:, 2], ax[:, 3]
-    eps = system.params.eps0 if eps0 is None else eps0
+    eps = system.params.eps0
     return {
         "uu-forward": ConeField("uu-forward", e_uu, np.column_stack([e_u, e_s, e_ss]), eps),
         "ss-backward": ConeField("ss-backward", e_ss, np.column_stack([e_uu, e_u, e_s]), eps),
@@ -203,7 +206,7 @@ class SplittingEstimate:
     residuals: dict
     n_iter: int
     converged: bool
-    tolerance: float = 1e-8
+    tolerance: float = SPLITTING_TOL
 
     def direction_matrix(self):
         return np.column_stack([self.directions[b] for b in BUNDLE_ORDER])
@@ -224,13 +227,13 @@ def _aligned_residual(v, w):
     return float(np.linalg.norm(v - s * w))
 
 
-def extract_splitting(system, x, n_iter: int = 60, tolerance: float = 1e-8) -> SplittingEstimate:
+def extract_splitting(system, x, n_iter: int = 60) -> SplittingEstimate:
     """Power-iterate cone directions along the orbit of x.
 
     uu: push a seed from f^{-n}(x) forward.  cu: same inside the invariant
     (u, s) plane.  ss and cs: pull seeds back from f^{n}(x).  The residual of
-    each bundle is the angular gap between extraction depths n and n-1; a
-    residual above tolerance flags the estimate as not converged (no error).
+    each bundle is the angular gap between extraction depths n and n-1; one
+    of SPLITTING_TOL or more flags the estimate as not converged (no error).
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
@@ -268,14 +271,13 @@ def extract_splitting(system, x, n_iter: int = 60, tolerance: float = 1e-8) -> S
         v, w = _push(mats, seed), _push(mats[1:], seed)
         residuals[name] = _aligned_residual(v, w)
         directions[name] = ax @ v  # back to ambient coordinates
-    converged = all(r < tolerance for r in residuals.values())
+    converged = all(r < SPLITTING_TOL for r in residuals.values())
     return SplittingEstimate(
         point=x,
         directions=directions,
         residuals=residuals,
         n_iter=n_iter,
         converged=converged,
-        tolerance=tolerance,
     )
 
 

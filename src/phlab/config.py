@@ -19,7 +19,7 @@ from .deformation import (
 )
 from .errors import ConfigError
 from .product import LinearSystem, build_product
-from .torus import ToralAutomorphism
+from .torus import CAT_MAP, IntegerMatrix, ToralAutomorphism
 
 
 @dataclass
@@ -75,16 +75,19 @@ class ExperimentConfig:
         low = _TASK_MINIMUM.get(key, 1)
         if isinstance(default, int) and not isinstance(default, bool) and value < low:
             raise ConfigError(f"task.{key}: expected an integer >= {low}, got {value}")
+        if key in _TASK_POSITIVE and not value > 0:
+            raise ConfigError(f"task.{key}: expected a number > 0, got {value}")
         return value
 
 
 # lower bounds of integer task values that differ from the default bound of 1
 _TASK_MINIMUM = {"n_orbits": 2, "transient": 0, "tracker_warmup": 0}
+# float task values that must be positive
+_TASK_POSITIVE = {"arc_resolution", "tol"}
 
 
 def _cat_power_from_id(base_id):
     """Resolve a base id like 'cat' or 'cat^3' to an integer matrix, else None."""
-    from .torus import IntegerMatrix, CAT_MAP
 
     if not isinstance(base_id, str):
         return None
@@ -110,6 +113,10 @@ def _validate_matrix(entries, path):
         for v in row:
             if not isinstance(v, int):
                 raise ConfigError(f"{path}: entries must be integers")
+    try:
+        IntegerMatrix(entries)
+    except ValueError:
+        raise ConfigError(f"{path}: matrix must be unimodular (|det| = 1)")
 
 
 def _validate_system(system):
@@ -126,16 +133,27 @@ def _validate_system(system):
             _validate_matrix(system.get("base_matrix"), "system.base_matrix")
         _validate_matrix(system.get("fiber_matrix"), "system.fiber_matrix")
     else:
-        if not system.get("auto_params", True):
-            for key in ("n", "m", "k"):
-                if not _is_number(system.get(key)):
-                    raise ConfigError(f"system.{key}: required when auto_params is false")
+        auto = system.get("auto_params", True)
+        if not isinstance(auto, bool):
+            raise ConfigError("system.auto_params: expected true or false")
+        if not auto:
+            for key in ("n", "m"):
+                v = system.get(key)
+                if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                    raise ConfigError(f"system.{key}: expected an integer >= 1 "
+                                      "(required when auto_params is false)")
+            if not _is_number(system.get("k")) or not system["k"] > 0:
+                raise ConfigError("system.k: expected a number > 0 "
+                                  "(required when auto_params is false)")
+            eps1 = system.get("eps1", 0.01)
+            if not _is_number(eps1) or not 0 < eps1 < 1:
+                raise ConfigError("system.eps1: expected a number in (0, 1)")
         delta = system.get("delta", 1.0 / 40.0)
         if not _is_number(delta) or not 0 < delta <= 1.0 / 40.0:
             raise ConfigError("system.delta: expected a number in (0, 1/40]")
         if kind == "tilde":
             et = system.get("eps_tilde", 0.05)
-            if not _is_number(et) or et <= 0:
+            if not _is_number(et) or not et > 0:
                 raise ConfigError("system.eps_tilde: expected a positive number")
 
 
@@ -172,8 +190,8 @@ def build_system(config: ExperimentConfig):
         params = search_params(bound, caps)
     else:
         params = DeformationParams(
-            n=int(spec["n"]),
-            m=int(spec["m"]),
+            n=spec["n"],
+            m=spec["m"],
             delta=delta,
             k=float(spec["k"]),
             eps1=float(spec.get("eps1", 0.01)),

@@ -53,6 +53,7 @@ from .errors import (
     RootFindError,
 )
 from .torus import (
+    CHART_ORDER,
     IntegerMatrix,
     ToralAutomorphism,
     cat_power_product,
@@ -65,6 +66,7 @@ from .torus import (
 
 ROOT_TOL = 1e-12
 ROOT_MAX_ITER = 200
+K_MAX = 1e8  # search_params gives up once k doubles past this
 
 
 @dataclass(frozen=True)
@@ -496,7 +498,6 @@ class ParamCaps:
     delta: float = 1.0 / 40.0
     eps1_candidates: tuple = (0.01, 0.02, 0.05, 0.005)
     k_start: float = 0.0
-    k_max: float = 1e8
 
 
 def search_params(bump_bound: BumpBound, caps: ParamCaps = ParamCaps()) -> DeformationParams:
@@ -549,9 +550,9 @@ def search_params(bump_bound: BumpBound, caps: ParamCaps = ParamCaps()) -> Defor
         if small_partial_sup(system) < eps0:
             return params
         k *= 2
-        if k > caps.k_max:
+        if k > K_MAX:
             raise InfeasibleParamsError(
-                f"k exceeded cap {caps.k_max} before cross partials fell below {eps0}"
+                f"k exceeded cap {K_MAX} before cross partials fell below {eps0}"
             )
 
 
@@ -575,23 +576,9 @@ def build_deformed_system(params: DeformationParams, bump: SmoothBump | None = N
         raise InfeasibleParamsError(f"eps1={params.eps1} fails the weighted log condition")
     auto = cat_power_product(params.n, params.m)
     p, q = select_fixed_point_pair(auto, params.delta)
-    axes = chart_axes(params.n, params.m)
+    axes = auto.splitting.eigenvectors[:, CHART_ORDER]
     half = 2.0 * params.delta
     chart_p = ChartBox(center=p, half_width=half, axes=axes)
     chart_q = ChartBox(center=q, half_width=half, axes=axes)
     return DeformedSystem(auto, bump, params, chart_p, chart_q)
 
-
-def chart_axes(n: int, m: int) -> np.ndarray:
-    """Orthonormal eigenbasis of D^n x D^m, columns ordered (uu, ss, u, s)."""
-    auto = cat_power_product(n, m)
-    lams = auto.splitting.eigenvalues
-    vecs = auto.splitting.eigenvectors
-    order = [int(np.argmax(lams)), int(np.argmin(np.abs(lams)))]
-    remaining = [i for i in range(4) if i not in order]
-    # remaining two are lu (modulus > 1) and ls
-    if abs(lams[remaining[0]]) > 1:
-        order += [remaining[0], remaining[1]]
-    else:
-        order += [remaining[1], remaining[0]]
-    return vecs[:, order]

@@ -83,31 +83,29 @@ def _qr_step(jacs, frames):
     return q, np.abs(diag)
 
 
-def lyapunov_spectrum(system, orbit: OrbitSpec, history_points: int = 200,
-                      frame_warmup: int | None = None, frame0=None) -> LyapunovSpectrum:
+def lyapunov_spectrum(system, orbit: OrbitSpec, frame0=None) -> LyapunovSpectrum:
     """Full Benettin spectrum along one orbit, re-orthonormalizing every step.
 
-    A frame warm-up phase spins the orthonormal frame onto the Oseledets flag
-    before accumulation starts; without it the estimates carry a seed-
-    dependent O(1/n) offset even for constant Jacobians.  ``frame0`` replaces
-    the identity as the initial orthonormal frame.
+    A frame warm-up of min(200, half the kept steps) spins the orthonormal
+    frame onto the Oseledets flag before accumulation starts; without it the
+    estimates carry a seed-dependent O(1/n) offset even for constant
+    Jacobians.  The history keeps the running estimates every
+    max(1, steps // 200) steps and at the last step.  ``frame0`` replaces the
+    identity as the initial orthonormal frame.
     """
     d = system.dim
     x = orbit.resolve_start(d)
     for _ in range(orbit.transient):
         x = system.step(x)
     frame = np.eye(d) if frame0 is None else np.asarray(frame0, dtype=float).copy()
-    if frame_warmup is None:
-        frame_warmup = min(200, (orbit.length - orbit.transient) // 2)
-    for _ in range(frame_warmup):
+    warmup = min(200, (orbit.length - orbit.transient) // 2)
+    for _ in range(warmup):
         frame, _ = _qr_step(system.jacobian(x), frame)
         x = system.step(x)
     sums = np.zeros(d)
     log_det = 0.0
-    steps = orbit.length - orbit.transient - frame_warmup
-    if steps < 1:
-        raise ValueError("orbit too short for transient plus frame warm-up")
-    stride = max(1, steps // history_points)
+    steps = orbit.length - orbit.transient - warmup  # >= 1 as length > transient
+    stride = max(1, steps // 200)
     history = []
     for t in range(1, steps + 1):
         jac = system.jacobian(x)
@@ -268,39 +266,49 @@ class PesinBlockQuery:
             raise ValueError("l and horizon must be >= 1")
 
 
-def pesin_block_membership(system, x, query: PesinBlockQuery, extractor=None):
+def orbit_jacobian(system, x, n: int, forward: bool):
+    """The Df product along n steps from x, with the endpoint.
+
+    Forward it is Df^n(x) = Df(f^{n-1} x) ... Df(x) with f^n(x), from
+    jacobian and step; backward Df^{-n}(x) with f^{-n}(x), from
+    jacobian_inverse and step_inverse.
+    """
+    if forward:
+        jacobian, step = system.jacobian, system.step
+    else:
+        jacobian, step = system.jacobian_inverse, system.step_inverse
+    m, y = np.eye(np.size(x)), x
+    for _ in range(n):
+        m = jacobian(y) @ m
+        y = step(y)
+    return m, y
+
+
+def pesin_block_membership(system, x, query: PesinBlockQuery):
     """Finite-horizon Pesin block test at x.
 
     Checks, for every n up to the horizon, the two cumulative inequalities:
     contraction of the (cs+ss) plane under Df^l along the forward orbit, and
     contraction of the (uu+cu) plane under Df^{-l} along the backward orbit.
-    Returns (member, first_failure_n) with first_failure_n = None on success;
-    failing at some n rules out membership for every larger horizon.
+    Each plane comes from extract_splitting (40 iterations) at the orbit
+    point, and each Df^{+-l} from orbit_jacobian.  Returns (member,
+    first_failure_n) with first_failure_n = None on success; failing at some
+    n rules out membership for every larger horizon.
     """
     from .cones import extract_splitting
 
-    if extractor is None:
-        extractor = lambda pt: extract_splitting(system, pt, n_iter=40)
     x = np.asarray(x, dtype=float)
     log_bound = -query.alpha * query.l
-    for bundles, jacobian, step in (
-        (("cs", "ss"), system.jacobian, system.step),
-        (("uu", "cu"), system.jacobian_inverse, system.step_inverse),
-    ):
+    for bundles, forward in ((("cs", "ss"), True), (("uu", "cu"), False)):
         log_prod = 0.0
         y = x
         for i in range(query.horizon):
-            est = extractor(y)
+            est = extract_splitting(system, y, n_iter=40)
             basis = np.column_stack([est.directions[b] for b in bundles])
-            m = np.eye(4)
-            z = y
-            for _ in range(query.l):
-                m = jacobian(z) @ m
-                z = step(z)
+            m, y = orbit_jacobian(system, y, query.l, forward)
             log_prod += math.log(np.linalg.norm(m @ basis, ord=2))
             if log_prod > (i + 1) * log_bound + 1e-12:
                 return False, i + 1
-            y = z
     return True, None
 
 

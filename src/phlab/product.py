@@ -2,10 +2,11 @@
 
 Shipped bases are 2-dimensional linear automorphisms (the deformed 4-torus
 map is native, not assembled here); fibers are hyperbolic toral automorphisms.
-The builder verifies the sampled rate ordering
+The builder compares the base's exact rates against the fiber's, each
+inequality with a fixed RATE_MARGIN of 10%:
 
-    min expansion(base unstable)  >  fiber unstable rate           (margin 10%)
-    fiber unstable rate           >  max rate(base stable), fiber stable
+    base unstable rate   >  fiber unstable rate
+    fiber unstable rate  >  base stable rate, fiber stable rate
 
 so the product carries the splitting  base-uu > fiber-u > (fiber-s + base-s).
 
@@ -16,12 +17,12 @@ residual (negative control).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import IncompatibleFiberError
-from .torus import ToralAutomorphism, reduce_torus, torus_distance
+from .torus import CHART_ORDER, ToralAutomorphism, reduce_torus, torus_distance
+
+RATE_MARGIN = 1.1
 
 
 class LinearSystem:
@@ -34,14 +35,9 @@ class LinearSystem:
         self.dim = auto.dim
         self._jac = auto.matrix.to_float()
         self._jac_inv = auto.matrix.inverse().to_float()
-        lams = auto.splitting.eigenvalues
-        vecs = auto.splitting.eigenvectors
-        if self.dim == 4:
-            order = [0, 3, 1, 2]  # modulus-sorted -> (uu, ss, u, s)
-        else:
-            order = list(range(self.dim))
-        self.axes = vecs[:, order]
-        self.rates = np.abs(lams[order])
+        order = CHART_ORDER if self.dim == 4 else list(range(self.dim))
+        self.axes = auto.splitting.eigenvectors[:, order]
+        self.rates = np.abs(auto.splitting.eigenvalues[order])
 
     def step(self, x):
         return self.auto.apply(x)
@@ -82,27 +78,13 @@ class LinearSystem:
         """Strongest unstable axis and its exact rate."""
         return self.axes[:, 0], float(self.rates[0])
 
-    def unstable_rate_range(self, _samples=None):
+    def unstable_rate_range(self):
         lam = float(self.rates[0])
         return lam, lam
 
-    def stable_rate_max(self, _samples=None):
+    def stable_rate_max(self):
         stable = self.rates[np.abs(self.rates) < 1.0]
         return float(np.max(stable))
-
-
-@dataclass(frozen=True)
-class FactorMaps:
-    """Projections of the product: pi12 to the base, pi2 to the fiber."""
-
-    base_dim: int
-    fiber_dim: int
-
-    def pi12(self, z):
-        return np.asarray(z, dtype=float)[..., : self.base_dim]
-
-    def pi2(self, z):
-        return np.asarray(z, dtype=float)[..., self.base_dim :]
 
 
 class ProductSystem:
@@ -114,7 +96,6 @@ class ProductSystem:
         self.d1 = base.dim
         self.d2 = fiber.dim
         self.dim = self.d1 + self.d2
-        self.factors = FactorMaps(self.d1, self.d2)
         self._coupling = coupling
         self._fiber_jac = fiber.matrix.to_float()
         self._fiber_jac_inv = fiber.matrix.inverse().to_float()
@@ -159,9 +140,8 @@ class ProductSystem:
         return np.concatenate([axis, np.zeros(self.d2)]), rate
 
 
-def build_product(base_system, fiber, sample_grid: int = 64,
-                  margin: float = 1.1, coupling=None) -> ProductSystem:
-    """Assemble base x fiber after the sampled domination pre-check.
+def build_product(base_system, fiber, coupling=None) -> ProductSystem:
+    """Assemble base x fiber after the domination pre-check on exact rates.
 
     Rejects anything but a 2-dimensional base (the 4-torus deformation is a
     native system, never a product of this builder) and raises
@@ -177,44 +157,39 @@ def build_product(base_system, fiber, sample_grid: int = 64,
     fiber_lams = np.abs(fiber.splitting.eigenvalues)
     fiber_u = float(np.max(fiber_lams))
     fiber_s = float(np.max(fiber_lams[fiber_lams < 1.0]))
-    samples = _grid_points(base_system.dim, sample_grid)
-    base_uu_min, _ = base_system.unstable_rate_range(samples)
-    base_cs_max = base_system.stable_rate_max(samples)
-    if base_uu_min < margin * fiber_u:
+    base_uu_min, _ = base_system.unstable_rate_range()
+    base_cs_max = base_system.stable_rate_max()
+    if base_uu_min < RATE_MARGIN * fiber_u:
         raise IncompatibleFiberError(
             f"base unstable rate {base_uu_min:.4f} must exceed "
-            f"{margin:.2f} x fiber unstable {fiber_u:.4f}"
+            f"{RATE_MARGIN:.2f} x fiber unstable {fiber_u:.4f}"
         )
-    if fiber_u < margin * base_cs_max:
+    if fiber_u < RATE_MARGIN * base_cs_max:
         raise IncompatibleFiberError(
             f"fiber unstable rate {fiber_u:.4f} must exceed "
-            f"{margin:.2f} x base center-stable {base_cs_max:.4f}"
+            f"{RATE_MARGIN:.2f} x base center-stable {base_cs_max:.4f}"
         )
-    if fiber_u < margin * fiber_s:
+    if fiber_u < RATE_MARGIN * fiber_s:
         raise IncompatibleFiberError(
             f"fiber unstable {fiber_u:.4f} must dominate fiber stable {fiber_s:.4f}"
         )
     return ProductSystem(base_system, fiber, coupling=coupling)
 
 
-def _grid_points(dim, n):
-    axes = [np.linspace(0.0, 1.0, n, endpoint=False)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def commuting_diagram_check(ps: ProductSystem, n_points: int = 1000, rng=None):
     """Max residuals of the two factor diagrams over random points.
 
     Returns {"base": max ||pi12(g z) - f(pi12 z)||, "fiber": the same for pi2/T},
-    both in the torus metric; exact products give values at rounding level.
+    both in the torus metric, the projections pi12 and pi2 being the first d1
+    and the last d2 coordinates; exact products give values at rounding level.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     z = rng.random((n_points, ps.dim))
     gz = ps.step(z)
-    base_res = torus_distance(ps.factors.pi12(gz), ps.base.step(ps.factors.pi12(z)))
-    fiber_res = torus_distance(ps.factors.pi2(gz), ps.fiber.apply(ps.factors.pi2(z)))
+    d1 = ps.d1
+    base_res = torus_distance(gz[:, :d1], ps.base.step(z[:, :d1]))
+    fiber_res = torus_distance(gz[:, d1:], ps.fiber.apply(z[:, d1:]))
     return {"base": float(np.max(base_res)), "fiber": float(np.max(fiber_res))}
 
 

@@ -22,12 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ergodic import orbit_jacobian
 from .errors import NotHyperbolicError, PhlabError
 from .torus import reduce_torus, torus_displacement, torus_distance
 
 HYPERBOLIC_MULTIPLIER_TOL = 1e-6
 PERIODIC_RESIDUAL_TOL = 1e-10
 
+MAX_ARC_POINTS = 200_000  # vertex budget of one arc; a capped arc is flagged incomplete
 _BLOCK = 16  # polyline vertices per block in the heteroclinic distance search
 _PAIR_BATCH = 2048  # block pairs per vectorised batch of that search
 _BOUND_SLACK = 1e-12  # covers rounding in the block lower bounds
@@ -56,17 +58,6 @@ class PeriodicPointRecord:
         return (self.period, tuple(np.round(self.point, 10)))
 
 
-def _orbit_jacobian(system, x, period):
-    """Df^period at x (ambient) and the endpoint f^period(x)."""
-    d = x.size
-    m = np.eye(d)
-    y = x
-    for _ in range(period):
-        m = system.jacobian(y) @ m
-        y = system.step(y)
-    return m, y
-
-
 def newton_periodic(system, guess, period: int, max_iter: int = 50,
                     tol: float = 1e-12) -> PeriodicPointRecord:
     """Newton iteration for a period-``period`` point near ``guess``.
@@ -81,7 +72,7 @@ def newton_periodic(system, guess, period: int, max_iter: int = 50,
     d = x.size
     residual = np.inf
     for _ in range(max_iter):
-        m, y = _orbit_jacobian(system, x, period)
+        m, y = orbit_jacobian(system, x, period, True)
         g = torus_displacement(y, x)
         residual = float(np.linalg.norm(g))
         if residual < tol:
@@ -97,7 +88,7 @@ def newton_periodic(system, guess, period: int, max_iter: int = 50,
             f"no convergence after {max_iter} steps (residual {residual:.3e})",
             residual,
         )
-    m, y = _orbit_jacobian(system, x, period)
+    m, y = orbit_jacobian(system, x, period, True)
     residual = float(np.linalg.norm(torus_displacement(y, x)))
     eigs = np.linalg.eigvals(m)
     if np.min(np.abs(eigs - 1.0)) < 1e-8:
@@ -138,7 +129,7 @@ class ManifoldArc:
 
 
 def _eigenspace(system, record: PeriodicPointRecord, kind: str):
-    m, _ = _orbit_jacobian(system, record.point, record.period)
+    m, _ = orbit_jacobian(system, record.point, record.period, True)
     lams, vecs = np.linalg.eig(m)
     mask = np.abs(lams) > 1.0 if kind == "unstable" else np.abs(lams) < 1.0
     cols = []
@@ -161,12 +152,13 @@ def _polyline_length(pts):
 
 def grow_manifold(system, record: PeriodicPointRecord, kind: str,
                   target_length: float, resolution: float,
-                  direction=None, max_points: int = 200_000) -> ManifoldArc:
+                  direction=None) -> ManifoldArc:
     """One continuation arc from ``record`` along an eigen-direction.
 
     kind selects the iterated map (f^period for unstable, the inverse for
     stable).  The polyline starts at the root; growth stops once the arc
-    length reaches target_length or the point budget is hit (flagged).
+    length reaches target_length or refinement would take it past
+    MAX_ARC_POINTS vertices (flagged by complete = False).
     """
     if kind not in ("stable", "unstable"):
         raise ValueError("kind must be 'stable' or 'unstable'")
@@ -211,7 +203,7 @@ def grow_manifold(system, record: PeriodicPointRecord, kind: str,
             bad = np.nonzero(gaps > resolution)[0]
             if bad.size == 0:
                 break
-            if len(cur) + bad.size > max_points:
+            if len(cur) + bad.size > MAX_ARC_POINTS:
                 complete = False
                 break
             mids = reduce_torus(
@@ -235,7 +227,7 @@ def grow_manifold(system, record: PeriodicPointRecord, kind: str,
 
 
 def grow_fan(system, record: PeriodicPointRecord, kind: str, target_length: float,
-             resolution: float, rays: int = 64, max_points: int = 200_000):
+             resolution: float, rays: int = 64):
     """Arcs covering the eigenspace: both branches in 1-d, a ray fan in 2-d."""
     space = _eigenspace(system, record, kind)
     if space.shape[1] == 1:
@@ -246,8 +238,7 @@ def grow_fan(system, record: PeriodicPointRecord, kind: str, target_length: floa
     else:
         raise ValueError("fan growth supports 1- or 2-dimensional eigenspaces")
     return [
-        grow_manifold(system, record, kind, target_length, resolution,
-                      direction=d, max_points=max_points)
+        grow_manifold(system, record, kind, target_length, resolution, direction=d)
         for d in dirs
     ]
 

@@ -163,6 +163,11 @@ class SpectralSplitting:
         )
 
 
+#: eigen-index, in a 4x4 splitting's modulus order (uu, u, s, ss), of each
+#: chart axis (uu, ss, u, s)
+CHART_ORDER = [0, 3, 1, 2]
+
+
 def _eigen_2x2(entries):
     """Closed-form eigenpairs of a 2x2 integer matrix, sorted by |lambda| desc."""
     (a, b), (c, d) = entries

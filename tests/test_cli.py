@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from phlab import cli
 from phlab.cli import _fd_jacobian, main, run_task
 from phlab.config import ExperimentConfig, build_system
 from phlab.deformation import DeformationParams, build_deformed_system
@@ -17,6 +18,11 @@ DEFORMED = {
     "system": {"kind": "deformed", "auto_params": True},
     "task": {},
 }
+
+
+#: a hand-picked deformed system, and lyapunov task values that keep a run short
+MANUAL = {"auto_params": False, "n": 3, "m": 1, "k": 3803}
+TINY = {"n_orbits": 2, "orbit_length": 300, "transient": 10, "min_good_orbits": 1}
 
 
 def small(task_overrides=None, **kw):
@@ -165,6 +171,19 @@ def test_main_rejects_bool_for_int(tmp_path, capsys, override, field):
     ("verify-cones", {}, {"n_points": 0}, "task.n_points"),
     ("verify-cones", {}, {"n_vectors": 0}, "task.n_vectors"),
     ("verify-cones", {}, {"sandwich_steps": -1}, "task.sandwich_steps"),
+    ("lyapunov", {**MANUAL, "eps1": "x"}, TINY, "system.eps1"),
+    ("lyapunov", {**MANUAL, "n": 3.7}, TINY, "system.n"),
+    ("lyapunov", {**MANUAL, "k": -5}, TINY, "system.k"),
+    ("lyapunov", {"auto_params": "no"}, TINY, "system.auto_params"),
+    ("skeleton", {"kind": "linear", "matrix": [[2, 0], [0, 1]]}, {}, "system.matrix"),
+    ("product-checks", {"kind": "product", "base_matrix": [[2, 0], [0, 1]],
+                        "fiber_matrix": [[2, 1], [1, 1]]}, {}, "system.base_matrix"),
+    ("product-checks", {"kind": "product", "base_id": "cat^3",
+                        "fiber_matrix": [[2, 0], [0, 1]]}, {}, "system.fiber_matrix"),
+    ("skeleton", {}, {"arc_resolution": -0.01}, "task.arc_resolution"),
+    ("skeleton", {}, {"arc_resolution": 0.0}, "task.arc_resolution"),
+    ("skeleton", {}, {"tol": 0.0}, "task.tol"),
+    ("skeleton", {"kind": "tilde", "eps_tilde": float("nan")}, {}, "system.eps_tilde"),
 ])
 def test_main_bad_values_exit_2_naming_the_field(tmp_path, capsys, subcommand, system,
                                                  task, field):
@@ -229,6 +248,23 @@ def test_wrong_system_for_task(tmp_path):
     })
     with pytest.raises(ConfigError):
         run_task("verify-cones", cfg, str(tmp_path))
+
+
+@pytest.mark.parametrize("subcommand, system, kinds", [
+    ("lyapunov", {"kind": "product", "base_id": "cat^3", "fiber_matrix": [[2, 1], [1, 1]]},
+     "deformed or tilde"),
+    ("product-checks", {"kind": "deformed", "auto_params": True}, "product"),
+    ("verify-cones", {"kind": "linear", "matrix": [[2, 1], [1, 1]]}, "deformed or tilde"),
+])
+def test_wrong_kind_rejected_before_build(tmp_path, monkeypatch, subcommand, system, kinds):
+    def refuse(config):
+        raise AssertionError("build_system ran for a wrong-kind config")
+
+    monkeypatch.setattr(cli, "build_system", refuse)
+    cfg = ExperimentConfig.from_dict({"seed": 1, "system": system})
+    with pytest.raises(ConfigError) as err:
+        run_task(subcommand, cfg, str(tmp_path))
+    assert str(err.value) == f"{subcommand} needs a {kinds} system config"
 
 
 def test_build_system_linear():

@@ -178,6 +178,12 @@ def test_five_cone_conditions(system):
     assert plane_invariance_residual(system, 300) < 1e-12
 
 
+@pytest.mark.parametrize("width", [0.0, -0.05])
+def test_invariance_rejects_nonpositive_width(pure_A, width):
+    with pytest.raises(ValueError, match="width"):
+        verify_invariance(pure_A, axes_cone(pure_A, width=width), "forward", n_points=10)
+
+
 def test_invariance_rejects_bad_args(system):
     cone = axes_cone(system)
     with pytest.raises(ValueError):

@@ -40,17 +40,17 @@ def test_build_product_rejects_undominated_fiber():
 
 
 class _StubBase:
-    """Synthetic 2-d base exposing configurable sampled rates."""
+    """Synthetic 2-d base exposing configurable rates."""
 
     dim = 2
 
     def __init__(self, uu, cs):
         self._uu, self._cs = uu, cs
 
-    def unstable_rate_range(self, _samples=None):
+    def unstable_rate_range(self):
         return self._uu, self._uu
 
-    def stable_rate_max(self, _samples=None):
+    def stable_rate_max(self):
         return self._cs
 
     def step(self, x):

@@ -151,6 +151,17 @@ def test_manifold_resolution_control(cat):
     assert np.max(gaps) <= 5e-4 + 1e-12
 
 
+def test_manifold_point_cap_flags_incomplete(cat):
+    """An arc whose refinement would pass MAX_ARC_POINTS stops short, flagged."""
+    rec = newton_periodic(cat, np.zeros(2), 1)
+    with mock.patch.object(skeleton, "MAX_ARC_POINTS", 50):
+        arc = grow_manifold(cat, rec, "unstable", 2.0, 1e-3)
+    assert not arc.complete
+    assert len(arc.polyline) <= 50
+    assert arc.arc_length < 2.0
+    assert grow_manifold(cat, rec, "unstable", 2.0, 1e-3).complete
+
+
 def test_two_dimensional_fan_on_product(cat):
     prod = build_product(LinearSystem(ToralAutomorphism([[13, 8], [8, 5]])),
                          ToralAutomorphism(CAT_MAP))
