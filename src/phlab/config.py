@@ -17,9 +17,9 @@ from .deformation import (
     build_deformed_system,
     search_params,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NotHyperbolicError
 from .product import LinearSystem, build_product
-from .torus import CAT_MAP, IntegerMatrix, ToralAutomorphism
+from .torus import CAT_MAP, IntegerMatrix, ToralAutomorphism, eigen_split
 
 
 @dataclass
@@ -113,10 +113,10 @@ def _validate_matrix(entries, path):
         for v in row:
             if not isinstance(v, int):
                 raise ConfigError(f"{path}: entries must be integers")
-    try:
-        IntegerMatrix(entries)
-    except ValueError:
-        raise ConfigError(f"{path}: matrix must be unimodular (|det| = 1)")
+    try:  # unimodular, then a 2x2 or block-diagonal 4x4 that is hyperbolic
+        eigen_split(IntegerMatrix(entries))
+    except (ValueError, NotHyperbolicError) as exc:
+        raise ConfigError(f"{path}: {exc}")
 
 
 def _validate_system(system):

@@ -78,10 +78,12 @@ class ChartBox:
     axes: np.ndarray
 
     def to_chart(self, x):
-        """Chart coordinates of x and the mask of points inside the cube."""
+        """Chart coordinates of x, shape (4,) or (N, 4), and the inside-cube mask."""
         coords = torus_displacement(x, self.center) @ self.axes
-        inside = (np.abs(coords) <= self.half_width).all(axis=-1)
-        return coords, inside
+        # the four one-byte flags of a row, read as one int32, are all true
+        # exactly when the word is 0x01010101 (in either byte order)
+        flags = np.abs(coords) <= self.half_width
+        return coords, flags.view(np.int32)[..., 0] == 0x01010101
 
     def from_chart(self, coords):
         return reduce_torus(self.center + coords @ self.axes.T)

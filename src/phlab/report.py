@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 
 def fmt(value) -> str:
+    if isinstance(value, float):  # the common cell, tested first; bool is not a float
+        return f"{value:.17g}"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
     return str(value)
 
 
@@ -107,11 +107,10 @@ def _jsonable(value):
 
 
 def write_csv(path, rows):
-    """Minimal deterministic CSV writer; cells are pre-formatted or numeric."""
+    """Minimal deterministic CSV writer; rows are any iterable, so tables stream."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
 
 
 def write_gnuplot(path, script: str):

@@ -39,9 +39,9 @@ def reduce_torus(x):
 
 
 def torus_displacement(x, y):
-    """Shortest displacement vector from y to x on the torus, in [-1/2, 1/2)."""
+    """Shortest displacement vector from y to x on the torus, in [-1/2, 1/2]."""
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    d -= np.round(d)
+    d -= np.rint(d)  # np.round at 0 decimals, without its dispatch
     return d
 
 

@@ -1,8 +1,12 @@
 import filecmp
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phlab import cli
 from phlab.cli import _fd_jacobian, main, run_task
@@ -10,6 +14,7 @@ from phlab.config import ExperimentConfig, build_system
 from phlab.deformation import DeformationParams, build_deformed_system
 from phlab.ergodic import make_rng
 from phlab.errors import ConfigError
+from phlab.report import fmt
 
 from conftest import eps1_for
 
@@ -63,6 +68,49 @@ def test_gibbs_small(tmp_path):
     report = run_task("gibbs", cfg, str(tmp_path))
     assert report.all_passed
     assert (tmp_path / "cesaro_measure.csv").exists()
+
+
+def _former_fmt(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _former_csv(rows):
+    return "".join(",".join(_former_fmt(v) for v in row) + "\n" for row in rows).encode()
+
+
+def test_gibbs_measure_csv_matches_former_rows(tmp_path, monkeypatch):
+    """The streamed CSVs are byte for byte the former argwhere row lists."""
+    states = []
+    push = cli.gibbs_mod.cesaro_push
+
+    def recording_push(*args, **kwargs):
+        states.append(push(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(cli.gibbs_mod, "cesaro_push", recording_push)
+    cfg = small({"plaque_samples": 500, "cesaro_steps": 20, "integral_orbit": 300,
+                 "grid_side": 6})
+    run_task("gibbs", cfg, str(tmp_path))
+    acc = states[0].accumulated
+    rows = [("i", "j", "k", "l", "mass")]
+    for idx in np.argwhere(acc.mass > 0):
+        rows.append((*(int(i) for i in idx), float(acc.mass[tuple(idx)])))
+    assert (tmp_path / "cesaro_measure.csv").read_bytes() == _former_csv(rows)
+    base = acc.marginal((0, 1))
+    rows = [("i", "j", "mass")]
+    for idx in np.argwhere(base.mass > 0):
+        rows.append((int(idx[0]), int(idx[1]), base.mass[tuple(idx)]))
+    assert (tmp_path / "base_marginal.csv").read_bytes() == _former_csv(rows)
+
+
+def test_fmt_matches_former_fmt():
+    for value in (True, False, 0.1, -0.0, 1e-300, float("nan"), float("inf"), 3, "x",
+                  np.float64(2.5), np.bool_(True), np.int64(7), None):
+        assert fmt(value) == _former_fmt(value)
 
 
 def test_skeleton_small(tmp_path):
@@ -184,6 +232,22 @@ def test_main_rejects_bool_for_int(tmp_path, capsys, override, field):
     ("skeleton", {}, {"arc_resolution": 0.0}, "task.arc_resolution"),
     ("skeleton", {}, {"tol": 0.0}, "task.tol"),
     ("skeleton", {"kind": "tilde", "eps_tilde": float("nan")}, {}, "system.eps_tilde"),
+    ("skeleton", {"kind": "linear", "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, {},
+     "system.matrix"),
+    ("skeleton", {"kind": "linear", "matrix": [[2, 1, 0, 0], [1, 1, 1, 0], [0, 0, 2, 1],
+                                               [0, 0, 1, 1]]}, {}, "system.matrix"),
+    ("skeleton", {"kind": "linear", "matrix": [[1]]}, {}, "system.matrix"),
+    ("skeleton", {"kind": "linear", "matrix": [[1, 1], [0, 1]]}, {}, "system.matrix"),
+    ("skeleton", {"kind": "linear", "matrix": [[0, -1], [1, 0]]}, {}, "system.matrix"),
+    ("skeleton", {"kind": "linear", "matrix": [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1],
+                                               [0, 0, 0, 1]]}, {}, "system.matrix"),
+    ("product-checks", {"kind": "product", "base_matrix": [[1, 1], [0, 1]],
+                        "fiber_matrix": [[2, 1], [1, 1]]}, {}, "system.base_matrix"),
+    ("product-checks", {"kind": "product", "base_id": "cat^3",
+                        "fiber_matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, {},
+     "system.fiber_matrix"),
+    ("product-checks", {"kind": "product", "base_id": "cat^3",
+                        "fiber_matrix": [[-1, 0], [0, -1]]}, {}, "system.fiber_matrix"),
 ])
 def test_main_bad_values_exit_2_naming_the_field(tmp_path, capsys, subcommand, system,
                                                  task, field):
@@ -192,6 +256,65 @@ def test_main_bad_values_exit_2_naming_the_field(tmp_path, capsys, subcommand, s
     path.write_text(json.dumps(cfg))
     assert main([subcommand, str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
+
+
+#: unimodular matrices of every kind _validate_matrix tells apart: hyperbolic 2x2 and
+#: block-diagonal 4x4, non-hyperbolic, and sizes or shapes the builders refuse
+UNIMODULAR = [
+    [[1]], [[-1]], [[2, 1], [1, 1]], [[1, 1], [1, 0]], [[1, 1], [0, 1]], [[0, 1], [1, 0]],
+    [[0, -1], [1, 0]], [[5, 3], [3, 2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]],
+    [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]],
+    [[2, 1, 1, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]],
+    np.eye(5, dtype=int).tolist(),
+]
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-5, 5),
+                  st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
+                  st.lists(st.integers(-3, 3), max_size=3))
+_MATRICES = st.one_of(st.sampled_from(UNIMODULAR), _JUNK, st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+_NUMBERS = st.one_of(st.integers(-2, 5), st.floats(-1.0, 2.0), st.just(3803), _JUNK)
+_SYSTEMS = st.one_of(
+    st.fixed_dictionaries({"kind": st.sampled_from(["deformed", "tilde"])}, optional={
+        "auto_params": st.one_of(st.booleans(), _JUNK), "n": _NUMBERS, "m": _NUMBERS,
+        "k": _NUMBERS, "eps1": _NUMBERS, "delta": _NUMBERS, "eps_tilde": _NUMBERS}),
+    st.fixed_dictionaries({"kind": st.just("linear"), "matrix": _MATRICES}),
+    st.fixed_dictionaries({"kind": st.just("product"), "fiber_matrix": _MATRICES}, optional={
+        "base_id": st.one_of(st.sampled_from(["cat", "cat^3", "cat^0", "dog"]), _JUNK),
+        "base_matrix": _MATRICES}),
+    st.fixed_dictionaries({"kind": _JUNK}),
+    _JUNK,
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(system=_SYSTEMS, subcommand=st.sampled_from(["skeleton", "product-checks"]))
+def test_main_fuzzed_system_section_never_tracebacks(system, subcommand):
+    """Any system section exits 0, 1 or 2 through main(); an exception fails the test."""
+    task = {"census_max_period": 1, "arc_length": 0.2, "arc_resolution": 0.05, "tol": 0.05,
+            "diagram_points": 50, "identity_orbit": 300}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump({"seed": 1, "system": system, "task": task}, fh)
+        assert main([subcommand, path, "--out", os.path.join(tmp, "out")]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("system, status", [
+    ({"kind": "product", "base_id": "cat^3", "fiber_matrix": [[2, 1], [1, 1]]}, 0),
+    ({"kind": "product", "base_id": "cat", "fiber_matrix": [[2, 1], [1, 1]]}, 1),
+    ({"kind": "linear", "matrix": [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]]},
+     0),
+])
+def test_main_valid_matrices_still_run(tmp_path, system, status):
+    """Matrices the stricter validation keeps reach the task: 2x2 and block 4x4."""
+    subcommand = "product-checks" if system["kind"] == "product" else "skeleton"
+    task = {"census_max_period": 1, "arc_length": 0.2, "arc_resolution": 0.05, "tol": 0.05,
+            "diagram_points": 200, "identity_orbit": 2000}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 1, "system": system, "task": task}))
+    assert main([subcommand, str(path), "--out", str(tmp_path / "out")]) == status
 
 
 def test_fd_jacobian_resolves_bump_transition(system):

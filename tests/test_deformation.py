@@ -20,7 +20,12 @@ from phlab.deformation import (
 )
 from phlab.ergodic import make_rng
 from phlab.errors import InfeasibleParamsError, ParameterTooLargeError
-from phlab.torus import cat_power_product, enumerate_periodic, torus_distance
+from phlab.torus import (
+    cat_power_product,
+    enumerate_periodic,
+    torus_displacement,
+    torus_distance,
+)
 
 from conftest import chart_points, eps1_for
 
@@ -30,6 +35,55 @@ def test_chart_round_trip(system, rng):
     back, inside = system.chart_p.to_chart(system.chart_p.from_chart(coords))
     assert np.max(np.abs(back - coords)) < 1e-12
     assert np.all(inside)
+
+
+def _all_mask(chart, x):
+    """Former inside-mask: a boolean reduction over the length-4 last axis."""
+    coords = torus_displacement(x, chart.center) @ chart.axes
+    return (np.abs(coords) <= chart.half_width).all(axis=-1)
+
+
+def _edge_coords(w):
+    """Chart coordinates on, just inside and just outside the faces +-w."""
+    up, down = np.nextafter(w, 1.0), np.nextafter(w, 0.0)
+    rows = [[w, -w, w, -w], [-w, w, -w, w], [up, 0, 0, 0], [0, -up, 0, 0], [0, 0, up, 0],
+            [0, 0, 0, -up], [down, -down, down, -down], [0, 0, 0, 0], [w, w, w, up],
+            [-0.0, -0.0, -0.0, -0.0]]
+    return np.array(rows, dtype=float)
+
+
+def test_to_chart_mask_matches_all_reduction(system, rng):
+    for chart in (system.chart_p, system.chart_q):
+        w = chart.half_width
+        # centered at 0 with identity axes, the coordinates of x are x itself
+        exact = type(chart)(center=np.zeros(4), half_width=w, axes=np.eye(4))
+        faces = _edge_coords(w)
+        near = chart.from_chart(np.concatenate([faces, (rng.random((5000, 4)) - 0.5) * 3 * w]))
+        batch = np.concatenate([faces, near, rng.random((100, 4))])
+        for box in (chart, exact):
+            for x in (batch, batch[:1], batch[:100], faces):
+                _, mask = box.to_chart(x)
+                want = _all_mask(box, x)
+                assert mask.shape == want.shape and mask.dtype == want.dtype
+                assert np.array_equal(mask, want)
+            for x in faces:  # a single point (4,) gives a numpy bool scalar
+                _, inside = box.to_chart(x)
+                assert type(inside) is type(_all_mask(box, x))
+                assert inside == _all_mask(box, x)
+        _, exact_mask = exact.to_chart(faces)
+        assert exact_mask.tolist() == [True, True] + [False] * 4 + [True, True, False, True]
+
+
+def test_to_chart_mask_nan_and_inf(system):
+    chart = system.chart_p
+    x = np.tile(chart.center, (6, 1))
+    x[0, 0], x[1, 3], x[2, 1], x[3, 2] = np.nan, np.inf, -np.inf, np.nan
+    with np.errstate(invalid="ignore"):
+        _, mask = chart.to_chart(x)
+        assert np.array_equal(mask, _all_mask(chart, x))
+        _, inside = chart.to_chart(x[0])
+    assert mask.tolist() == [False] * 4 + [True, True]
+    assert not inside
 
 
 def test_charts_disjoint(system):

@@ -12,7 +12,9 @@ from phlab.gibbs import (
     total_variation,
 )
 from phlab.product import LinearSystem
-from phlab.torus import CAT_MAP, ToralAutomorphism, torus_displacement
+from phlab.torus import CAT_MAP, ToralAutomorphism, reduce_torus, torus_displacement
+
+from conftest import chart_points
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +170,97 @@ def test_measure_rows_roundtrip(rng):
     m = EmpiricalMeasure.from_points(rng.random((100, 2)), (4, 4))
     rows = m.to_rows()
     assert abs(sum(r[-1] for r in rows) - 1.0) < 1e-12
+
+
+# --- oracles: the former per-point kernels, kept to pin the fast ones bitwise ---
+
+def _add_at_mass(points, grid):
+    """Former from_points: one np.add.at per point into a float grid."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    idx = tuple(
+        np.minimum((reduce_torus(points[:, j]) * grid[j]).astype(int), grid[j] - 1)
+        for j in range(len(grid))
+    )
+    mass = np.zeros(grid)
+    np.add.at(mass, idx, 1.0)
+    return mass / len(points)
+
+
+def _edge_cloud(rng, n, d, side):
+    """Random points plus points on bin edges, at 1 - ulp, at -0.0 and at 1.0."""
+    edges = np.arange(side + 1) / side
+    special = np.array([0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), -np.nextafter(0.0, 1.0),
+                        np.nextafter(0.5, 0.0), 0.5, 2.0 - 1e-17])
+    cols = np.concatenate([edges, special])
+    pts = np.concatenate([rng.random((n, d)), rng.choice(cols, size=(n, d))])
+    pts[::7] = -0.0
+    return pts
+
+
+@pytest.mark.parametrize("grid", [(4, 4), (16, 16), (3, 5), (4, 4, 4, 4), (16,) * 4])
+def test_from_points_matches_add_at_bitwise(rng, grid):
+    pts = _edge_cloud(rng, 3000, len(grid), grid[0])
+    got = EmpiricalMeasure.from_points(pts, grid).mass
+    want = _add_at_mass(pts, grid)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_from_points_single_point_matches_add_at():
+    for pt in ([0.0, 0.25, np.nextafter(1.0, 0.0), -0.0], [-0.0, -0.0, 1.0, 0.999]):
+        got = EmpiricalMeasure.atom(pt, (8, 8, 8, 8)).mass
+        assert got.tobytes() == _add_at_mass(pt, (8, 8, 8, 8)).tobytes()
+
+
+def _former_rows(measure):
+    rows = []
+    for idx in np.argwhere(measure.mass > 0):
+        rows.append((*(int(i) for i in idx), float(measure.mass[tuple(idx)])))
+    return rows
+
+
+def test_to_rows_matches_argwhere_loop(rng):
+    m = EmpiricalMeasure.from_points(_edge_cloud(rng, 500, 4, 6), (6, 6, 6, 6))
+    got = list(m.to_rows())
+    want = _former_rows(m)
+    assert got == want
+    assert all(type(a) is type(b) for g, w in zip(got, want) for a, b in zip(g, w))
+
+
+def test_marginal_rejects_bad_dims_before_summing():
+    m = EmpiricalMeasure.uniform((2, 3, 4))
+    for dims in [(0, 0), (1, 0), (0, 3), (-1,), (0, 1, 1)]:
+        with pytest.raises(ValueError, match="dims must be sorted, unique and in range"):
+            m.marginal(dims)
+    assert m.marginal((0, 2)).grid == (2, 4)
+    assert m.marginal((0, 1, 2)).mass.tobytes() == m.mass.tobytes()
+
+
+def _former_slab_hits(system, pts):
+    coords, _ = system.chart_p.to_chart(pts)
+    return float(np.sum(np.all(np.abs(coords[:, :2]) <= system.chart_p.half_width, axis=1)))
+
+
+def test_slab_tracker_matches_chart_lookup(system, rng):
+    w = system.chart_p.half_width
+    edge = np.array([[w, -w, 0.3, -0.2], [np.nextafter(w, 1.0), 0.0, 0.0, 0.0],
+                     [-w, w, 5 * w, 5 * w], [0.0, -np.nextafter(w, 1.0), 0.0, 0.0]])
+    coords = np.concatenate([(rng.random((4000, 4)) - 0.5) * 4 * w, edge])
+    pts = np.concatenate([system.chart_p.from_chart(coords), rng.random((4000, 4))])
+    slab = SlabMassTracker(system)
+    slab.observe(0, pts)
+    slab.observe(1, pts[:10])
+    assert slab.hits == _former_slab_hits(system, pts) + _former_slab_hits(system, pts[:10])
+    assert slab.total == len(pts) + 10
+
+
+def test_center_tracker_norm_matches_linalg_norm(system, rng):
+    pts = np.concatenate([rng.random((500, 4)), chart_points(system, rng, 500)])
+    tracker = CenterGrowthTracker(system, len(pts), warmup=0)
+    tracker.dirs = rng.standard_normal((len(pts), 2))
+    dirs = tracker.dirs.copy()
+    w = np.einsum("nij,nj->ni", system.jacobian_chart(pts)[:, 2:4, 2:4], dirs)
+    g = np.linalg.norm(w, axis=1)
+    tracker.observe(0, pts)
+    assert tracker.log_sum == float(np.sum(np.log(g)))
+    assert tracker.dirs.tobytes() == (w / g[:, None]).tobytes()

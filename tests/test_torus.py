@@ -16,6 +16,7 @@ from phlab.torus import (
     periodic_order,
     reduce_torus,
     smith_normal_form,
+    torus_displacement,
     torus_distance,
 )
 
@@ -204,3 +205,23 @@ def test_block_4x4_requires_block_structure():
             [0, 0, 2, 1],
             [0, 0, 1, 1],
         ]))
+
+
+def test_torus_displacement_matches_np_round_bitwise():
+    """rint against the former np.round(d): ties, signed zero, large values."""
+    big = [2.0**52, 2.0**52 + 1, 2.0**53, -(2.0**52) - 0.5, 1e300, -1e300,
+           4503599627370495.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)]
+    d = np.array([0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.0, -0.0, 0.49999999999999994] + big)
+    zero = np.zeros_like(d)
+    want = d - np.round(d)
+    got = torus_displacement(d, zero)
+    assert got.tobytes() == want.tobytes()
+    # batches and single points, with the subtraction inside
+    rng = np.random.default_rng(5)
+    x, y = rng.random((1000, 4)) * 10 - 5, rng.random(4)
+    assert torus_displacement(x, y).tobytes() == ((x - y) - np.round(x - y)).tobytes()
+    assert torus_displacement(x[0], y).tobytes() == ((x[0] - y) - np.round(x[0] - y)).tobytes()
+    # ties round to even, so a half-period displacement keeps either sign
+    assert float(torus_displacement(0.75, 0.25)) == 0.5
+    assert float(torus_displacement(1.75, 0.25)) == -0.5
+    assert float(torus_displacement(-0.0, 0.0)) == 0.0
