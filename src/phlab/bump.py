@@ -46,7 +46,9 @@ class SmoothBump:
         One pass: both read the same e(t) = exp(-1/t) and e(1 - t) on the
         transition band 0 < t < 1, t = (delta - |x|) / (delta/2), and
         sigma' = (e'(t) e(1-t) + e(t) e'(1-t)) / (e(t) + e(1-t))^2 with
-        e'(t) = e(t) / t^2.
+        e'(t) = e(t) / t^2.  With no point on the band, s is the indicator of
+        the plateau and s' = -sign(x) * 0.0, the same zeros (signs included)
+        and NaNs as the band formula, from a handful of array operations.
         """
         x = np.asarray(x, dtype=float)
         xa = np.atleast_1d(x)
@@ -54,6 +56,14 @@ class SmoothBump:
         np.subtract(self.delta, t, out=t)
         t /= self.delta / 2.0
         mid = (t > 0) & (t < 1)
+        if not mid.any():
+            val = (t >= 1).astype(float)
+            if not derivative:
+                return val.reshape(x.shape), None
+            der = np.sign(xa, out=t)
+            np.negative(der, out=der)
+            der *= 0.0
+            return val.reshape(x.shape), der.reshape(x.shape)
         tm = t[mid]
         um = 1.0 - tm
         # on the band t and 1 - t are at least about 1e-16 (one ulp of delta

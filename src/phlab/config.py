@@ -17,7 +17,7 @@ from .deformation import (
     build_deformed_system,
     search_params,
 )
-from .errors import ConfigError, NotHyperbolicError
+from .errors import ConfigError, IncompatibleFiberError, NotHyperbolicError
 from .product import LinearSystem, build_product
 from .torus import CAT_MAP, IntegerMatrix, ToralAutomorphism, eigen_split
 
@@ -131,6 +131,8 @@ def _validate_system(system):
                 )
         else:
             _validate_matrix(system.get("base_matrix"), "system.base_matrix")
+            if len(system["base_matrix"]) != 2:
+                raise ConfigError("system.base_matrix: the base of a product must be 2x2")
         _validate_matrix(system.get("fiber_matrix"), "system.fiber_matrix")
     else:
         auto = system.get("auto_params", True)
@@ -175,7 +177,10 @@ def build_system(config: ExperimentConfig):
         else:
             base_entries = spec["base_matrix"]
         base = LinearSystem(ToralAutomorphism(base_entries))
-        system = build_product(base, ToralAutomorphism(spec["fiber_matrix"]))
+        try:
+            system = build_product(base, ToralAutomorphism(spec["fiber_matrix"]))
+        except IncompatibleFiberError as exc:  # the rate pre-check, base now 2x2
+            raise ConfigError(f"system.fiber_matrix: {exc}") from exc
         return system, {
             "kind": kind,
             "base_matrix": [list(r) for r in base.auto.matrix.entries],

@@ -25,14 +25,16 @@ edge of the bump.
 
 One loop over the cube table, DeformedSystem._cube_loop, does all of this:
 it looks each cube up once, moves the points that lie inside, and on the
-forward pass takes row j of Df from the same s, s' values (one pass of
-SmoothBump.profile each at ky and at r, or the solve's own values at its
-root).  deform / deform_inverse and jacobian_chart are thin wrappers over it,
-and advance(x, forward, full) returns one step of f together with its chart
-Jacobian (the (u, s) center block unless full): (f(x), Df(x)) forward,
-(f^-1(x), Df(f^-1(x))) backward, bit for bit what step / step_inverse and
-jacobian_chart give.  Outside both cubes Df is diag(rates), with no field
-arithmetic at all.
+forward pass takes row j of Df from the same s, s' values: one
+SmoothBump.profile call on r and ky together in the explicit direction; in
+the solved one, a call on r and the solve's own s, s' at its root.  Off the
+bump's transition band, as at p and q themselves, profile returns without
+evaluating an exponential.  deform / deform_inverse and jacobian_chart are
+thin wrappers over it, and advance(x, forward, full) returns one step of f
+together with its chart Jacobian (the (u, s) center block unless full):
+(f(x), Df(x)) forward, (f^-1(x), Df(f^-1(x))) backward, bit for bit what
+step / step_inverse and jacobian_chart give.  Outside both cubes Df is
+diag(rates), built once, with no field arithmetic at all.
 
 Everything here is vectorized over point batches of shape (N, 4); a single
 point of shape (4,) is accepted everywhere and returned in kind.
@@ -43,6 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -155,10 +158,10 @@ class Cube:
     div: float
     forward_explicit: bool
 
-    @property
+    @cached_property
     def others(self):
         """The three chart axes the cube leaves unchanged, in order."""
-        return [i for i in range(4) if i != self.j]
+        return tuple(i for i in range(4) if i != self.j)
 
     def split(self, coords):
         """The changed coordinate y and the radius r over the other three axes."""
@@ -180,6 +183,8 @@ class DeformedSystem:
         self.dim = 4
         luu, lss, lu, ls = eigenvalue_rates(params.n, params.m)
         self.rates = np.array([luu, lss, lu, ls])
+        # Df outside both cubes, as the 4x4 (lo = 0) and the (u, s) block (lo = 2)
+        self._diag = {lo: np.diag(self.rates[lo:]) for lo in (0, 2)}
         self.luu, self.lss, self.lu, self.ls = luu, lss, lu, ls
         et = params.eps_tilde
         self.cubes = (
@@ -250,7 +255,7 @@ class DeformedSystem:
         target = y * cube.mul / cube.div
         k, w = self.params.k, 2.0 * self.params.delta
         u, best, resid = y.copy(), y.copy(), np.full_like(y, np.inf)
-        sky_best, dsky_best = np.zeros_like(y), np.zeros_like(y)
+        sky_best, dsky_best = np.zeros(y.shape), np.zeros(y.shape)
         lo, hi = np.full_like(y, -w), np.full_like(y, w)
         step = np.full_like(y, 2.0 * w)  # the last step; prev is the one before it
         prev = step.copy()
@@ -264,10 +269,13 @@ class DeformedSystem:
             at = act[closer]
             best[at], resid[at] = ua[closer], f[closer]
             sky_best[at], dsky_best[at] = sky[closer], dsky[closer]
+            moving = f != 0
+            if not moving.any():  # every point sits on its root
+                break
             lo[act] = np.where(f < 0, ua, lo[act])
             hi[act] = np.where(f > 0, ua, hi[act])
             ulp2 = 2.0 * np.spacing(np.abs(ua))
-            go = (f != 0) & (np.abs(step[act]) > ulp2) & (hi[act] - lo[act] > ulp2)
+            go = moving & (np.abs(step[act]) > ulp2) & (hi[act] - lo[act] > ulp2)
             act, ua, f = act[go], ua[go], f[go]
             if not act.size:
                 break
@@ -279,7 +287,7 @@ class DeformedSystem:
             prev[act] = step[act]
             step[act] = new - ua
             u[act] = new
-        worst = np.max(np.abs(resid)) if u.size else 0.0
+        worst = np.abs(resid).max() if u.size else 0.0
         if worst > ROOT_TOL * max(1.0, self.lu):
             raise RootFindError(
                 f"deformation solve stalled: residual {worst:.3e} on {u.size} points"
@@ -290,31 +298,37 @@ class DeformedSystem:
         """The one pass over the cube table, on reduced points pts of shape (N, 4).
 
         Moves pts in place to I_eps(pts) (forward) or I_eps^-1(pts), with one
-        chart lookup per cube: axis j changes by the explicit F div/mul or by
-        the root solve.  With ``lo``, returns (jac, hit): jac is diag(rates)
-        restricted to rows and columns lo..3 (lo = 0 the 4x4, lo = 2 the
-        (u, s) block), and the forward pass overwrites row j of each point in
-        a cube with that of Df at the input, from the same bump values; hit
-        tells whether any point lay in a cube.
+        chart lookup per cube, and none once every point has been found in a
+        cube: axis j changes by the explicit F div/mul or by the root solve.
+        With ``lo``, returns (jac, hit): jac is diag(rates) restricted to rows
+        and columns lo..3 (lo = 0 the 4x4, lo = 2 the (u, s) block), and the
+        forward pass overwrites row j of each point in a cube with that of Df
+        at the input, from the same bump values; hit tells whether any point
+        lay in a cube.
         """
         jac = None
         if lo is not None:
             jac = np.empty((pts.shape[0], 4 - lo, 4 - lo))
-            jac[...] = np.diag(self.rates[lo:])
+            jac[...] = self._diag[lo]
         rows = forward and jac is not None
-        k, hit = self.params.k, False
+        k, hit, left = self.params.k, False, pts.shape[0]
         for cube in self.cubes:
+            if not left:  # the cubes are disjoint, and I_eps maps each into itself
+                break
             coords, inside = cube.chart.to_chart(pts)
-            if not inside.any():
+            found = np.count_nonzero(inside)
+            if not found:
                 continue
-            hit = True
+            hit, left = True, left - found
             j, sub = cube.j, coords[inside]
             y, r = cube.split(sub)
-            sr, dsr = self.bump.profile(r, derivative=rows)
-            if forward == cube.forward_explicit:
-                sky, dsky = self.bump.profile(k * y, derivative=rows)
+            if forward == cube.forward_explicit:  # s, s' at r and at ky in one call
+                s, ds = self.bump.profile(np.concatenate((r, k * y)), derivative=rows)
+                sr, sky = s.reshape(2, -1)
+                dsr, dsky = ds.reshape(2, -1) if rows else (None, None)
                 new = self._field_y(cube, y, sky, sr) * cube.div / cube.mul
-            else:
+            else:  # the solve needs s(r) first
+                sr, dsr = self.bump.profile(r, derivative=rows)
                 new, sky, dsky = self._solve(cube, y, sr)
             if rows:
                 if cube.forward_explicit:  # grad F at the input point

@@ -216,7 +216,7 @@ def bundle_exponent_batch(system, starts, length: int, transient: int, bundle: s
             w = np.einsum("nij,nj->ni", m, vs)
         else:
             w = np.linalg.solve(m, vs[:, :, None])[:, :, 0]
-        g = np.linalg.norm(w, axis=1)
+        g = np.sqrt(np.add.reduce(w * w, axis=1))  # np.linalg.norm(w, axis=1), undispatched
         tally.add(t, np.log(g) if forward else -np.log(g))
         vs = w / g[:, None]
     return tally.result()

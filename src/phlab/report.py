@@ -106,11 +106,21 @@ def _jsonable(value):
     return value
 
 
-def write_csv(path, rows):
-    """Minimal deterministic CSV writer; rows are any iterable, so tables stream."""
+def write_csv(path, rows, line=None):
+    """Minimal deterministic CSV writer; rows are any iterable, so tables stream.
+
+    Each cell goes through fmt.  With ``line``, a %-format such as
+    "%d,%.17g\n" whose %d and %.17g give fmt's digits, the first row is the
+    header and each later row is rendered by one ``line % row``.
+    """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        fh.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
+        if line is None:
+            fh.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
+        else:
+            rows = iter(rows)
+            fh.write(",".join(next(rows)) + "\n")
+            fh.writelines(line % row for row in rows)
 
 
 def write_gnuplot(path, script: str):

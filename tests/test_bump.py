@@ -122,6 +122,77 @@ def test_one_pass_profile_matches_former_formulas_bitwise(bump, rng):
         assert _bits(v) == _bits(want[i]) and _bits(dv) == _bits(want_d[i])
 
 
+def _profile_oracle(delta, x, derivative=True):
+    """SmoothBump.profile before its band-free early return, kept verbatim."""
+    x = np.asarray(x, dtype=float)
+    xa = np.atleast_1d(x)
+    t = np.abs(xa)
+    np.subtract(delta, t, out=t)
+    t /= delta / 2.0
+    mid = (t > 0) & (t < 1)
+    tm = t[mid]
+    um = 1.0 - tm
+    a = np.exp(-1.0 / tm)
+    b = np.exp(-1.0 / um)
+    val = np.zeros(t.shape)
+    val[mid] = a / (a + b)
+    val[t >= 1] = 1.0
+    if not derivative:
+        return val.reshape(x.shape), None
+    sp = np.zeros(t.shape)
+    sp[mid] = (a / (tm * tm) * b + a * (b / (um * um))) / (a + b) ** 2
+    der = np.sign(xa, out=t)
+    np.negative(der, out=der)
+    der /= delta / 2.0
+    der *= sp
+    return val.reshape(x.shape), der.reshape(x.shape)
+
+
+def _band_free_inputs(d):
+    """Points off the transition band: +-0, +-delta/2, +-delta, their float
+    neighbours on the plateau or beyond the support, far points and NaN."""
+    edges = np.array([0.0, -0.0, d / 2, -d / 2, d, -d])
+    inward = np.nextafter(edges[2:4], 0.0)  # just inside the plateau
+    outward = np.nextafter(edges[4:], np.copysign(np.inf, edges[4:]))  # beyond delta
+    return np.concatenate([
+        edges, inward, outward, [np.nextafter(0.0, 1.0), -np.nextafter(0.0, 1.0)],
+        [d / 4, -d / 3, 1.5 * d, -2 * d, 0.5, -0.75, 1e300, -1e300, np.inf, -np.inf, np.nan],
+    ])
+
+
+def _assert_profile_is_oracle(bump, x):
+    for derivative in (True, False):
+        val, der = bump.profile(x, derivative)
+        want_val, want_der = _profile_oracle(bump.delta, x, derivative)
+        assert val.shape == want_val.shape and val.tobytes() == want_val.tobytes(), (x, derivative)
+        if derivative:
+            assert der.shape == want_der.shape and der.tobytes() == want_der.tobytes(), x
+        else:
+            assert der is None
+
+
+def test_profile_matches_frozen_oracle_bitwise(bump, rng):
+    """The early return for batches with no point on the band gives the band
+    formula's values bit for bit: the signed zeros of s' and NaN included."""
+    d = bump.delta
+    free = _band_free_inputs(d)
+    band = np.sign(rng.random(200) - 0.5) * (0.5 + 0.5 * rng.random(200)) * d
+    band_edges = np.concatenate([np.nextafter([d / 2, -d / 2], [d, -d]),
+                                 np.nextafter([d, -d], [0.0, 0.0])])
+    for x in free:  # scalars, and one-point arrays
+        _assert_profile_is_oracle(bump, x)
+        _assert_profile_is_oracle(bump, np.array([x]))
+    for x in np.concatenate([band[:5], band_edges]):
+        _assert_profile_is_oracle(bump, x)
+    _assert_profile_is_oracle(bump, free)  # band-free batch
+    _assert_profile_is_oracle(bump, free[:21].reshape(7, 3))
+    mixed = np.concatenate([free, band, band_edges])
+    _assert_profile_is_oracle(bump, mixed)
+    _assert_profile_is_oracle(bump, rng.permutation(mixed))
+    _assert_profile_is_oracle(bump, np.concatenate([free, band[:1]]))
+    _assert_profile_is_oracle(bump, (rng.random(1000) - 0.5) * 6 * d)
+
+
 def test_measure_constraint():
     with pytest.raises(MeasureConstraintError):
         make_bump(1.0 / 39.0)

@@ -248,6 +248,11 @@ def test_main_rejects_bool_for_int(tmp_path, capsys, override, field):
      "system.fiber_matrix"),
     ("product-checks", {"kind": "product", "base_id": "cat^3",
                         "fiber_matrix": [[-1, 0], [0, -1]]}, {}, "system.fiber_matrix"),
+    ("product-checks", {"kind": "product", "base_id": "cat",
+                        "fiber_matrix": [[2, 1], [1, 1]]}, {}, "system.fiber_matrix"),
+    ("product-checks", {"kind": "product", "base_matrix": [[2, 1, 0, 0], [1, 1, 0, 0],
+                                                           [0, 0, 2, 1], [0, 0, 1, 1]],
+                        "fiber_matrix": [[2, 1], [1, 1]]}, {}, "system.base_matrix"),
 ])
 def test_main_bad_values_exit_2_naming_the_field(tmp_path, capsys, subcommand, system,
                                                  task, field):
@@ -303,12 +308,15 @@ def test_main_fuzzed_system_section_never_tracebacks(system, subcommand):
 
 @pytest.mark.parametrize("system, status", [
     ({"kind": "product", "base_id": "cat^3", "fiber_matrix": [[2, 1], [1, 1]]}, 0),
-    ({"kind": "product", "base_id": "cat", "fiber_matrix": [[2, 1], [1, 1]]}, 1),
+    # the cat base does not dominate the cat fiber: build_product's rate pre-check
+    # refuses it, a config error
+    ({"kind": "product", "base_id": "cat", "fiber_matrix": [[2, 1], [1, 1]]}, 2),
     ({"kind": "linear", "matrix": [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]]},
      0),
 ])
 def test_main_valid_matrices_still_run(tmp_path, system, status):
-    """Matrices the stricter validation keeps reach the task: 2x2 and block 4x4."""
+    """Matrices the stricter validation keeps reach the task: 2x2 and block 4x4.
+    A fiber that build_product's rate pre-check refuses exits 2."""
     subcommand = "product-checks" if system["kind"] == "product" else "skeleton"
     task = {"census_max_period": 1, "arc_length": 0.2, "arc_resolution": 0.05, "tol": 0.05,
             "diagram_points": 200, "identity_orbit": 2000}

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -23,11 +25,13 @@ from phlab.errors import InfeasibleParamsError, ParameterTooLargeError
 from phlab.torus import (
     cat_power_product,
     enumerate_periodic,
+    reduce_torus,
     torus_displacement,
     torus_distance,
 )
 
 from conftest import chart_points, eps1_for
+from test_bump import _profile_oracle
 
 
 def test_chart_round_trip(system, rng):
@@ -437,6 +441,166 @@ def test_bundle_exponents_on_advance_match_former_loop(system, eps_tilde):
         want = _bundle_loop_oracle(sys_, starts, 400, 40, bundle)
         assert np.array_equal(got[0], want[0]), bundle
         assert np.array_equal(got[1], want[1]), bundle
+
+
+# DeformedSystem._cube_loop, _gradient and _solve before the in-cube trims,
+# kept verbatim as a reference on the frozen SmoothBump.profile: two profile
+# calls per explicit cube visit, np.diag per call, both cubes looked up on
+# every call, and a solve without the all-on-root exit.  advance on the
+# reference must give the same bits as advance itself.
+
+
+def _gradient_oracle(sys_, cube, coords, y, r, sky, dsky, sr, dsr):
+    common = np.zeros_like(r)
+    pos = r > 0
+    common[pos] = (sky * y * cube.coef)[pos] * dsr[pos] / r[pos]
+    grad = common[..., None] * coords
+    grad[..., cube.j] = sys_._field_dy(cube, sys_.params.k * y, sky, dsky, sr)
+    return grad
+
+
+def _solve_oracle(sys_, cube, y, sr):
+    profile = functools.partial(_profile_oracle, sys_.params.delta)
+    target = y * cube.mul / cube.div
+    k, w = sys_.params.k, 2.0 * sys_.params.delta
+    u, best, resid = y.copy(), y.copy(), np.full_like(y, np.inf)
+    sky_best, dsky_best = np.zeros_like(y), np.zeros_like(y)
+    lo, hi = np.full_like(y, -w), np.full_like(y, w)
+    step = np.full_like(y, 2.0 * w)
+    prev = step.copy()
+    act = np.arange(u.size)
+    for _ in range(200):
+        ua = u[act]
+        kua = k * ua
+        sky, dsky = profile(kua)
+        f = sys_._field_y(cube, ua, sky, sr[act]) - target[act]
+        closer = np.abs(f) < np.abs(resid[act])
+        at = act[closer]
+        best[at], resid[at] = ua[closer], f[closer]
+        sky_best[at], dsky_best[at] = sky[closer], dsky[closer]
+        lo[act] = np.where(f < 0, ua, lo[act])
+        hi[act] = np.where(f > 0, ua, hi[act])
+        ulp2 = 2.0 * np.spacing(np.abs(ua))
+        go = (f != 0) & (np.abs(step[act]) > ulp2) & (hi[act] - lo[act] > ulp2)
+        act, ua, f = act[go], ua[go], f[go]
+        if not act.size:
+            break
+        df = sys_._field_dy(cube, kua[go], sky[go], dsky[go], sr[act])
+        new = ua - f / df
+        lo_a, hi_a = lo[act], hi[act]
+        bisect = (new < lo_a) | (new > hi_a) | (np.abs(2.0 * f) > np.abs(prev[act] * df))
+        new = np.where(bisect, 0.5 * (lo_a + hi_a), new)
+        prev[act] = step[act]
+        step[act] = new - ua
+        u[act] = new
+    assert np.max(np.abs(resid)) <= 1e-12 * max(1.0, sys_.lu)
+    return best, sky_best, dsky_best
+
+
+def _cube_loop_oracle(sys_, pts, forward, lo=None):
+    profile = functools.partial(_profile_oracle, sys_.params.delta)
+    jac = None
+    if lo is not None:
+        jac = np.empty((pts.shape[0], 4 - lo, 4 - lo))
+        jac[...] = np.diag(sys_.rates[lo:])
+    rows = forward and jac is not None
+    k, hit = sys_.params.k, False
+    for cube in sys_.cubes:
+        coords, inside = cube.chart.to_chart(pts)
+        if not inside.any():
+            continue
+        hit = True
+        j, sub = cube.j, coords[inside]
+        y, r = cube.split(sub)
+        sr, dsr = profile(r, derivative=rows)
+        if forward == cube.forward_explicit:
+            sky, dsky = profile(k * y, derivative=rows)
+            new = sys_._field_y(cube, y, sky, sr) * cube.div / cube.mul
+        else:
+            new, sky, dsky = _solve_oracle(sys_, cube, y, sr)
+        if rows:
+            if cube.forward_explicit:
+                row = _gradient_oracle(sys_, cube, sub, y, r, sky, dsky, sr, dsr)
+            else:
+                g = _gradient_oracle(sys_, cube, sub, new, r, sky, dsky, sr, dsr)
+                row = -sys_.rates[j] * g / g[..., j:j + 1]
+                row[..., j] = 1.0 / g[..., j]
+            jac[inside, j - lo, :] = row[..., lo:]
+        shift = (new - sub[..., j])[:, None] * cube.chart.axes[:, j]
+        pts[inside] = reduce_torus(pts[inside] + shift)
+    return jac, hit
+
+
+def _advance_oracle(sys_, x, forward, full):
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    lo = 0 if full else 2
+    if forward:
+        pts = reduce_torus(np.atleast_2d(x))
+        jac, _ = _cube_loop_oracle(sys_, pts, True, lo)
+        out = sys_.auto.apply(pts[0] if single else pts)
+    else:
+        out = sys_.auto.apply_inverse(x)
+        pts = np.atleast_2d(out)
+        jac, hit = _cube_loop_oracle(sys_, pts, False, lo)
+        if hit:
+            jac, _ = _cube_loop_oracle(sys_, pts.copy(), True, lo)
+    return out, (jac[0] if single else jac)
+
+
+def _plateau_points(sys_, rng, n):
+    """Points of both cubes where s(ky) = s(r) = 1: |ky| < delta/2, r < delta/2."""
+    d, k = sys_.params.delta, sys_.params.k
+    pts = []
+    for cube in sys_.cubes:
+        coords = (rng.random((n, 4)) - 0.5) * d / 2
+        coords[:, cube.j] /= k
+        pts.append(cube.chart.from_chart(coords))
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("eps_tilde", [0.0, 0.5])
+def test_advance_matches_frozen_cube_loop_at_small_n(system, rng, eps_tilde):
+    """advance against the frozen cube loop, bit for bit, both directions, the
+    (u, s) block and the full Jacobian: one point at p and q, one of each kind
+    (plateau, in band, r >= delta, out of band) of both cubes, alone and as a
+    one-row batch, and 100-point batches that mix them."""
+    sys_ = system if eps_tilde == 0.0 else system.make_tilde(eps_tilde)
+    plateau = _plateau_points(sys_, rng, 10)
+    pts = np.concatenate([_advance_points(sys_, rng, 25), plateau])
+    n = len(pts) - len(plateau)
+    # random; per cube in band, in band at r < delta/2, r >= delta, out of band;
+    # p and q; one plateau point per cube
+    kinds = [0, 25, 50, 75, 100, 125, 150, 175, 200, n - 2, n - 1, n, n + 10]
+    xs = [sys_.chart_p.center, sys_.chart_q.center]
+    xs += [x[None, :] for x in xs] + [pts[i] for i in kinds] + [pts[i:i + 1] for i in kinds]
+    xs += [pts[rng.permutation(len(pts))[:100]] for _ in range(3)]
+    xs += [np.concatenate([pts[kinds], pts[:100 - len(kinds)]])]
+    for forward in (True, False):
+        for full in (False, True):
+            for x in xs:
+                img, jac = sys_.advance(x, forward, full)
+                want_img, want_jac = _advance_oracle(sys_, x, forward, full)
+                assert img.shape == want_img.shape and jac.shape == want_jac.shape
+                assert img.tobytes() == want_img.tobytes(), (forward, full, x)
+                assert jac.tobytes() == want_jac.tobytes(), (forward, full, x)
+
+
+def test_bundle_exponent_at_p_pinned(system):
+    """The 2000-step cu orbit at p (the cu-exponent-at-p check) and the cs orbit
+    at q keep their exact values: log 1 = 0 on the plain map, log(1 - 1/2) with
+    eps_tilde = 1/2."""
+    from phlab.ergodic import OrbitSpec, bundle_exponent
+
+    log_half = -0.6931471805599112
+    cases = ((system, 0.0, 0.0), (system.make_tilde(0.5), log_half, -log_half))
+    for sys_, p_value, q_value in cases:
+        at_p = bundle_exponent(
+            sys_, OrbitSpec(start=sys_.chart_p.center, length=2000, transient=0), "cu")
+        at_q = bundle_exponent(
+            sys_, OrbitSpec(start=sys_.chart_q.center, length=2000, transient=0), "cs_ss")
+        assert at_p.value.hex() == p_value.hex() and at_p.converged
+        assert at_q.value.hex() == q_value.hex() and at_q.converged
 
 
 def test_fixed_point_jacobians(system):
