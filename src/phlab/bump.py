@@ -56,7 +56,7 @@ class SmoothBump:
         np.subtract(self.delta, t, out=t)
         t /= self.delta / 2.0
         mid = (t > 0) & (t < 1)
-        if not mid.any():
+        if not np.count_nonzero(mid):
             val = (t >= 1).astype(float)
             if not derivative:
                 return val.reshape(x.shape), None

@@ -8,6 +8,7 @@ so there is no locale dependence.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .bump import compute_M, make_bump
@@ -72,6 +73,8 @@ class ExperimentConfig:
             and not (isinstance(default, float) and isinstance(value, int))
         ):
             raise ConfigError(f"task.{key}: expected {type(default).__name__}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"task.{key}: expected a finite number, got {value}")
         low = _TASK_MINIMUM.get(key, 1)
         if isinstance(default, int) and not isinstance(default, bool) and value < low:
             raise ConfigError(f"task.{key}: expected an integer >= {low}, got {value}")
@@ -83,7 +86,7 @@ class ExperimentConfig:
 # lower bounds of integer task values that differ from the default bound of 1
 _TASK_MINIMUM = {"n_orbits": 2, "transient": 0, "tracker_warmup": 0}
 # float task values that must be positive
-_TASK_POSITIVE = {"arc_resolution", "tol"}
+_TASK_POSITIVE = {"arc_resolution", "tol", "plaque_half_length", "arc_length", "eps_tilde_check"}
 
 
 def _cat_power_from_id(base_id):

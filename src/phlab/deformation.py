@@ -23,9 +23,21 @@ evaluation; in the band it bisects its bracket whenever a Newton step would
 leave it or fails to halve, since plain Newton can 2-cycle across the steep
 edge of the bump.
 
-One loop over the cube table, DeformedSystem._cube_loop, does all of this:
-it looks each cube up once, moves the points that lie inside, and on the
-forward pass takes row j of Df from the same s, s' values: one
+One loop over the cube table, DeformedSystem._cube_loop, does all of this.
+It first screens the batch: A = D^n x D^m and the chart axes are block
+diagonal, so each cube is the product of a rotated square in the (uu, ss)
+plane (ambient axes 0-1) and one in the (u, s) plane (axes 2-3).  One 64x64
+cell table per plane marks the cells within reach of each cube (half-width
+plus half a cell diagonal), and two gathers and an & give every row its
+candidate cubes; most steps have none and return at once.  Only candidate
+rows are looked up in a chart (ChartBox.to_chart), and moved and filled
+through index arrays.  One rule keeps this bit for bit the full-batch
+lookup: a one-row matmul goes through gemv and can round an ulp away from
+the batched gemm, while two-row lookups round as the batch does, so a lone
+candidate of a batch of two or more rows is looked up with one non-candidate
+row beside it (lookup_rows); a one-row input keeps its one-row lookup.  The
+loop moves the points that lie inside, and on the forward pass takes row j
+of Df from the same s, s' values: one
 SmoothBump.profile call on r and ky together in the explicit direction; in
 the solved one, a call on r and the solve's own s, s' at its root.  Off the
 bump's transition band, as at p and q themselves, profile returns without
@@ -70,6 +82,13 @@ from .torus import (
 ROOT_TOL = 1e-12
 ROOT_MAX_ITER = 200
 K_MAX = 1e8  # search_params gives up once k doubles past this
+SCREEN_SIDE = 64  # cells per side of each cube-screen table
+SCREEN_MARGIN = 1e-9  # slack on the screen's reach, far above chart rounding
+# rows per screen pass: larger batches are screened in blocks, so the screen's
+# temporaries do not grow with the batch (at 1.4e5 rows they moved the checks
+# workload's peak RSS by up to 10 MB, with the heap layout)
+SCREEN_BLOCK = 8192
+CUBE_BITS = (1, 2)  # screen bits of the p and q cubes, in DeformedSystem.cubes order
 
 
 @dataclass(frozen=True)
@@ -90,6 +109,31 @@ class ChartBox:
 
     def from_chart(self, coords):
         return reduce_torus(self.center + coords @ self.axes.T)
+
+
+def screen_cells(pts):
+    """Screen-table indices of reduced points pts (N, 2f), one column per 2-D factor.
+
+    A row's cell numbers are one byte each, read in pairs as little-endian
+    uint16: each pair is the flat index a + 256 b of its cell in the factor's
+    table.  A NaN coordinate is clamped to the last cell rather than cast.
+    """
+    cells = pts * SCREEN_SIDE
+    np.fmin(cells, SCREEN_SIDE - 1, out=cells)
+    return cells.astype(np.uint8, order="C").view("<u2").astype(np.intp)
+
+
+def lookup_rows(rows, n):
+    """The rows of an n-row batch to look up for candidate rows ``rows``.
+
+    A one-row matmul goes through gemv, which can round the chart
+    coordinates an ulp away from the batched gemm, so a lone candidate of a
+    batch (n >= 2) is looked up together with one other row (which must not
+    be a candidate): two-row lookups round as the whole batch does.
+    """
+    if rows.size == 1 and n > 1:
+        return np.array((rows[0], 0 if rows[0] else 1))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -228,10 +272,8 @@ class DeformedSystem:
     def _gradient(self, cube, coords, y, r, sky, dsky, sr, dsr):
         """Partials of the field at coords with changed coordinate y (the other
         three are read from coords), given r and s, s' at ky and at r."""
-        common = np.zeros_like(r)
-        pos = r > 0
         # radial factor; the singularity at r = 0 is removable (s' vanishes there)
-        common[pos] = (sky * y * cube.coef)[pos] * dsr[pos] / r[pos]
+        common = np.divide(sky * y * cube.coef * dsr, r, out=np.zeros(r.shape), where=r > 0)
         grad = common[..., None] * coords
         grad[..., cube.j] = self._field_dy(cube, self.params.k * y, sky, dsky, sr)
         return grad
@@ -250,21 +292,24 @@ class DeformedSystem:
         (rtsafe): plain Newton can 2-cycle across the steep edge of s(ku).
         A point stops at F = target, or when its last step or its bracket is
         within 2 ulp of u; only points still moving are evaluated again.  The
-        result is each point's evaluated iterate of least |F - target|.
+        result is each point's evaluated iterate of least |F - target|.  When
+        every start is already its root, the solve returns after that first
+        evaluation, before it sets up brackets and bookkeeping.
         """
         target = y * cube.mul / cube.div
         k, w = self.params.k, 2.0 * self.params.delta
+        ua, kua = y, k * y
+        sky, dsky = self.bump.profile(kua)
+        f = self._field_y(cube, ua, sky, sr) - target
+        if not np.count_nonzero(f):  # every start is its root: nothing to set up
+            return y, sky, dsky
         u, best, resid = y.copy(), y.copy(), np.full_like(y, np.inf)
         sky_best, dsky_best = np.zeros(y.shape), np.zeros(y.shape)
         lo, hi = np.full_like(y, -w), np.full_like(y, w)
         step = np.full_like(y, 2.0 * w)  # the last step; prev is the one before it
         prev = step.copy()
         act = np.arange(u.size)
-        for _ in range(ROOT_MAX_ITER):
-            ua = u[act]
-            kua = k * ua
-            sky, dsky = self.bump.profile(kua)
-            f = self._field_y(cube, ua, sky, sr[act]) - target[act]
+        for _ in range(ROOT_MAX_ITER):  # ua, kua, f and s, s' are at u[act]
             closer = np.abs(f) < np.abs(resid[act])
             at = act[closer]
             best[at], resid[at] = ua[closer], f[closer]
@@ -286,7 +331,10 @@ class DeformedSystem:
             new = np.where(bisect, 0.5 * (lo_a + hi_a), new)
             prev[act] = step[act]
             step[act] = new - ua
-            u[act] = new
+            u[act] = ua = new
+            kua = k * ua
+            sky, dsky = self.bump.profile(kua)
+            f = self._field_y(cube, ua, sky, sr[act]) - target[act]
         worst = np.abs(resid).max() if u.size else 0.0
         if worst > ROOT_TOL * max(1.0, self.lu):
             raise RootFindError(
@@ -294,32 +342,70 @@ class DeformedSystem:
             )
         return best, sky_best, dsky_best
 
+    @cached_property
+    def screen_tables(self):
+        """One flat uint8 cell table per factor, (uu, ss) then (u, s), indexed
+        as screen_cells gives.  Bit i of a cell is set when its centre is
+        within cube i's half-width, plus half the cell diagonal and a rounding
+        margin, in both chart coordinates of the factor.  Built on first use:
+        search_params' systems are never stepped.
+        """
+        side = SCREEN_SIDE
+        mid = (np.arange(side) + 0.5) / side
+        centres = np.stack(np.meshgrid(mid, mid, indexing="ij"), axis=-1)
+        tables = (np.zeros((side, 256), np.uint8), np.zeros((side, 256), np.uint8))
+        for bit, cube in zip(CUBE_BITS, self.cubes):
+            axes = cube.chart.axes
+            if axes[:2, 2:].any() or axes[2:, :2].any():
+                raise ValueError("the cube screen needs block-diagonal chart axes")
+            reach = cube.chart.half_width + math.sqrt(0.5) / side + SCREEN_MARGIN
+            for table, f in zip(tables, (slice(0, 2), slice(2, 4))):
+                coords = torus_displacement(centres, cube.chart.center[f]) @ axes[f, f]
+                table[:, :side][(np.abs(coords) <= reach).all(axis=-1).T] |= bit
+        return tuple(t.ravel() for t in tables)
+
+    def screen(self, pts):
+        """Cube bits of reduced points pts (N, 4): bit i (CUBE_BITS) is set on
+        every row that may lie in cube i, and clear on every row that cannot."""
+        uu_ss, u_s = self.screen_tables
+        bits = np.empty(len(pts), np.uint8)
+        for i in range(0, len(pts), SCREEN_BLOCK):
+            cells = screen_cells(pts[i:i + SCREEN_BLOCK])
+            np.bitwise_and(uu_ss[cells[:, 0]], u_s[cells[:, 1]], out=bits[i:i + SCREEN_BLOCK])
+        return bits
+
     def _cube_loop(self, pts, forward, lo=None):
         """The one pass over the cube table, on reduced points pts of shape (N, 4).
 
-        Moves pts in place to I_eps(pts) (forward) or I_eps^-1(pts), with one
-        chart lookup per cube, and none once every point has been found in a
-        cube: axis j changes by the explicit F div/mul or by the root solve.
-        With ``lo``, returns (jac, hit): jac is diag(rates) restricted to rows
-        and columns lo..3 (lo = 0 the 4x4, lo = 2 the (u, s) block), and the
-        forward pass overwrites row j of each point in a cube with that of Df
-        at the input, from the same bump values; hit tells whether any point
-        lay in a cube.
+        Moves pts in place to I_eps(pts) (forward) or I_eps^-1(pts): the screen
+        picks each cube's candidate rows, and only those are looked up in its
+        chart; axis j of the rows inside changes by the explicit F div/mul or
+        by the root solve.  With ``lo``, returns (jac, hit): jac is diag(rates)
+        restricted to rows and columns lo..3 (lo = 0 the 4x4, lo = 2 the
+        (u, s) block), and the forward pass overwrites row j of each point in
+        a cube with that of Df at the input, from the same bump values; hit
+        tells whether any point lay in a cube.
         """
         jac = None
         if lo is not None:
             jac = np.empty((pts.shape[0], 4 - lo, 4 - lo))
             jac[...] = self._diag[lo]
+        bits = self.screen(pts)
+        cand = bits.nonzero()[0]
+        if not cand.size:
+            return jac, False
+        bits = bits[cand]
         rows = forward and jac is not None
-        k, hit, left = self.params.k, False, pts.shape[0]
-        for cube in self.cubes:
-            if not left:  # the cubes are disjoint, and I_eps maps each into itself
-                break
-            coords, inside = cube.chart.to_chart(pts)
-            found = np.count_nonzero(inside)
-            if not found:
+        k, hit = self.params.k, False
+        for bit, cube in zip(CUBE_BITS, self.cubes):
+            look = lookup_rows(cand.compress(bits & bit), pts.shape[0])
+            if not look.size:
                 continue
-            hit, left = True, left - found
+            coords, inside = cube.chart.to_chart(pts[look])
+            at = look[inside]
+            if not at.size:
+                continue
+            hit = True
             j, sub = cube.j, coords[inside]
             y, r = cube.split(sub)
             if forward == cube.forward_explicit:  # s, s' at r and at ky in one call
@@ -337,9 +423,9 @@ class DeformedSystem:
                     g = self._gradient(cube, sub, new, r, sky, dsky, sr, dsr)
                     row = -self.rates[j] * g / g[..., j:j + 1]
                     row[..., j] = 1.0 / g[..., j]
-                jac[inside, j - lo, :] = row[..., lo:]
+                jac[at, j - lo, :] = row[..., lo:]
             shift = (new - sub[..., j])[:, None] * cube.chart.axes[:, j]
-            pts[inside] = reduce_torus(pts[inside] + shift)
+            pts[at] = reduce_torus(pts[at] + shift)
         return jac, hit
 
     def _deform(self, x, forward):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .deformation import CUBE_BITS, lookup_rows, screen_cells
 from .torus import reduce_torus, torus_displacement
 
 
@@ -185,6 +186,7 @@ class SlabMassTracker:
     """Cesaro-weighted mass of the chart slab (base cross-section of the cube)."""
 
     def __init__(self, system):
+        self.table = system.screen_tables[0]  # the (uu, ss) factor's cells
         self.center = system.chart_p.center
         self.axes = system.chart_p.axes[:, :2]
         self.width = system.chart_p.half_width
@@ -192,8 +194,14 @@ class SlabMassTracker:
         self.total = 0
 
     def observe(self, _step, pts):
-        # only the (uu, ss) chart coordinates bound the slab
-        near = np.abs(torus_displacement(pts, self.center) @ self.axes) <= self.width
+        """Counts the reduced points pts (N, 4) in the slab.
+
+        Only rows whose (uu, ss) screen cell carries the p bit can lie in the
+        slab, and only the (uu, ss) chart coordinates bound it.
+        """
+        cells = screen_cells(pts[:, :2])[:, 0]
+        rows = lookup_rows((self.table[cells] & CUBE_BITS[0]).nonzero()[0], len(pts))
+        near = np.abs(torus_displacement(pts[rows], self.center) @ self.axes) <= self.width
         self.hits += float(np.count_nonzero(near[:, 0] & near[:, 1]))
         self.total += len(pts)
 

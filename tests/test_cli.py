@@ -28,6 +28,8 @@ DEFORMED = {
 #: a hand-picked deformed system, and lyapunov task values that keep a run short
 MANUAL = {"auto_params": False, "n": 3, "m": 1, "k": 3803}
 TINY = {"n_orbits": 2, "orbit_length": 300, "transient": 10, "min_good_orbits": 1}
+SMALL_CONSTRUCTION = {"bump_samples": 100, "grid_points": 3, "random_chart_points": 100,
+                      "roundtrip_points": 100, "roundtrip_chart_points": 50, "fd_points": 20}
 
 
 def small(task_overrides=None, **kw):
@@ -253,6 +255,15 @@ def test_main_rejects_bool_for_int(tmp_path, capsys, override, field):
     ("product-checks", {"kind": "product", "base_matrix": [[2, 1, 0, 0], [1, 1, 0, 0],
                                                            [0, 0, 2, 1], [0, 0, 1, 1]],
                         "fiber_matrix": [[2, 1], [1, 1]]}, {}, "system.base_matrix"),
+    ("gibbs", {}, {"plaque_half_length": float("nan")}, "task.plaque_half_length"),
+    ("gibbs", {}, {"plaque_half_length": float("inf")}, "task.plaque_half_length"),
+    ("skeleton", {}, {"arc_length": float("nan")}, "task.arc_length"),
+    ("skeleton", {}, {"arc_length": -1.0}, "task.arc_length"),
+    ("skeleton", {}, {"arc_resolution": float("inf")}, "task.arc_resolution"),
+    ("verify-construction", {}, {**SMALL_CONSTRUCTION, "eps_tilde_check": float("nan")},
+     "task.eps_tilde_check"),
+    ("verify-construction", {}, {**SMALL_CONSTRUCTION, "eps_tilde_check": -0.5},
+     "task.eps_tilde_check"),
 ])
 def test_main_bad_values_exit_2_naming_the_field(tmp_path, capsys, subcommand, system,
                                                  task, field):

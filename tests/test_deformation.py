@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from phlab.bump import BumpBound
 from phlab.cli import _fd_jacobian
 from phlab.deformation import (
     DeformationParams,
+    DeformedSystem,
     ParamCaps,
     _fine_axis_on,
     _slab_grid,
@@ -88,6 +90,53 @@ def test_to_chart_mask_nan_and_inf(system):
         _, inside = chart.to_chart(x[0])
     assert mask.tolist() == [False] * 4 + [True, True]
     assert not inside
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_screen_is_conservative_across_param_caps(bump_bound, data):
+    """Every row that to_chart puts in a cube carries that cube's screen bit:
+    on each cube's faces and corners and one ulp either side, on the bump's
+    band, across the torus seam, near each cube and on 1e5 random points.  A
+    NaN row passes through step as NaN."""
+    n, m = data.draw(st.sampled_from(_rate_feasible_pairs(bump_bound)), label="n, m")
+    d = data.draw(st.floats(1e-3, ParamCaps().delta), label="delta")
+    k = 10.0 ** data.draw(st.floats(np.log10(2.0), 4.0), label="log10 k")
+    eps_tilde = data.draw(st.sampled_from([0.0, 0.5]), label="eps_tilde")
+    system = build_deformed_system(
+        DeformationParams(n=n, m=m, delta=d, k=k, eps1=eps1_for(n, m)), bound=bump_bound)
+    try:
+        system = system.make_tilde(eps_tilde)
+    except ParameterTooLargeError:
+        reject()
+    rng = make_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    w = 2 * d
+    edge = [0.0, w, np.nextafter(w, 1.0), np.nextafter(w, 0.0)]
+    edge += [-v for v in edge[1:]]
+    faces = np.array(list(itertools.product(edge, repeat=4)))  # 7^4 rows
+    seam = np.array(list(itertools.product([0.0, 2.0**-60, 1 - 2.0**-53, 1 - 2.0**-40],
+                                           repeat=4)))
+    uniform = rng.random((100_000, 4))
+    pts = [seam, uniform]
+    for cube in system.cubes:
+        band = (rng.random((2000, 4)) - 0.5) * d
+        band[:, cube.j] = (rng.random(2000) - 0.5) * 2 * d / k
+        near = (rng.random((20_000, 4)) - 0.5) * 3 * w
+        pts += [cube.chart.from_chart(c) for c in (faces, band, near)]
+    pts = np.concatenate(pts)
+    bits = system.screen(pts)
+    for bit, cube in zip((1, 2), system.cubes):
+        _, inside = cube.chart.to_chart(pts)
+        assert np.count_nonzero(inside) > 5000
+        assert np.all(bits[inside] & bit)
+    # the screen rejects almost every point far from the cubes
+    assert np.count_nonzero(system.screen(uniform)) < 1e-2 * len(uniform)
+
+    batch = np.concatenate([[np.full(4, np.nan)], [c.chart.center for c in system.cubes],
+                            uniform[:100]])
+    out = system.step(batch)
+    assert np.isnan(out[0]).all() and np.isnan(system.step(batch[0])).all()
+    assert out[1:].tobytes() == system.step(batch[1:]).tobytes()
 
 
 def test_charts_disjoint(system):
@@ -497,7 +546,7 @@ def _solve_oracle(sys_, cube, y, sr):
     return best, sky_best, dsky_best
 
 
-def _cube_loop_oracle(sys_, pts, forward, lo=None):
+def _untrimmed_cube_loop(sys_, pts, forward, lo=None):
     profile = functools.partial(_profile_oracle, sys_.params.delta)
     jac = None
     if lo is not None:
@@ -531,20 +580,20 @@ def _cube_loop_oracle(sys_, pts, forward, lo=None):
     return jac, hit
 
 
-def _advance_oracle(sys_, x, forward, full):
+def _untrimmed_advance(sys_, x, forward, full):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     lo = 0 if full else 2
     if forward:
         pts = reduce_torus(np.atleast_2d(x))
-        jac, _ = _cube_loop_oracle(sys_, pts, True, lo)
+        jac, _ = _untrimmed_cube_loop(sys_, pts, True, lo)
         out = sys_.auto.apply(pts[0] if single else pts)
     else:
         out = sys_.auto.apply_inverse(x)
         pts = np.atleast_2d(out)
-        jac, hit = _cube_loop_oracle(sys_, pts, False, lo)
+        jac, hit = _untrimmed_cube_loop(sys_, pts, False, lo)
         if hit:
-            jac, _ = _cube_loop_oracle(sys_, pts.copy(), True, lo)
+            jac, _ = _untrimmed_cube_loop(sys_, pts.copy(), True, lo)
     return out, (jac[0] if single else jac)
 
 
@@ -580,10 +629,102 @@ def test_advance_matches_frozen_cube_loop_at_small_n(system, rng, eps_tilde):
         for full in (False, True):
             for x in xs:
                 img, jac = sys_.advance(x, forward, full)
-                want_img, want_jac = _advance_oracle(sys_, x, forward, full)
+                want_img, want_jac = _untrimmed_advance(sys_, x, forward, full)
                 assert img.shape == want_img.shape and jac.shape == want_jac.shape
                 assert img.tobytes() == want_img.tobytes(), (forward, full, x)
                 assert jac.tobytes() == want_jac.tobytes(), (forward, full, x)
+
+
+# DeformedSystem._cube_loop before the cube screen, kept verbatim: both charts
+# looked up on every row through length-N boolean masks.  Every public map on a
+# system whose loop is this one must give the same bits as on the screened one.
+
+
+def _cube_loop_oracle(self, pts, forward, lo=None):
+    jac = None
+    if lo is not None:
+        jac = np.empty((pts.shape[0], 4 - lo, 4 - lo))
+        jac[...] = self._diag[lo]
+    rows = forward and jac is not None
+    k, hit, left = self.params.k, False, pts.shape[0]
+    for cube in self.cubes:
+        if not left:
+            break
+        coords, inside = cube.chart.to_chart(pts)
+        found = np.count_nonzero(inside)
+        if not found:
+            continue
+        hit, left = True, left - found
+        j, sub = cube.j, coords[inside]
+        y, r = cube.split(sub)
+        if forward == cube.forward_explicit:
+            s, ds = self.bump.profile(np.concatenate((r, k * y)), derivative=rows)
+            sr, sky = s.reshape(2, -1)
+            dsr, dsky = ds.reshape(2, -1) if rows else (None, None)
+            new = self._field_y(cube, y, sky, sr) * cube.div / cube.mul
+        else:
+            sr, dsr = self.bump.profile(r, derivative=rows)
+            new, sky, dsky = self._solve(cube, y, sr)
+        if rows:
+            if cube.forward_explicit:
+                row = self._gradient(cube, sub, y, r, sky, dsky, sr, dsr)
+            else:
+                g = self._gradient(cube, sub, new, r, sky, dsky, sr, dsr)
+                row = -self.rates[j] * g / g[..., j:j + 1]
+                row[..., j] = 1.0 / g[..., j]
+            jac[inside, j - lo, :] = row[..., lo:]
+        shift = (new - sub[..., j])[:, None] * cube.chart.axes[:, j]
+        pts[inside] = reduce_torus(pts[inside] + shift)
+    return jac, hit
+
+
+class _OracleSystem(DeformedSystem):
+    _cube_loop = _cube_loop_oracle
+
+
+def _oracle_of(sys_):
+    return _OracleSystem(sys_.auto, sys_.bump, sys_.params, sys_.chart_p, sys_.chart_q)
+
+
+def _assert_maps_match_oracle(sys_, oracle, x):
+    """Every public map of sys_ against the oracle system, by tobytes()."""
+    for forward in (True, False):
+        for full in (False, True):
+            got, want = sys_.advance(x, forward, full), oracle.advance(x, forward, full)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (forward, full)
+    for name in ("step", "step_inverse", "deform", "deform_inverse", "jacobian_chart"):
+        a, b = getattr(sys_, name)(x), getattr(oracle, name)(x)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("eps_tilde", [0.0, 0.5])
+def test_maps_match_boolean_mask_cube_loop(system, rng, eps_tilde):
+    """The screened cube loop against the boolean-mask one, bit for bit: single
+    points; batches of 2 and 100 with exactly one row in p, and with exactly
+    one row in q (a lone candidate looked up as one row rounds differently);
+    batches with every row in a cube; and a mixed batch of 1e4."""
+    sys_ = system if eps_tilde == 0.0 else system.make_tilde(eps_tilde)
+    oracle = _oracle_of(sys_)
+    mixed = _advance_points(sys_, rng, 200)
+    far = rng.random((4000, 4))
+    far = far[sys_.screen(far) == 0]  # rows no cube can hold
+    for x in list(mixed[::97]) + [c.chart.center for c in sys_.cubes]:
+        _assert_maps_match_oracle(sys_, oracle, x)
+        _assert_maps_match_oracle(sys_, oracle, x[None, :])
+    for c, cube in enumerate(sys_.cubes):
+        half = cube.chart.half_width
+        inside = cube.chart.from_chart((rng.random((40, 4)) - 0.5) * 2 * half)
+        # in band, r < delta, r >= delta and out of band (_advance_points' rows)
+        inside = np.concatenate([inside, mixed[200 + 800 * c:1000 + 800 * c:40]])
+        for i, x in enumerate(inside):
+            for n in (2, 100):
+                batch = far[rng.choice(len(far), n, replace=False)]
+                batch[i % n] = x
+                _assert_maps_match_oracle(sys_, oracle, batch)
+        _assert_maps_match_oracle(sys_, oracle, inside)
+    big = np.concatenate([rng.random((10_000 - len(mixed), 4)), mixed])
+    _assert_maps_match_oracle(sys_, oracle, big[rng.permutation(len(big))])
 
 
 def test_bundle_exponent_at_p_pinned(system):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phlab.deformation import screen_cells
 from phlab.gibbs import (
     CenterGrowthTracker,
     EmpiricalMeasure,
@@ -252,6 +253,41 @@ def test_slab_tracker_matches_chart_lookup(system, rng):
     slab.observe(1, pts[:10])
     assert slab.hits == _former_slab_hits(system, pts) + _former_slab_hits(system, pts[:10])
     assert slab.total == len(pts) + 10
+
+
+def _full_batch_slab_hits(system, pts):
+    """SlabMassTracker's count before the cube screen: every row displaced and charted."""
+    chart = system.chart_p
+    near = np.abs(torus_displacement(pts, chart.center) @ chart.axes[:, :2]) <= chart.half_width
+    return float(np.count_nonzero(near[:, 0] & near[:, 1]))
+
+
+def test_slab_tracker_matches_full_batch_formula(system, rng):
+    """Screened counts equal the full-batch ones on the slab's edges and one ulp
+    either side, alone, as the lone slab row of a batch of 2 or 100, in
+    batches of slab rows only, and in a mixed batch of 1e4 with a NaN row."""
+    w = system.chart_p.half_width
+    edge = [w, np.nextafter(w, 1.0), np.nextafter(w, 0.0)]
+    edge += [-v for v in edge] + [0.0]
+    coords = np.array([[a, b, *(rng.random(2) - 0.5) * 8 * w] for a in edge for b in edge])
+    slab = system.chart_p.from_chart(coords)
+    far = rng.random((4000, 4))
+    far = far[system.screen_tables[0][screen_cells(far[:, :2])[:, 0]] == 0]  # no slab row
+    big = rng.random((10_000, 4))
+    big[rng.choice(len(big), len(slab), replace=False)] = slab
+    big[7] = np.nan
+    batches = [slab, big] + [x[None, :] for x in slab]
+    for i, x in enumerate(slab):
+        for n in (2, 100):
+            batch = far[rng.choice(len(far), n, replace=False)]
+            batch[i % n] = x
+            batches.append(batch)
+    tracker, want = SlabMassTracker(system), 0.0
+    for pts in batches:
+        tracker.observe(0, pts)
+        want += _full_batch_slab_hits(system, pts)
+    assert tracker.hits == want and want > len(slab)
+    assert tracker.total == sum(len(b) for b in batches)
 
 
 def test_center_tracker_norm_matches_linalg_norm(system, rng):
