@@ -149,26 +149,37 @@ def compute_M(bump: SmoothBump, grid: int = 2001) -> BumpBound:
     golden-section refinement, each to an interval of 1e-8 delta;
     the objective is smooth, with the minimizer in the transition band.
     By symmetry of s the same bound holds for x of either sign.
+
+    The scan takes the row-major argmin of g[i, j] = s(x_i) w(y_j),
+    w = ``bump.weighted``, without forming g.  Rounding is monotone, so
+    fl(a * b) is nondecreasing in b for a >= 0 and nonincreasing for a < 0:
+    row i's minimum is s(x_i) min(w), or s(x_i) max(w) when s(x_i) < 0.  The
+    first row with the least row minimum, and the first column attaining it
+    there, are np.argmin's answer on the dense grid, ties included.  Every
+    evaluation goes through ``bump(.)`` and ``bump.weighted(.)``, which
+    subclasses may override.
     """
     delta = bump.delta
     xs = np.linspace(0.0, delta, grid)
     sx = bump(xs)
     hy = bump.weighted(xs)
-    g = sx[:, None] * hy[None, :]
-    i, j = np.unravel_index(np.argmin(g), g.shape)
+    row_min = sx * np.where(sx < 0, np.max(hy), np.min(hy))
+    i = np.argmin(row_min)
+    row = sx[i] * hy
+    j = np.argmin(row)
     x0, y0 = xs[i], xs[j]
-    best = g[i, j]
     h = delta / (grid - 1)
 
-    def obj(x, y):
-        return float(bump(np.array(x)) * bump.weighted(np.array(y)))
-
     for _ in range(4):
+        sx0 = bump(np.array(x0))
         y0, best = _golden_min(
-            lambda y: obj(x0, y), max(0.0, y0 - h), min(delta, y0 + h), 1e-8 * delta
+            lambda y: float(sx0 * bump.weighted(np.array(y))),
+            max(0.0, y0 - h), min(delta, y0 + h), 1e-8 * delta
         )
+        hy0 = bump.weighted(np.array(y0))
         x0, best = _golden_min(
-            lambda x: obj(x, y0), max(0.0, x0 - h), min(delta, x0 + h), 1e-8 * delta
+            lambda x: float(bump(np.array(x)) * hy0),
+            max(0.0, x0 - h), min(delta, x0 + h), 1e-8 * delta
         )
-    min_value = min(best, float(g[i, j]))
+    min_value = min(best, float(row[j]))
     return BumpBound(M=max(0.0, -min_value), argmin=(x0, y0), min_value=min_value, grid=grid)

@@ -83,8 +83,11 @@ class ExperimentConfig:
         return value
 
 
-# lower bounds of integer task values that differ from the default bound of 1
-_TASK_MINIMUM = {"n_orbits": 2, "transient": 0, "tracker_warmup": 0}
+# lower bounds of integer task values that differ from the default bound of 1:
+# fd_points >= 4 puts at least one finite-difference point in each cube, and
+# bump_samples and plaque_samples need two samples for a difference or a spread
+_TASK_MINIMUM = {"n_orbits": 2, "transient": 0, "tracker_warmup": 0, "fd_points": 4,
+                 "bump_samples": 2, "plaque_samples": 2}
 # float task values that must be positive
 _TASK_POSITIVE = {"arc_resolution", "tol", "plaque_half_length", "arc_length", "eps_tilde_check"}
 

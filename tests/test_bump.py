@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phlab.bump import BumpBound, SmoothBump, compute_M, make_bump
+from phlab.bump import BumpBound, SmoothBump, _golden_min, compute_M, make_bump
 from phlab.errors import MeasureConstraintError
 
 
@@ -242,6 +242,57 @@ class _NonNegativeBump(SmoothBump):
 def test_compute_M_zero_when_nonnegative():
     bound = compute_M(_NonNegativeBump(1.0 / 40.0), grid=401)
     assert bound.M == 0.0
+
+
+class _SignFlippingBump(SmoothBump):
+    """s shifted down by 1/2 and the weighted factor negated: the least product
+    lies in a row with s(x) < 0, where it pairs with the largest weighted value."""
+
+    def __call__(self, x):
+        return super().__call__(x) - 0.5
+
+    def weighted(self, y):
+        return -super().weighted(y)
+
+
+def _compute_M_oracle(bump, grid=2001):
+    """compute_M as it was before the scan went 1-D: the dense grid argmin."""
+    delta = bump.delta
+    xs = np.linspace(0.0, delta, grid)
+    sx = bump(xs)
+    hy = bump.weighted(xs)
+    g = sx[:, None] * hy[None, :]
+    i, j = np.unravel_index(np.argmin(g), g.shape)
+    x0, y0 = xs[i], xs[j]
+    best = g[i, j]
+    h = delta / (grid - 1)
+
+    def obj(x, y):
+        return float(bump(np.array(x)) * bump.weighted(np.array(y)))
+
+    for _ in range(4):
+        y0, best = _golden_min(
+            lambda y: obj(x0, y), max(0.0, y0 - h), min(delta, y0 + h), 1e-8 * delta
+        )
+        x0, best = _golden_min(
+            lambda x: obj(x, y0), max(0.0, x0 - h), min(delta, x0 + h), 1e-8 * delta
+        )
+    min_value = min(best, float(g[i, j]))
+    return BumpBound(M=max(0.0, -min_value), argmin=(x0, y0), min_value=min_value, grid=grid)
+
+
+def _bound_bits(bound):
+    """Every field of a BumpBound, floats by float.hex and with their types."""
+    floats = (bound.M, *bound.argmin, bound.min_value)
+    return [(float(v).hex(), type(v)) for v in floats], bound.grid
+
+
+@pytest.mark.parametrize("cls", [SmoothBump, _NonNegativeBump, _SignFlippingBump])
+@pytest.mark.parametrize("delta", [0.025, 0.02, 0.01, 0.003])
+def test_compute_M_matches_dense_grid_oracle_bitwise(cls, delta):
+    bump = cls(delta)
+    for grid in (2001, 501, 101):
+        assert _bound_bits(compute_M(bump, grid)) == _bound_bits(_compute_M_oracle(bump, grid))
 
 
 def test_bound_dataclass_fields(bump_bound):

@@ -264,6 +264,12 @@ def test_main_rejects_bool_for_int(tmp_path, capsys, override, field):
      "task.eps_tilde_check"),
     ("verify-construction", {}, {**SMALL_CONSTRUCTION, "eps_tilde_check": -0.5},
      "task.eps_tilde_check"),
+    ("verify-construction", {}, {**SMALL_CONSTRUCTION, "fd_points": 1}, "task.fd_points"),
+    ("verify-construction", {}, {**SMALL_CONSTRUCTION, "fd_points": 3}, "task.fd_points"),
+    ("verify-construction", {}, {**SMALL_CONSTRUCTION, "bump_samples": 1},
+     "task.bump_samples"),
+    ("gibbs", {}, {"plaque_samples": 1, "cesaro_steps": 5, "integral_orbit": 300},
+     "task.plaque_samples"),
 ])
 def test_main_bad_values_exit_2_naming_the_field(tmp_path, capsys, subcommand, system,
                                                  task, field):

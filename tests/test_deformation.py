@@ -1,5 +1,8 @@
 import functools
 import itertools
+import os
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +11,14 @@ from hypothesis import strategies as st
 
 from phlab.bump import BumpBound
 from phlab.cli import _fd_jacobian
+from phlab.config import ExperimentConfig, build_system
 from phlab.deformation import (
     DeformationParams,
     DeformedSystem,
     ParamCaps,
     _fine_axis_on,
     _slab_grid,
+    _slab_partials,
     build_deformed_system,
     center_gap_condition,
     eigenvalue_rates,
@@ -863,6 +868,70 @@ def test_search_params_infeasible(bump_bound):
 
 def test_partial_sup_below_budget(system):
     assert small_partial_sup(system) < system.params.eps0
+
+
+def _flat_slab_gradients(system):
+    """The slab scans as they were before _slab_partials: field_gradient on
+    the flat (N, 4) slab grid, its fine axis moved onto each cube's axis."""
+    grid = _slab_grid(system.params.delta, system.params.k)
+    return [system.field_gradient(cube, _fine_axis_on(grid, cube.j)) for cube in system.cubes]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_slab_scans_match_flat_grid_bitwise(bump_bound, data):
+    """_slab_partials holds field_gradient's dF/dy and largest |cross partial|
+    on the flat slab grid, element by element and bit for bit; so
+    small_partial_sup, and make_tilde's accept/raise and its min dP/dc and
+    dQ/dd, are the flat path's, across ParamCaps and eps_tilde."""
+    n, m = data.draw(st.sampled_from(_rate_feasible_pairs(bump_bound)), label="n, m")
+    d = data.draw(st.floats(1e-3, ParamCaps().delta), label="delta")
+    k = 10.0 ** data.draw(st.floats(np.log10(2.0), 4.0), label="log10 k")
+    eps_tilde = data.draw(st.sampled_from([0.0, 0.5, 0.999, 1.5]), label="eps_tilde")
+    base = build_deformed_system(
+        DeformationParams(n=n, m=m, delta=d, k=k, eps1=eps1_for(n, m)), bound=bump_bound)
+    # the variant make_tilde builds, here without its monotonicity scan
+    system = DeformedSystem(base.auto, base.bump, replace(base.params, eps_tilde=eps_tilde),
+                            base.chart_p, base.chart_q)
+    flat = _flat_slab_gradients(system)
+    sup = max(np.max(np.abs(g[..., c.others])) for c, g in zip(system.cubes, flat))
+    assert small_partial_sup(system).hex() == float(sup).hex()
+    failing = None
+    for cube, g in zip(system.cubes, flat):
+        dy, cross = _slab_partials(system, cube)
+        assert dy.shape == cross.shape == (13, 13, 41, 13)
+        assert np.array_equal(_bits(dy.ravel()), _bits(g[:, cube.j]))
+        assert np.array_equal(_bits(cross.ravel()), _bits(np.max(np.abs(g[:, cube.others]), axis=1)))
+        assert float(np.min(dy)).hex() == float(np.min(g[:, cube.j])).hex()
+        if failing is None and np.min(g[:, cube.j]) <= 1e-9:
+            failing = "abcd"[cube.j]
+    if eps_tilde > 0 and failing:
+        with pytest.raises(ParameterTooLargeError, match=f"monotonicity of the {failing}-change"):
+            base.make_tilde(eps_tilde)
+    else:
+        assert base.make_tilde(eps_tilde).params.eps_tilde == eps_tilde
+
+
+def test_setup_traces_no_dense_grid(system):
+    """build_system on the shipped deformed config and make_tilde(0.05) each
+    stay below 8 MB of traced allocations, which no dense grid fits: the
+    2001 x 2001 products of the former compute_M scan took 31 MB, and the flat
+    slab grid with its swapped copy and gradient 11 MB."""
+    config = ExperimentConfig.from_file(
+        os.path.join(os.path.dirname(__file__), os.pardir, "configs", "deformed.json"))
+    for name, run in (("build_system", lambda: build_system(config)),
+                      ("make_tilde", lambda: system.make_tilde(0.05))):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"{name}: traced peak {peak / 1e6:.1f} MB"
 
 
 def _rate_feasible_pairs(bump_bound):
