@@ -10,7 +10,7 @@ periodic-point skeleton extraction, all at desk scale with explicit
 tolerances.
 """
 
-from .bump import BumpBound, SmoothBump, compute_M, make_bump
+from .bump import BumpBound, SmoothBump, compute_M
 from .cones import (
     ConeField,
     InvarianceReport,

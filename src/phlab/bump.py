@@ -97,7 +97,8 @@ class SmoothBump:
     def weighted(self, y):
         """s(y) + y * s'(y), the factor whose negative part defines M."""
         y = np.asarray(y, dtype=float)
-        return self(y) + y * self.derivative(y)
+        val, der = self.profile(y)
+        return val + y * der
 
     def sup_derivative(self) -> float:
         """Estimate of max |s'| on 20001 grid points of [0, delta]."""
@@ -108,10 +109,6 @@ class SmoothBump:
         """Estimate of max |y * s(y)| on 20001 grid points of [0, delta]."""
         ys = np.linspace(0.0, self.delta, 20001)
         return float(np.max(np.abs(ys * self(ys))))
-
-
-def make_bump(delta: float) -> SmoothBump:
-    return SmoothBump(delta)
 
 
 @dataclass(frozen=True)

@@ -292,7 +292,13 @@ def run_lyapunov(config: ExperimentConfig, report: RunReport, out_dir: str, syst
     transient = config.task_value("transient", 200)
     if length <= transient:
         raise ConfigError(f"task.orbit_length: must exceed task.transient ({transient})")
+    spectrum_length = min(length, 20_000)
+    if spectrum_length <= transient:
+        raise ConfigError(f"task.transient: must be below the {spectrum_length}-step spectrum")
     horizon = config.task_value("pesin_horizon", 4)
+    need = config.task_value("min_good_orbits", n_orbits - 1)
+    if need > n_orbits:
+        raise ConfigError(f"task.min_good_orbits: must not exceed task.n_orbits ({n_orbits})")
     starts = make_rng(config.seed, 1).random((n_orbits, 4))
 
     cu_vals, cu_conv = bundle_exponent_batch(system, starts, length, transient, "cu")
@@ -303,7 +309,6 @@ def run_lyapunov(config: ExperimentConfig, report: RunReport, out_dir: str, syst
     write_csv(os.path.join(out_dir, "bundle_exponents.csv"), rows)
     n_pos = int(np.sum(cu_vals > 0))
     n_neg = int(np.sum(cs_vals < 0))
-    need = config.task_value("min_good_orbits", n_orbits - 1)
     report.add("cu-exponent-positive", n_pos >= need, n_pos, f">= {need} of {n_orbits}")
     report.add("cs-exponent-negative", n_neg >= need, n_neg, f">= {need} of {n_orbits}")
     report.add("convergence-flags", bool(np.all(cu_conv) and np.all(cs_conv)),
@@ -314,7 +319,7 @@ def run_lyapunov(config: ExperimentConfig, report: RunReport, out_dir: str, syst
     report.add("cu-exponent-at-p", abs(at_p.value) < 1e-6, at_p.value, "|.| < 1e-6")
 
     spec = lyapunov_spectrum(
-        system, OrbitSpec(start=starts[0], length=min(length, 20_000), transient=transient))
+        system, OrbitSpec(start=starts[0], length=spectrum_length, transient=transient))
     report.add("spectrum-sum-vs-det", abs(spec.total - spec.log_det) < 1e-8,
                abs(spec.total - spec.log_det), "< 1e-8",
                "sum of exponents equals Birkhoff average of log|det Df|")
@@ -355,6 +360,9 @@ def run_gibbs(config: ExperimentConfig, report: RunReport, out_dir: str, system)
     integral_orbit = config.task_value("integral_orbit", 20_000)
     if integral_orbit <= 200:
         raise ConfigError("task.integral_orbit: must exceed the 200-step transient")
+    warmup = config.task_value("tracker_warmup", 50)
+    if warmup >= n_steps:
+        raise ConfigError(f"task.tracker_warmup: must be below task.cesaro_steps ({n_steps})")
 
     anchor = rng.random(4)
     plaque = gibbs_mod.seed_plaque(system, anchor, half_length, n_samples)
@@ -367,8 +375,7 @@ def run_gibbs(config: ExperimentConfig, report: RunReport, out_dir: str, system)
                "KS statistic of the projected segment parameter")
 
     slab = gibbs_mod.SlabMassTracker(system)
-    center = gibbs_mod.CenterGrowthTracker(system, n_samples,
-                                           warmup=config.task_value("tracker_warmup", 50))
+    center = gibbs_mod.CenterGrowthTracker(system, n_samples, warmup=warmup)
     grid = (grid_side,) * 4
     state = gibbs_mod.cesaro_push(system, plaque, n_steps, grid, trackers=(slab, center))
     report.add("cesaro-mass", abs(state.accumulated.total - 1.0) < 1e-12,
@@ -455,14 +462,6 @@ def run_skeleton(config: ExperimentConfig, report: RunReport, out_dir: str, syst
                "fully connected pair keeps the lower-period member")
     for w in cand.warnings:
         report.warn(w)
-    if config.task_value("dump_arcs", False):
-        arc_rows = [("record", "kind", "ray", "x0", "x1")]
-        for i, group in arcs.items():
-            for kind in ("unstable", "stable"):
-                for ray, arc in enumerate(group[kind]):
-                    for pt in arc.polyline:
-                        arc_rows.append((i, kind, ray, pt[0], pt[1]))
-        write_csv(os.path.join(out_dir, "arcs.csv"), arc_rows)
     ev_rows = [("i", "j", "min_distance", "connected")]
     n = len(recs)
     for i in range(n):

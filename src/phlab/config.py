@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .bump import compute_M, make_bump
+from .bump import SmoothBump, compute_M
 from .deformation import (
     DeformationParams,
     ParamCaps,
@@ -194,23 +194,17 @@ def build_system(config: ExperimentConfig):
         }
 
     delta = float(spec.get("delta", 1.0 / 40.0))
-    bump = make_bump(delta)
+    bump = SmoothBump(delta)
     bound = compute_M(bump)
     if spec.get("auto_params", True):
-        caps = ParamCaps(delta=delta)
-        params = search_params(bound, caps)
+        system = search_params(bound, ParamCaps(delta=delta))
     else:
-        params = DeformationParams(
-            n=spec["n"],
-            m=spec["m"],
-            delta=delta,
-            k=float(spec["k"]),
-            eps1=float(spec.get("eps1", 0.01)),
-        )
-    system = build_deformed_system(params, bump=bump, bound=bound)
+        params = DeformationParams(n=spec["n"], m=spec["m"], delta=delta, k=float(spec["k"]),
+                                   eps1=float(spec.get("eps1", 0.01)))
+        system = build_deformed_system(params, bump=bump, bound=bound)
     if kind == "tilde":
         system = system.make_tilde(float(spec.get("eps_tilde", 0.05)))
-        params = system.params
+    params = system.params
     resolved = {
         "kind": kind,
         "n": params.n,

@@ -61,7 +61,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bump import BumpBound, SmoothBump, make_bump
+from .bump import BumpBound, SmoothBump, compute_M
 from .errors import (
     InfeasibleParamsError,
     ParameterTooLargeError,
@@ -348,7 +348,7 @@ class DeformedSystem:
         as screen_cells gives.  Bit i of a cell is set when its centre is
         within cube i's half-width, plus half the cell diagonal and a rounding
         margin, in both chart coordinates of the factor.  Built on first use:
-        search_params' systems are never stepped.
+        the systems search_params rejects are never stepped.
         """
         side = SCREEN_SIDE
         mid = (np.arange(side) + 0.5) / side
@@ -500,6 +500,11 @@ class DeformedSystem:
 
     # -- variants --------------------------------------------------------------
 
+    def _with(self, **changes) -> "DeformedSystem":
+        """This system with params fields replaced: same A, bump and charts."""
+        return DeformedSystem(self.auto, self.bump, replace(self.params, **changes),
+                              self.chart_p, self.chart_q)
+
     def make_tilde(self, eps_tilde: float) -> "DeformedSystem":
         """Variant with the extra -eps*c / -eps*d terms; both fixed points hyperbolic.
 
@@ -509,8 +514,7 @@ class DeformedSystem:
         """
         if eps_tilde < 0:
             raise ParameterTooLargeError("eps_tilde must be non-negative")
-        params = replace(self.params, eps_tilde=eps_tilde)
-        sys2 = DeformedSystem(self.auto, self.bump, params, self.chart_p, self.chart_q)
+        sys2 = self._with(eps_tilde=eps_tilde)
         if eps_tilde > 0:
             for cube in sys2.cubes:
                 dy, _ = _slab_partials(sys2, cube)
@@ -641,11 +645,13 @@ class ParamCaps:
     k_start: float = 0.0
 
 
-def search_params(bump_bound: BumpBound, caps: ParamCaps = ParamCaps()) -> DeformationParams:
-    """Smallest (n, m) satisfying both rate inequalities, plus eps1 and k.
+def search_params(bump_bound: BumpBound, caps: ParamCaps = ParamCaps()) -> DeformedSystem:
+    """The system of the smallest (n, m) satisfying both rate inequalities,
+    plus eps1 and k (its .params).
 
     k starts from an analytic sup bound on the six cross partials and doubles
-    until the measured grid sup drops below the cone budget eps0.
+    until the measured grid sup drops below the cone budget eps0; each k
+    reuses the automorphism and charts of (n, m).
     """
     M = bump_bound.M
     chosen = None
@@ -676,25 +682,23 @@ def search_params(bump_bound: BumpBound, caps: ParamCaps = ParamCaps()) -> Defor
     if eps1 is None:
         raise InfeasibleParamsError("no eps1 candidate satisfies the weighted log condition")
 
-    delta = caps.delta
-    bump = make_bump(delta)
-    eps0 = min(eps1 / 10.0, 0.05)
+    params = DeformationParams(n=n, m=m, delta=caps.delta, k=0.0, eps1=eps1)  # k set below
+    bump = SmoothBump(params.delta)
     coef = max(lu - 1.0, 1.0 / ls - 1.0)
     k = max(
         caps.k_start,
-        math.ceil(coef * bump.sup_derivative() * bump.sup_y_times_s() / eps0),
+        math.ceil(coef * bump.sup_derivative() * bump.sup_y_times_s() / params.eps0),
         2.0,
     )
-    while True:
-        params = DeformationParams(n=n, m=m, delta=delta, k=float(k), eps1=eps1)
-        system = build_deformed_system(params, bump=bump, bound=bump_bound)
-        if small_partial_sup(system) < eps0:
-            return params
+    system = build_deformed_system(replace(params, k=float(k)), bump=bump, bound=bump_bound)
+    while small_partial_sup(system) >= params.eps0:
         k *= 2
         if k > K_MAX:
             raise InfeasibleParamsError(
-                f"k exceeded cap {K_MAX} before cross partials fell below {eps0}"
+                f"k exceeded cap {K_MAX} before cross partials fell below {params.eps0}"
             )
+        system = system._with(k=float(k))
+    return system
 
 
 def build_deformed_system(params: DeformationParams, bump: SmoothBump | None = None,
@@ -705,10 +709,8 @@ def build_deformed_system(params: DeformationParams, bump: SmoothBump | None = N
     bump when absent), and the weighted log condition against eps1.
     """
     if bump is None:
-        bump = make_bump(params.delta)
+        bump = SmoothBump(params.delta)
     if bound is None:
-        from .bump import compute_M  # local import to avoid cycle at module load
-
         bound = compute_M(bump)
     for name, lhs, rhs, ok in rate_inequalities(bound.M, params.n, params.m):
         if not ok:

@@ -17,12 +17,26 @@ residual (negative control).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import IncompatibleFiberError
 from .torus import CHART_ORDER, ToralAutomorphism, reduce_torus, torus_distance
 
 RATE_MARGIN = 1.1
+
+
+def _broadcast(x, mat):
+    """A copy of the constant matrix mat for each point of x, (d,) or (N, d)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:  # one point: a plain copy, several times cheaper than broadcast_to
+        return mat.copy()
+    return np.broadcast_to(mat, (x.shape[0],) + mat.shape).copy()
+
+
+def _block_diag(a, b):
+    return np.block([[a, np.zeros((len(a), len(b)))], [np.zeros((len(b), len(a))), b]])
 
 
 class LinearSystem:
@@ -38,6 +52,9 @@ class LinearSystem:
         order = CHART_ORDER if self.dim == 4 else list(range(self.dim))
         self.axes = auto.splitting.eigenvectors[:, order]
         self.rates = np.abs(auto.splitting.eigenvalues[order])
+        # the chart Jacobian: the rates, signed as A acts on each axis
+        self._jac_chart = np.diag(self.rates * np.sign(
+            np.diag(self.axes.T @ self._jac @ self.axes)))
 
     def step(self, x):
         return self.auto.apply(x)
@@ -45,21 +62,14 @@ class LinearSystem:
     def step_inverse(self, x):
         return self.auto.apply_inverse(x)
 
-    def _broadcast(self, x, mat):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return mat.copy()
-        return np.broadcast_to(mat, (x.shape[0],) + mat.shape).copy()
-
     def jacobian(self, x):
-        return self._broadcast(x, self._jac)
+        return _broadcast(x, self._jac)
 
     def jacobian_inverse(self, x):
-        return self._broadcast(x, self._jac_inv)
+        return _broadcast(x, self._jac_inv)
 
     def jacobian_chart(self, x):
-        return self._broadcast(x, np.diag(self.rates * np.sign(
-            np.diag(self.axes.T @ self._jac @ self.axes))))
+        return _broadcast(x, self._jac_chart)
 
     def advance(self, x, forward=True, full=False):
         """(A x, Df) forward, (A^-1 x, Df) backward; Df is the constant chart
@@ -88,7 +98,10 @@ class LinearSystem:
 
 
 class ProductSystem:
-    """g = base x T acting on T^{d1} x T^{d2} with block-diagonal derivative."""
+    """g = base x T acting on T^{d1} x T^{d2} with block-diagonal derivative.
+
+    The base is linear, so Df is constant; Df^-1 is built on first use, as
+    the rate pre-check also takes bases without a jacobian_inverse."""
 
     def __init__(self, base, fiber: ToralAutomorphism, coupling=None):
         self.base = base
@@ -97,8 +110,7 @@ class ProductSystem:
         self.d2 = fiber.dim
         self.dim = self.d1 + self.d2
         self._coupling = coupling
-        self._fiber_jac = fiber.matrix.to_float()
-        self._fiber_jac_inv = fiber.matrix.inverse().to_float()
+        self._jac = _block_diag(base.jacobian(np.zeros(self.d1)), fiber.matrix.to_float())
 
     def step(self, z):
         z = np.asarray(z, dtype=float)
@@ -116,24 +128,16 @@ class ProductSystem:
         y = self.fiber.apply_inverse(z[..., self.d1 :])
         return np.concatenate([x, y], axis=-1)
 
-    def _block(self, base_blocks, fiber_block):
-        single = base_blocks.ndim == 2
-        blocks = base_blocks[None] if single else base_blocks
-        n = blocks.shape[0]
-        out = np.zeros((n, self.dim, self.dim))
-        out[:, : self.d1, : self.d1] = blocks
-        out[:, self.d1 :, self.d1 :] = fiber_block
-        return out[0] if single else out
+    @cached_property
+    def _jac_inv(self):
+        return _block_diag(self.base.jacobian_inverse(np.zeros(self.d1)),
+                           self.fiber.matrix.inverse().to_float())
 
     def jacobian(self, z):
-        z = np.asarray(z, dtype=float)
-        return self._block(self.base.jacobian(z[..., : self.d1]), self._fiber_jac)
+        return _broadcast(z, self._jac)
 
     def jacobian_inverse(self, z):
-        z = np.asarray(z, dtype=float)
-        return self._block(
-            self.base.jacobian_inverse(z[..., : self.d1]), self._fiber_jac_inv
-        )
+        return _broadcast(z, self._jac_inv)
 
     def skew_unstable_bundle(self):
         axis, rate = self.base.skew_unstable_bundle()

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from phlab.bump import compute_M, make_bump
+from phlab.bump import SmoothBump, compute_M
 from phlab.deformation import (
     ParamCaps,
-    build_deformed_system,
     center_gap_condition,
     eigenvalue_rates,
     search_params,
@@ -14,7 +13,7 @@ from phlab.ergodic import make_rng
 
 @pytest.fixture(scope="session")
 def bump():
-    return make_bump(1.0 / 40.0)
+    return SmoothBump(1.0 / 40.0)
 
 
 @pytest.fixture(scope="session")
@@ -23,13 +22,13 @@ def bump_bound(bump):
 
 
 @pytest.fixture(scope="session")
-def params(bump_bound):
+def system(bump_bound):
     return search_params(bump_bound, ParamCaps())
 
 
 @pytest.fixture(scope="session")
-def system(params, bump):
-    return build_deformed_system(params, bump=bump)
+def params(system):
+    return system.params
 
 
 @pytest.fixture(scope="session")

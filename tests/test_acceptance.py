@@ -114,7 +114,7 @@ def test_02_splitting_bounds(system, capfd):
 
 def test_03_parameter_feasibility(bump_bound, tmp_path, capfd):
     with criterion(3, 10.0, "search_params satisfies both inequality families", capfd):
-        params = search_params(bump_bound, ParamCaps())
+        params = search_params(bump_bound, ParamCaps()).params
         checks = rate_inequalities(bump_bound.M, params.n, params.m)
         assert all(ok for _, lhs, rhs, ok in checks)
         assert all(lhs <= rhs for _, lhs, rhs, _ in checks)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phlab.bump import BumpBound, SmoothBump, _golden_min, compute_M, make_bump
+from phlab.bump import BumpBound, SmoothBump, _golden_min, compute_M
 from phlab.errors import MeasureConstraintError
 
 
@@ -195,10 +195,10 @@ def test_profile_matches_frozen_oracle_bitwise(bump, rng):
 
 def test_measure_constraint():
     with pytest.raises(MeasureConstraintError):
-        make_bump(1.0 / 39.0)
+        SmoothBump(1.0 / 39.0)
     with pytest.raises(MeasureConstraintError):
-        make_bump(0.0)
-    b = make_bump(1.0 / 40.0)
+        SmoothBump(0.0)
+    b = SmoothBump(1.0 / 40.0)
     assert 16 * b.delta**2 <= 1.0 / 100.0 + 1e-15
 
 
@@ -253,6 +253,49 @@ class _SignFlippingBump(SmoothBump):
 
     def weighted(self, y):
         return -super().weighted(y)
+
+
+class _TwoPassBump(SmoothBump):
+    """weighted as it was before it took s and s' from one profile pass."""
+
+    def weighted(self, y):
+        y = np.asarray(y, dtype=float)
+        return self(y) + y * self.derivative(y)
+
+
+class _CountingBump(SmoothBump):
+    """Counts profile passes."""
+
+    passes = 0
+
+    def profile(self, x, derivative=True):
+        self.passes += 1
+        return super().profile(x, derivative)
+
+
+def test_weighted_matches_two_pass_oracle_bitwise(bump, rng):
+    d = bump.delta
+    oracle = _TwoPassBump(d)
+    free = _band_free_inputs(d)
+    free = free[np.isfinite(free)]  # y * s'(y) is inf * 0 at y = inf
+    band = np.sign(rng.random(200) - 0.5) * (0.5 + 0.5 * rng.random(200)) * d
+    for y in (free, band, -band, np.concatenate([free, band]), free[:18].reshape(6, 3),
+              (rng.random(1000) - 0.5) * 6 * d):
+        got, want = bump.weighted(y), oracle.weighted(y)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), y
+    for y in np.concatenate([free, band[:5]]):  # 0-d inputs
+        got, want = bump.weighted(np.array(y)), oracle.weighted(np.array(y))
+        assert type(got) is type(want) and np.float64(got).hex() == np.float64(want).hex(), y
+    counting = _CountingBump(d)
+    counting.weighted(band)
+    assert counting.passes == 1
+
+
+@pytest.mark.parametrize("delta", [0.025, 0.02, 0.01, 0.003])
+def test_compute_M_unchanged_by_one_pass_weighted(delta):
+    for grid in (2001, 501, 101, 7, 2):
+        assert _bound_bits(compute_M(SmoothBump(delta), grid)) == \
+            _bound_bits(compute_M(_TwoPassBump(delta), grid))
 
 
 def _compute_M_oracle(bump, grid=2001):

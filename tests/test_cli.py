@@ -95,7 +95,7 @@ def test_gibbs_measure_csv_matches_former_rows(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.gibbs_mod, "cesaro_push", recording_push)
     cfg = small({"plaque_samples": 500, "cesaro_steps": 20, "integral_orbit": 300,
-                 "grid_side": 6})
+                 "grid_side": 6, "tracker_warmup": 10})
     run_task("gibbs", cfg, str(tmp_path))
     acc = states[0].accumulated
     rows = [("i", "j", "k", "l", "mass")]
@@ -270,6 +270,13 @@ def test_main_rejects_bool_for_int(tmp_path, capsys, override, field):
      "task.bump_samples"),
     ("gibbs", {}, {"plaque_samples": 1, "cesaro_steps": 5, "integral_orbit": 300},
      "task.plaque_samples"),
+    # cross-key rules, checked before any orbit runs
+    ("lyapunov", {}, {"n_orbits": 2, "orbit_length": 20002, "transient": 20000},
+     "task.transient"),
+    ("lyapunov", {}, {**TINY, "min_good_orbits": 5}, "task.min_good_orbits"),
+    ("lyapunov", {}, {**TINY, "min_good_orbits": 3}, "task.min_good_orbits"),
+    ("gibbs", {}, {"cesaro_steps": 30}, "task.tracker_warmup"),
+    ("gibbs", {}, {"cesaro_steps": 20, "tracker_warmup": 20}, "task.tracker_warmup"),
 ])
 def test_main_bad_values_exit_2_naming_the_field(tmp_path, capsys, subcommand, system,
                                                  task, field):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from phlab import deformation
 from phlab.bump import BumpBound
 from phlab.cli import _fd_jacobian
 from phlab.config import ExperimentConfig, build_system
@@ -847,7 +848,7 @@ def test_search_params_satisfies_inequalities(params, bump_bound):
 
 def test_search_params_zero_M():
     # with M = 0 the bounds reduce to luu >= 2 lu, first feasible at (2, 1)
-    params = search_params(BumpBound(M=0.0, argmin=(0, 0), min_value=0.0, grid=1))
+    params = search_params(BumpBound(M=0.0, argmin=(0, 0), min_value=0.0, grid=1)).params
     assert (params.n, params.m) == (2, 1)
 
 
@@ -857,7 +858,7 @@ def test_condition_holds_for_small_eps1():
 
 
 def test_search_params_k_raised_above_floor(bump_bound):
-    params = search_params(bump_bound, ParamCaps(k_start=2.0))
+    params = search_params(bump_bound, ParamCaps(k_start=2.0)).params
     assert params.k > 2.0
 
 
@@ -932,6 +933,37 @@ def test_setup_traces_no_dense_grid(system):
         finally:
             tracemalloc.stop()
         assert peak < 8e6, f"{name}: traced peak {peak / 1e6:.1f} MB"
+
+
+def test_build_system_builds_one_deformed_system(monkeypatch):
+    """An auto-params build_system constructs one DeformedSystem and picks its
+    fixed points once: search_params hands over the system it accepts, with
+    the parameters it has always chosen."""
+    made, picks = [], []
+    init, pick = DeformedSystem.__init__, deformation.select_fixed_point_pair
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_pick(*args):
+        picks.append(args)
+        return pick(*args)
+
+    monkeypatch.setattr(DeformedSystem, "__init__", counting_init)
+    monkeypatch.setattr(deformation, "select_fixed_point_pair", counting_pick)
+    system, resolved = build_system(ExperimentConfig.from_dict(
+        {"seed": 1, "system": {"kind": "deformed", "auto_params": True}}))
+    assert made == [system] and len(picks) == 1
+    assert (resolved["n"], resolved["m"], resolved["q"]) == (3, 1, [0.5, 0.5, 0.0, 0.0])
+    assert {key: resolved[key].hex() for key in ("delta", "k", "eps1", "eps0", "eps_tilde",
+                                                  "M", "luu", "lu", "ls", "lss")} == {
+        "delta": "0x1.999999999999ap-6", "k": "0x1.db60000000000p+11",
+        "eps1": "0x1.47ae147ae147bp-7", "eps0": "0x1.0624dd2f1a9fcp-10",
+        "eps_tilde": "0x0.0p+0", "M": "0x1.5fd0b4ddfeb5bp+1",
+        "luu": "0x1.1f1bbcdcbfa54p+4", "lu": "0x1.4f1bbcdcbfa54p+1",
+        "ls": "0x1.8722191a02d61p-2", "lss": "0x1.c8864680b583ep-5",
+    }
 
 
 def _rate_feasible_pairs(bump_bound):

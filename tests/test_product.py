@@ -93,6 +93,42 @@ def test_block_jacobian(product, rng):
     assert np.max(np.abs(jac[:, 2:, :2])) == 0.0
 
 
+def _block_oracle(ps, base_blocks, fiber_block):
+    """ProductSystem._block as it was before Df became one constant matrix."""
+    single = base_blocks.ndim == 2
+    blocks = base_blocks[None] if single else base_blocks
+    out = np.zeros((blocks.shape[0], ps.dim, ps.dim))
+    out[:, : ps.d1, : ps.d1] = blocks
+    out[:, ps.d1 :, ps.d1 :] = fiber_block
+    return out[0] if single else out
+
+
+def test_jacobians_match_former_block_assembly_bitwise(product, rng):
+    fiber = product.fiber.matrix
+    for z in (rng.random((50, 4)), rng.random(4), rng.random((1, 4))):
+        for got, base, fiber_block in (
+            (product.jacobian(z), product.base.jacobian, fiber.to_float()),
+            (product.jacobian_inverse(z), product.base.jacobian_inverse,
+             fiber.inverse().to_float()),
+        ):
+            want = _block_oracle(product, base(z[..., :2]), fiber_block)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    first = product.jacobian(z)
+    first[...] = 0.0  # every call returns its own copy
+    assert product.jacobian(z).tobytes() == _block_oracle(
+        product, product.base.jacobian(z[..., :2]), fiber.to_float()).tobytes()
+
+
+@pytest.mark.parametrize("auto", [ToralAutomorphism(D3), ToralAutomorphism(CAT_MAP),
+                                  cat_power_product(3, 1)])
+def test_linear_chart_jacobian_matches_former_formula(auto, rng):
+    system = LinearSystem(auto)
+    want = np.diag(system.rates * np.sign(np.diag(system.axes.T @ system._jac @ system.axes)))
+    x = rng.random((20, system.dim))
+    assert system.jacobian_chart(x[0]).tobytes() == want.tobytes()
+    assert system.jacobian_chart(x).tobytes() == np.broadcast_to(want, (20,) + want.shape).tobytes()
+
+
 def test_spectrum_is_union_of_factor_logs(product):
     spec = lyapunov_spectrum(product, OrbitSpec(start=make_rng(3).random(4),
                                                 length=2500, transient=100))
