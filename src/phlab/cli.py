@@ -486,8 +486,16 @@ def run_skeleton(config: ExperimentConfig, report: RunReport, out_dir: str, syst
 
 @task("product-checks", ("product",))
 def run_product_checks(config: ExperimentConfig, report: RunReport, out_dir: str, system):
-    res = commuting_diagram_check(system, config.task_value("diagram_points", 2000),
-                                  rng=make_rng(config.seed, 7))
+    if system.d2 != 2:  # the plaques are seeded at fiber points (w, w)
+        raise ConfigError(f"system.fiber_matrix: product-checks needs a 2x2 fiber, "
+                          f"got {system.d2}x{system.d2}")
+    n_diagram = config.task_value("diagram_points", 2000)
+    identity_orbit = config.task_value("identity_orbit", 5000)
+    grid_side = config.task_value("grid_side", 12)
+    n_samples = config.task_value("plaque_samples", 4000)
+    n_steps = config.task_value("cesaro_steps", 400)
+
+    res = commuting_diagram_check(system, n_diagram, rng=make_rng(config.seed, 7))
     report.add("diagram-base", res["base"] < 1e-14, res["base"], "< 1e-14")
     report.add("diagram-fiber", res["fiber"] < 1e-14, res["fiber"], "< 1e-14")
 
@@ -509,17 +517,13 @@ def run_product_checks(config: ExperimentConfig, report: RunReport, out_dir: str
 
     est, log_rate, gap = entropy_volume_identity(
         system, OrbitSpec(start=make_rng(config.seed, 17).random(system.dim),
-                          length=config.task_value("identity_orbit", 5000), transient=0))
+                          length=identity_orbit, transient=0))
     report.add("unstable-volume-identity", gap < 1e-10, gap, "< 1e-10",
                f"estimate {est:.12f} vs log rate {log_rate:.12f}")
 
     # distinct fiber seeds separate fiber marginals faster than base marginals
-    grid_side = config.task_value("grid_side", 12)
-    n_samples = config.task_value("plaque_samples", 4000)
-    n_steps = config.task_value("cesaro_steps", 400)
     axis, _ = system.base.skew_unstable_bundle()
     direction = np.concatenate([axis, np.zeros(system.d2)])
-    tvs = {}
     marg = {}
     for tag, w in (("w1", 0.15), ("w2", 0.65)):
         anchor = np.concatenate([[0.3, 0.7], [w, w]])

@@ -241,7 +241,7 @@ def push_forward(system, x, v, n: int):
     logs = np.empty(n)
     for t in range(n):
         w = system.jacobian(x) @ v
-        g = np.linalg.norm(w)
+        g = math.sqrt(w.dot(w))  # np.linalg.norm(w), undispatched
         logs[t] = math.log(g)
         v = w / g
         x = system.step(x)

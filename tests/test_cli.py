@@ -31,6 +31,10 @@ TINY = {"n_orbits": 2, "orbit_length": 300, "transient": 10, "min_good_orbits": 
 SMALL_CONSTRUCTION = {"bump_samples": 100, "grid_points": 3, "random_chart_points": 100,
                       "roundtrip_points": 100, "roundtrip_chart_points": 50, "fd_points": 20}
 
+#: the shipped product system, and a block 4x4 fiber that product-checks refuses
+PRODUCT = {"kind": "product", "base_id": "cat^3", "fiber_matrix": [[2, 1], [1, 1]]}
+FIBER_4X4 = [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]]
+
 
 def small(task_overrides=None, **kw):
     cfg = json.loads(json.dumps(DEFORMED))
@@ -277,14 +281,35 @@ def test_main_rejects_bool_for_int(tmp_path, capsys, override, field):
     ("lyapunov", {}, {**TINY, "min_good_orbits": 3}, "task.min_good_orbits"),
     ("gibbs", {}, {"cesaro_steps": 30}, "task.tracker_warmup"),
     ("gibbs", {}, {"cesaro_steps": 20, "tracker_warmup": 20}, "task.tracker_warmup"),
+    # product-checks reads every task value and checks its fiber before any orbit
+    ("product-checks", {**PRODUCT, "fiber_matrix": FIBER_4X4}, {}, "system.fiber_matrix"),
+    ("product-checks", PRODUCT, {"identity_orbit": 0}, "task.identity_orbit"),
+    ("product-checks", PRODUCT, {"grid_side": 0}, "task.grid_side"),
+    ("product-checks", PRODUCT, {"plaque_samples": 1}, "task.plaque_samples"),
+    ("product-checks", PRODUCT, {"cesaro_steps": 0}, "task.cesaro_steps"),
 ])
-def test_main_bad_values_exit_2_naming_the_field(tmp_path, capsys, subcommand, system,
-                                                 task, field):
+def test_main_bad_values_exit_2_naming_the_field(tmp_path, capsys, monkeypatch, subcommand,
+                                                 system, task, field):
+    """Each bad value exits 2 naming its field, before any spectrum orbit runs."""
+
+    def no_orbit(*args, **kwargs):
+        raise AssertionError("a spectrum orbit ran before the config was checked")
+
+    monkeypatch.setattr(cli, "lyapunov_spectrum", no_orbit)
     cfg = {**DEFORMED, "system": {**DEFORMED["system"], **system}, "task": task}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main([subcommand, str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
+
+
+def test_skeleton_takes_a_product_with_a_4x4_fiber(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "seed": 1, "system": {**PRODUCT, "fiber_matrix": FIBER_4X4},
+        "task": {"census_max_period": 1, "arc_length": 0.2, "arc_resolution": 0.05,
+                 "tol": 0.05}}))
+    assert main(["skeleton", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 #: unimodular matrices of every kind _validate_matrix tells apart: hyperbolic 2x2 and

@@ -13,10 +13,11 @@ from phlab.ergodic import (
     lyapunov_spectrum,
     make_rng,
     pesin_block_membership,
+    push_forward,
 )
 from phlab.ergodic import _Tally
-from phlab.product import LinearSystem
-from phlab.torus import cat_power_product
+from phlab.product import LinearSystem, build_product
+from phlab.torus import CAT_MAP, IntegerMatrix, ToralAutomorphism, cat_power_product
 
 
 @pytest.fixture(scope="module")
@@ -232,3 +233,29 @@ def test_entropy_volume_rejects_fiber_seed(system):
         entropy_volume_identity(system, OrbitSpec(length=100, transient=0),
                                 seed=system.chart_p.axes[:, 2])
 
+
+def _push_forward_oracle(system, x, v, n):
+    """push_forward as it was, with the norm through np.linalg.norm."""
+    v = np.asarray(v, dtype=float)
+    v = v / np.linalg.norm(v)
+    logs = np.empty(n)
+    for t in range(n):
+        w = system.jacobian(x) @ v
+        g = np.linalg.norm(w)
+        logs[t] = math.log(g)
+        v = w / g
+        x = system.step(x)
+    return v, logs
+
+
+def test_push_forward_matches_linalg_norm_loop_bitwise(system, rng):
+    product = build_product(LinearSystem(ToralAutomorphism(IntegerMatrix(CAT_MAP).power(3))),
+                            ToralAutomorphism(CAT_MAP))
+    for sys_, starts, n in ((system, [rng.random(4), system.chart_p.center,
+                                      system.chart_q.center], 300),
+                            (product, [rng.random(4), rng.random(4)], 2000)):
+        for x in starts:
+            v = rng.standard_normal(4)
+            got, want = push_forward(sys_, x, v, n), _push_forward_oracle(sys_, x, v, n)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()

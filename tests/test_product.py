@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from phlab.cones import SANDWICH_RTOL, ConeField, growth_sandwich_check
 from phlab.ergodic import OrbitSpec, entropy_volume_identity, lyapunov_spectrum, make_rng
-from phlab.errors import IncompatibleFiberError
+from phlab.errors import IncompatibleFiberError, NotHyperbolicError
 from phlab.gibbs import EmpiricalMeasure, UnstablePlaque, cesaro_push, total_variation
 from phlab.product import (
     LinearSystem,
@@ -12,7 +16,14 @@ from phlab.product import (
     commuting_diagram_check,
     fiber_pushforward_statistics,
 )
-from phlab.torus import CAT_MAP, IntegerMatrix, ToralAutomorphism, cat_power_product
+from phlab.torus import (
+    CAT_MAP,
+    IntegerMatrix,
+    ToralAutomorphism,
+    cat_power_product,
+    reduce_torus,
+    torus_distance,
+)
 
 D3 = IntegerMatrix(CAT_MAP).power(3).entries
 
@@ -84,6 +95,95 @@ def test_corrupted_coupling_detected():
     res = commuting_diagram_check(coupled, 500, rng=make_rng(2))
     assert res["fiber"] > 1e-6
     assert res["base"] < 1e-14
+
+
+def _two_factor_step(ps, z):
+    """ProductSystem.step as it was before g stepped as one block map."""
+    z = np.asarray(z, dtype=float)
+    x = ps.base.step(z[..., : ps.d1])
+    y = ps.fiber.apply(z[..., ps.d1 :])
+    if ps._coupling is not None:
+        y = reduce_torus(y + ps._coupling(z[..., : ps.d1]))
+    return np.concatenate([x, y], axis=-1)
+
+
+def _two_factor_step_inverse(ps, z):
+    z = np.asarray(z, dtype=float)
+    x = ps.base.step_inverse(z[..., : ps.d1])
+    y = ps.fiber.apply_inverse(z[..., ps.d1 :])
+    return np.concatenate([x, y], axis=-1)
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 4), (2, 4), (3, 4), (7, 4), (100, 4),
+                                   (4000, 4), (20_000, 4)])
+def test_block_step_matches_two_factor_oracle_bitwise(product, rng, shape):
+    for z in (rng.random(shape), 40.0 * rng.standard_normal(shape)):
+        for got, want in ((product.step(z), _two_factor_step(product, z)),
+                          (product.step_inverse(z), _two_factor_step_inverse(product, z))):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_block_step_single_points_and_orbit_bitwise(product, rng):
+    for z in rng.random((500, 4)):
+        assert product.step(z).tobytes() == _two_factor_step(product, z).tobytes()
+        assert product.step_inverse(z).tobytes() == _two_factor_step_inverse(product, z).tobytes()
+    z = w = rng.random(4)
+    for _ in range(8000):
+        z, w = product.step(z), _two_factor_step(product, w)
+    assert z.tobytes() == w.tobytes()
+
+
+def test_coupled_block_step_matches_former_arithmetic(rng):
+    coupled = ProductSystem(LinearSystem(ToralAutomorphism(D3)), ToralAutomorphism(CAT_MAP),
+                            coupling=lambda x: 0.01 * np.sin(2 * np.pi * x))
+    for z in (rng.random((300, 4)), rng.random(4), rng.random((1, 4))):
+        got = coupled.step(z)
+        assert got.tobytes() == _two_factor_step(coupled, z).tobytes()
+        assert got[..., :2].tobytes() == coupled.base.step(z[..., :2]).tobytes()
+
+
+def test_step_inverse_undoes_step(product, rng):
+    z = rng.random((1000, 4))
+    assert np.max(torus_distance(product.step_inverse(product.step(z)), z)) < 1e-12
+    assert np.max(torus_distance(product.step(product.step_inverse(z)), z)) < 1e-12
+
+
+#: hyperbolic unimodular 2x2 matrices with entries in [-4, 4]
+def _hyperbolic_2x2():
+    out = []
+    for a, b, c, d in itertools.product(range(-4, 5), repeat=4):
+        if abs(a * d - b * c) != 1:
+            continue
+        try:
+            out.append(ToralAutomorphism([[a, b], [c, d]]))
+        except NotHyperbolicError:
+            pass
+    return out
+
+
+HYPERBOLIC_2X2 = _hyperbolic_2x2()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(base=st.sampled_from(HYPERBOLIC_2X2), fiber=st.sampled_from(HYPERBOLIC_2X2),
+       rows=st.integers(2, 60), seed=st.integers(0, 2**32 - 1))
+def test_block_step_matches_two_factor_oracle_on_accepted_pairs(base, fiber, rows, seed):
+    """Batches round bitwise as the factor maps do.  A single point may round
+    once differently where the factor products are inexact: numpy's one-point
+    matmul rounds those differently for the 2x2 factors and the 4x4 block."""
+    try:
+        ps = build_product(LinearSystem(base), fiber)
+    except IncompatibleFiberError:
+        assume(False)
+    z = make_rng(seed).random((rows, 4))
+    for step, oracle in ((ps.step, _two_factor_step),
+                         (ps.step_inverse, _two_factor_step_inverse)):
+        assert step(z).tobytes() == oracle(ps, z).tobytes()
+    for mat, step, oracle in ((ps._jac, ps.step, _two_factor_step),
+                              (ps._jac_inv, ps.step_inverse, _two_factor_step_inverse)):
+        ulp = np.spacing(np.max(np.sum(np.abs(mat), axis=1)))
+        assert torus_distance(step(z[0]), oracle(ps, z[0])) <= 2 * ulp
+    assert np.max(torus_distance(ps.step_inverse(ps.step(z)), z)) < 1e-12
 
 
 def test_block_jacobian(product, rng):
