@@ -10,6 +10,10 @@ rescaled so the transition band is exactly (delta/2, delta):
 
 The half-width obeys the measure budget 16 delta^2 <= 1/100, i.e.
 delta <= 1/40, enforced at construction.
+
+The construction's constants are three 1-D extrema on [0, delta], each a
+scan_min: the least w = s + y s' gives M (compute_M), and the peaks of |s'|
+and t s(t) give the cross-partial sup (deformation.py).
 """
 
 from __future__ import annotations
@@ -100,25 +104,23 @@ class SmoothBump:
         val, der = self.profile(y)
         return val + y * der
 
-    def sup_derivative(self) -> float:
-        """Estimate of max |s'| on 20001 grid points of [0, delta]."""
-        ys = np.linspace(0.0, self.delta, 20001)
-        return float(np.max(np.abs(self.derivative(ys))))
+    def peak_derivative(self):
+        """(x, |s'(x)|) at the largest |s'| on [0, delta] (scan_min)."""
+        x, v = scan_min(lambda x: -np.abs(self.derivative(x)), 0.0, self.delta)
+        return x, -v
 
-    def sup_y_times_s(self) -> float:
-        """Estimate of max |y * s(y)| on 20001 grid points of [0, delta]."""
-        ys = np.linspace(0.0, self.delta, 20001)
-        return float(np.max(np.abs(ys * self(ys))))
+    def peak_moment(self):
+        """(t, t s(t)) at the largest t s(t) on [0, delta] (scan_min)."""
+        t, v = scan_min(lambda t: -t * self(t), 0.0, self.delta)
+        return t, -v
 
 
 @dataclass(frozen=True)
 class BumpBound:
-    """The constant M >= 0 with -M <= s(x)(s(y) + y s'(y)) everywhere sampled."""
+    """The constant M = max(0, -min w) and the y in [0, delta] where w is least."""
 
     M: float
-    argmin: tuple
-    min_value: float
-    grid: int
+    argmin: float
 
 
 def _golden_min(f, lo, hi, tol):
@@ -139,44 +141,29 @@ def _golden_min(f, lo, hi, tol):
     return x, f(x)
 
 
-def compute_M(bump: SmoothBump, grid: int = 2001) -> BumpBound:
-    """Numerical minimum of s(x)(s(y) + y s'(y)) over [0, delta]^2.
+def scan_min(f, lo, hi, grid=2001):
+    """The least value of f on [lo, hi] as (x, f(x)), for f smooth there.
 
-    Uniform grid scan followed by four rounds of coordinate-wise
-    golden-section refinement, each to an interval of 1e-8 delta;
-    the objective is smooth, with the minimizer in the transition band.
-    By symmetry of s the same bound holds for x of either sign.
-
-    The scan takes the row-major argmin of g[i, j] = s(x_i) w(y_j),
-    w = ``bump.weighted``, without forming g.  Rounding is monotone, so
-    fl(a * b) is nondecreasing in b for a >= 0 and nonincreasing for a < 0:
-    row i's minimum is s(x_i) min(w), or s(x_i) max(w) when s(x_i) < 0.  The
-    first row with the least row minimum, and the first column attaining it
-    there, are np.argmin's answer on the dense grid, ties included.  Every
-    evaluation goes through ``bump(.)`` and ``bump.weighted(.)``, which
-    subclasses may override.
+    f takes arrays: one scan over ``grid`` uniform points, then golden-section
+    refinement to 1e-8 (hi - lo) over the two cells beside the scan's argmin;
+    the lesser of the scan's and the refinement's value wins.
     """
-    delta = bump.delta
-    xs = np.linspace(0.0, delta, grid)
-    sx = bump(xs)
-    hy = bump.weighted(xs)
-    row_min = sx * np.where(sx < 0, np.max(hy), np.min(hy))
-    i = np.argmin(row_min)
-    row = sx[i] * hy
-    j = np.argmin(row)
-    x0, y0 = xs[i], xs[j]
-    h = delta / (grid - 1)
+    xs = np.linspace(lo, hi, grid)
+    vals = f(xs)
+    i = int(np.argmin(vals))
+    h = (hi - lo) / (grid - 1)
+    x, v = _golden_min(lambda t: float(f(np.array(t))),
+                       max(lo, xs[i] - h), min(hi, xs[i] + h), 1e-8 * (hi - lo))
+    return (float(x), v) if v < vals[i] else (float(xs[i]), float(vals[i]))
 
-    for _ in range(4):
-        sx0 = bump(np.array(x0))
-        y0, best = _golden_min(
-            lambda y: float(sx0 * bump.weighted(np.array(y))),
-            max(0.0, y0 - h), min(delta, y0 + h), 1e-8 * delta
-        )
-        hy0 = bump.weighted(np.array(y0))
-        x0, best = _golden_min(
-            lambda x: float(bump(np.array(x)) * hy0),
-            max(0.0, x0 - h), min(delta, x0 + h), 1e-8 * delta
-        )
-    min_value = min(best, float(row[j]))
-    return BumpBound(M=max(0.0, -min_value), argmin=(x0, y0), min_value=min_value, grid=grid)
+
+def compute_M(bump: SmoothBump, grid: int = 2001) -> BumpBound:
+    """M = max(0, -min w) over y in [0, delta], w = ``bump.weighted``.
+
+    M bounds -s(x) w(y) over [0, delta]^2: s lies in [0, 1] and equals 1 on
+    the plateau, so that minimum is min w, reached with x on the plateau.
+    w(y) = d/dy (y s(y)) depends on y / delta only, so M does not depend on
+    delta (up to rounding).  s is even, so x of either sign gives the same.
+    """
+    y, w = scan_min(bump.weighted, 0.0, bump.delta, grid)
+    return BumpBound(M=max(0.0, -w), argmin=y)

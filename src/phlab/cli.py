@@ -21,7 +21,7 @@ from . import cones as cones_mod
 from . import gibbs as gibbs_mod
 from . import skeleton as skel_mod
 from .config import ExperimentConfig, build_system
-from .deformation import _fine_axis_on, _slab_grid, small_partial_sup
+from .deformation import _fine_axis_on, _slab_grid
 from .deformation import center_gap_condition, rate_inequalities
 from .bump import compute_M
 from .ergodic import (
@@ -36,7 +36,7 @@ from .ergodic import (
     pesin_block_membership,
     push_forward,
 )
-from .errors import ConfigError, PhlabError
+from .errors import ConfigError, ParameterTooLargeError, PhlabError
 from .product import (
     LinearSystem,
     commuting_diagram_check,
@@ -114,8 +114,19 @@ def run_verify_construction(config: ExperimentConfig, report: RunReport, out_dir
     bump = system.bump
     delta = params.delta
     rng = make_rng(config.seed)
-
     n_bump = config.task_value("bump_samples", 1000)
+    gp = config.task_value("grid_points", 11)
+    n_rand = config.task_value("random_chart_points", 20_000)
+    n_round = config.task_value("roundtrip_points", 10_000)
+    n_chart = config.task_value("roundtrip_chart_points", 1000)
+    n_fd = config.task_value("fd_points", 1000)
+    tilde = system
+    if params.eps_tilde == 0:
+        try:
+            tilde = system.make_tilde(config.task_value("eps_tilde_check", 0.05))
+        except ParameterTooLargeError as exc:
+            raise ConfigError(f"task.eps_tilde_check: {exc}") from exc
+
     xs = np.linspace(0.0, delta / 2.0, n_bump)
     report.add("bump-plateau", np.all(bump(xs) == 1.0), float(np.min(bump(xs))), "= 1")
     xs = np.linspace(delta, 4.0 * delta, n_bump)
@@ -147,22 +158,20 @@ def run_verify_construction(config: ExperimentConfig, report: RunReport, out_dir
                "rel 1e-6 or abs 1e-9")
 
     bound = compute_M(bump)
-    report.set_params(M=bound.M, M_argmin=list(bound.argmin))
+    report.set_params(M=bound.M, M_argmin=bound.argmin)
     for name, lhs, rhs, holds in rate_inequalities(bound.M, params.n, params.m):
         report.add(f"rate-inequality-{name}", holds, lhs, f"<= {rhs:.10g}")
     value, low, high, holds = center_gap_condition(params.eps1, system.lu)
     report.add("center-gap-condition", holds, value, "> 0",
                f"factors {low:.6f} < 1 < {high:.6f}")
-    sup = small_partial_sup(system)
+    sup = system.cross_partial_sup()
     report.add("cross-partials-sup", sup < params.eps0, sup, f"< {params.eps0}")
 
     # monotone derivative bounds on the chart grid, random points, and the
     # active slab where the extremes actually live
-    gp = config.task_value("grid_points", 11)
     tol = 1e-9
     g = np.linspace(-2 * delta, 2 * delta, gp)
     mesh = np.stack(np.meshgrid(g, g, g, g, indexing="ij"), axis=-1).reshape(-1, 4)
-    n_rand = config.task_value("random_chart_points", 20_000)
     rand_pts = (rng.random((n_rand, 4)) - 0.5) * 4 * delta
     slab = _slab_grid(delta, params.k, n_c=41, n_abd=9)
     allpts = np.concatenate([mesh, rand_pts, slab])
@@ -173,8 +182,6 @@ def run_verify_construction(config: ExperimentConfig, report: RunReport, out_dir
         report.add(f"splitting-{name}-upper", np.max(dy) <= upper + tol,
                    float(np.max(dy)), f"<= {upper:.10g}")
 
-    n_round = config.task_value("roundtrip_points", 10_000)
-    n_chart = config.task_value("roundtrip_chart_points", 1000)
     pts = rng.random((n_round, 4))
     chart_coords = (rng.random((n_chart, 4)) - 0.5) * 4 * delta
     pts = np.concatenate([
@@ -196,7 +203,6 @@ def run_verify_construction(config: ExperimentConfig, report: RunReport, out_dir
     report.add("jacobian-at-q", np.max(np.abs(jq - target_q)) < 1e-8,
                float(np.max(np.abs(jq - target_q))), "< 1e-8")
 
-    n_fd = config.task_value("fd_points", 1000)
     fd_pts = np.concatenate([
         rng.random((n_fd // 2, 4)),
         system.chart_p.from_chart((rng.random((n_fd // 4, 4)) - 0.5) * 4 * delta),
@@ -231,8 +237,6 @@ def run_verify_construction(config: ExperimentConfig, report: RunReport, out_dir
     err = np.max(np.abs(prod - np.eye(4)))
     report.add("jacobian-inverse-chain", err < 1e-9, float(err), "< 1e-9")
 
-    tilde = system if params.eps_tilde > 0 else system.make_tilde(
-        config.task_value("eps_tilde_check", 0.05))
     jpt, jqt = tilde.fixed_point_jacobians()
     idx_p = int(np.sum(np.abs(np.diag(jpt)) < 1.0))
     idx_q = int(np.sum(np.abs(np.diag(jqt)) < 1.0))

@@ -19,6 +19,7 @@ from .deformation import (
     search_params,
 )
 from .errors import ConfigError, IncompatibleFiberError, NotHyperbolicError
+from .errors import ParameterTooLargeError
 from .product import LinearSystem, build_product
 from .torus import CAT_MAP, IntegerMatrix, ToralAutomorphism, eigen_split
 
@@ -203,7 +204,10 @@ def build_system(config: ExperimentConfig):
                                    eps1=float(spec.get("eps1", 0.01)))
         system = build_deformed_system(params, bump=bump, bound=bound)
     if kind == "tilde":
-        system = system.make_tilde(float(spec.get("eps_tilde", 0.05)))
+        try:
+            system = system.make_tilde(float(spec.get("eps_tilde", 0.05)))
+        except ParameterTooLargeError as exc:
+            raise ConfigError(f"system.eps_tilde: {exc}") from exc
     params = system.params
     resolved = {
         "kind": kind,

@@ -48,6 +48,13 @@ together with its chart Jacobian (the (u, s) center block unless full):
 step / step_inverse and jacobian_chart give.  Outside both cubes Df is
 diag(rates), built once, with no field arithmetic at all.
 
+The set-up is one-dimensional (bump.py).  A cross partial of a field is
+y s(ky) coef s'(r) a / r, a an unchanged axis, so its sup over the cube is
+|coef| sup t s(t) sup |s'| / k, reached with ky and r at the two peaks, a = r
+and the other axes 0 (cross_partial_sup); search_params takes the least k
+that puts it below eps0.  dF/dy = s(r) coef w(ky) + mul/div with coef < 0 and
+w <= 1 = w on the plateau, so its least value is coef + mul/div = 1 - et.
+
 Everything here is vectorized over point batches of shape (N, 4); a single
 point of shape (4,) is accepted everywhere and returned in kind.
 """
@@ -81,7 +88,6 @@ from .torus import (
 
 ROOT_TOL = 1e-12
 ROOT_MAX_ITER = 200
-K_MAX = 1e8  # search_params gives up once k doubles past this
 SCREEN_SIDE = 64  # cells per side of each cube-screen table
 SCREEN_MARGIN = 1e-9  # slack on the screen's reach, far above chart rounding
 # rows per screen pass: larger batches are screened in blocks, so the screen's
@@ -277,6 +283,13 @@ class DeformedSystem:
         grad = common[..., None] * coords
         grad[..., cube.j] = self._field_dy(cube, self.params.k * y, sky, dsky, sr)
         return grad
+
+    def cross_partial_sup(self) -> float:
+        """The sup over both cubes of the six cross partials (dP/da, dP/db,
+        dP/dd and dQ/da, dQ/db, dQ/dc): max |coef| sup t s(t) sup |s'| / k,
+        which a point of each cube reaches (module docstring)."""
+        coef = max(abs(cube.coef) for cube in self.cubes)
+        return _cross_partial_scale(self.bump, coef) / self.params.k
 
     # -- the coordinate change I_eps ------------------------------------------
 
@@ -508,21 +521,19 @@ class DeformedSystem:
     def make_tilde(self, eps_tilde: float) -> "DeformedSystem":
         """Variant with the extra -eps*c / -eps*d terms; both fixed points hyperbolic.
 
-        Checks dP/dc > 0 and dQ/dd > 0 on the slab grid so that the
-        coordinate change stays a bijection, from _slab_partials: bit for bit
-        the dF/dy of field_gradient on the flat grid.
+        Raises unless dP/dc and dQ/dd stay above 1e-9, so that the coordinate
+        change stays a bijection: their least value is coef + mul/div = 1 - et
+        (module docstring), so exactly eps_tilde < 1 - 1e-9 is accepted.
         """
         if eps_tilde < 0:
             raise ParameterTooLargeError("eps_tilde must be non-negative")
         sys2 = self._with(eps_tilde=eps_tilde)
-        if eps_tilde > 0:
-            for cube in sys2.cubes:
-                dy, _ = _slab_partials(sys2, cube)
-                if np.min(dy) <= 1e-9:
-                    raise ParameterTooLargeError(
-                        f"eps_tilde={eps_tilde} destroys monotonicity of the "
-                        f"{'abcd'[cube.j]}-change"
-                    )
+        for cube in sys2.cubes:
+            if cube.coef + cube.mul / cube.div <= 1e-9:
+                raise ParameterTooLargeError(
+                    f"eps_tilde={eps_tilde} destroys monotonicity of the "
+                    f"{'abcd'[cube.j]}-change"
+                )
         return sys2
 
     def fixed_point_jacobians(self):
@@ -535,16 +546,11 @@ class DeformedSystem:
         return self.chart_p.axes[:, 0], self.luu
 
 
-def _slab_axes(delta, k, n_c=41, n_abd=13):
-    """The slab grid's factors: n_c values of the fine axis, on the band
-    |ky| <= delta, and n_abd values of each of the three other axes."""
-    return np.linspace(-delta / k, delta / k, n_c), np.linspace(-delta, delta, n_abd)
-
-
 def _slab_grid(delta, k, n_c=41, n_abd=13):
     """Grid concentrated on the band where the bump factors are active, as
-    (N, 4) points (a, b, c, d) in row-major order over the factors."""
-    cs, oth = _slab_axes(delta, k, n_c, n_abd)
+    (N, 4) points (a, b, c, d) in row-major order: n_c values of the fine
+    axis c on the band |kc| <= delta, n_abd values of each other axis."""
+    cs, oth = np.linspace(-delta / k, delta / k, n_c), np.linspace(-delta, delta, n_abd)
     aa, bb, cc, dd = np.meshgrid(oth, oth, cs, oth, indexing="ij")
     return np.stack([aa, bb, cc, dd], axis=-1).reshape(-1, 4)
 
@@ -558,45 +564,10 @@ def _fine_axis_on(grid, j):
     return out
 
 
-def _slab_partials(system: DeformedSystem, cube: Cube):
-    """dF/dy and the largest |cross partial| of the cube's field on the slab
-    grid with its fine axis on cube.j, shaped (a, b, y, d): .ravel() follows
-    the rows of _slab_grid.
-
-    The grid is a tensor product, so s and s' run once on the n_c values of
-    ky and once on the n_abd^3 radii, and field_gradient's arithmetic is
-    broadcast: ky = k * y; r = sqrt(a*a + b*b + d*d), in Cube.split's axis
-    order for both cubes (the swap puts q's d where split reads it third);
-    the radial factor sky * y * coef * s'(r) / r, 0 at r = 0; _field_dy.
-    Each element sees the operations of the flat evaluation in the same
-    order, and rounding is monotone and even in sign, so the largest modulus
-    of the cross partials radial * (a, b, d) is |radial| * max(|a|, |b|, |d|).
-    Both arrays are the flat field_gradient's bit for bit, without its
-    90,077 points, their swapped copy or their (N, 4) gradient.
-    """
-    k = system.params.k
-    ys, oth = _slab_axes(system.params.delta, k)
-    # computed over (y, a, b, d), so that numpy's inner loops run over the
-    # n_abd^3 contiguous (a, b, d) points, and returned as (a, b, y, d) views
-    y = ys[:, None, None, None]
-    a, b, d = oth[:, None, None], oth[:, None], oth
-    ky = k * y
-    r = np.sqrt(a * a + b * b + d * d)
-    sky, dsky = system.bump.profile(ky)
-    sr, dsr = system.bump.profile(r)
-    cross = np.divide(sky * y * cube.coef * dsr, r, out=np.zeros(ys.shape + r.shape),
-                      where=r > 0)
-    np.abs(cross, out=cross)
-    cross *= np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(d))
-    dy = system._field_dy(cube, ky, sky, dsky, sr)
-    return dy.transpose(1, 2, 0, 3), cross.transpose(1, 2, 0, 3)
-
-
-def small_partial_sup(system: DeformedSystem) -> float:
-    """Grid sup of the six cross partials (dP/da,b,d and dQ/da,b,c) on the
-    slab grid, from _slab_partials: bit for bit the sup of field_gradient
-    on the flat grid."""
-    return float(max(np.max(_slab_partials(system, cube)[1]) for cube in system.cubes))
+def _cross_partial_scale(bump: SmoothBump, coef: float) -> float:
+    """|coef| sup t s(t) sup |s'|: k times the sup of the cross partials of a
+    cube field with coefficient coef."""
+    return abs(coef) * bump.peak_moment()[1] * bump.peak_derivative()[1]
 
 
 def select_fixed_point_pair(auto: ToralAutomorphism, delta: float):
@@ -642,16 +613,15 @@ class ParamCaps:
     m_max: int = 6
     delta: float = 1.0 / 40.0
     eps1_candidates: tuple = (0.01, 0.02, 0.05, 0.005)
-    k_start: float = 0.0
 
 
 def search_params(bump_bound: BumpBound, caps: ParamCaps = ParamCaps()) -> DeformedSystem:
     """The system of the smallest (n, m) satisfying both rate inequalities,
     plus eps1 and k (its .params).
 
-    k starts from an analytic sup bound on the six cross partials and doubles
-    until the measured grid sup drops below the cone budget eps0; each k
-    reuses the automorphism and charts of (n, m).
+    k is the least integer >= 2 whose cross_partial_sup lies below the cone
+    budget eps0 (up to the rounding of one division): that sup is a scale
+    over k, in closed form (module docstring), so no k is tried.
     """
     M = bump_bound.M
     chosen = None
@@ -684,21 +654,10 @@ def search_params(bump_bound: BumpBound, caps: ParamCaps = ParamCaps()) -> Defor
 
     params = DeformationParams(n=n, m=m, delta=caps.delta, k=0.0, eps1=eps1)  # k set below
     bump = SmoothBump(params.delta)
-    coef = max(lu - 1.0, 1.0 / ls - 1.0)
-    k = max(
-        caps.k_start,
-        math.ceil(coef * bump.sup_derivative() * bump.sup_y_times_s() / params.eps0),
-        2.0,
-    )
-    system = build_deformed_system(replace(params, k=float(k)), bump=bump, bound=bump_bound)
-    while small_partial_sup(system) >= params.eps0:
-        k *= 2
-        if k > K_MAX:
-            raise InfeasibleParamsError(
-                f"k exceeded cap {K_MAX} before cross partials fell below {params.eps0}"
-            )
-        system = system._with(k=float(k))
-    return system
+    # max |coef| of the two cubes, as cross_partial_sup takes it
+    scale = _cross_partial_scale(bump, max(lu - 1.0, 1.0 / ls - 1.0))
+    k = max(2, math.floor(scale / params.eps0) + 1)
+    return build_deformed_system(replace(params, k=float(k)), bump=bump, bound=bump_bound)
 
 
 def build_deformed_system(params: DeformationParams, bump: SmoothBump | None = None,

@@ -1,6 +1,8 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -14,7 +16,7 @@ from phlab.config import ExperimentConfig, build_system
 from phlab.deformation import DeformationParams, build_deformed_system
 from phlab.ergodic import make_rng
 from phlab.errors import ConfigError
-from phlab.report import fmt
+from phlab.report import RunReport, fmt
 
 from conftest import eps1_for
 
@@ -147,6 +149,23 @@ def test_tilde_system_config(tmp_path):
     })
     report = run_task("skeleton", cfg, str(tmp_path))
     assert report.all_passed
+
+
+def test_verify_construction_on_tilde_reports_true_cross_partial_sup(tmp_path):
+    """At the shipped k, make_tilde(0.05) raises |coef| by 0.05, and its cross
+    partials reach 1.0308e-3 at the point cross_partial_sup names: above the
+    cone budget eps0 = 1e-3, so the check fails (the slab-grid scan it
+    replaced read 9.375e-4 and passed)."""
+    cfg = ExperimentConfig.from_dict({
+        "seed": 3,
+        "system": {"kind": "tilde", "auto_params": True, "eps_tilde": 0.05},
+        "task": SMALL_CONSTRUCTION,
+    })
+    report = run_task("verify-construction", cfg, str(tmp_path))
+    check = next(c for c in report.checks if c.name == "cross-partials-sup")
+    assert check.value == pytest.approx(1.0308e-3, abs=1e-7)
+    assert check.value == build_system(cfg)[0].cross_partial_sup()
+    assert not check.passed
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -287,15 +306,27 @@ def test_main_rejects_bool_for_int(tmp_path, capsys, override, field):
     ("product-checks", PRODUCT, {"grid_side": 0}, "task.grid_side"),
     ("product-checks", PRODUCT, {"plaque_samples": 1}, "task.plaque_samples"),
     ("product-checks", PRODUCT, {"cesaro_steps": 0}, "task.cesaro_steps"),
+    # a tilde map must keep dP/dc and dQ/dd positive, so eps_tilde < 1
+    ("lyapunov", {"kind": "tilde", "eps_tilde": 1.0}, TINY, "system.eps_tilde"),
+    ("verify-construction", {}, {**SMALL_CONSTRUCTION, "eps_tilde_check": 1.0},
+     "task.eps_tilde_check"),
+    # verify-construction reads every task value before its first check
+    ("verify-construction", {}, {**SMALL_CONSTRUCTION, "roundtrip_points": 0},
+     "task.roundtrip_points"),
 ])
 def test_main_bad_values_exit_2_naming_the_field(tmp_path, capsys, monkeypatch, subcommand,
                                                  system, task, field):
-    """Each bad value exits 2 naming its field, before any spectrum orbit runs."""
+    """Each bad value exits 2 naming its field, before any check is recorded
+    and before any spectrum orbit runs."""
 
     def no_orbit(*args, **kwargs):
         raise AssertionError("a spectrum orbit ran before the config was checked")
 
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran before the config was checked")
+
     monkeypatch.setattr(cli, "lyapunov_spectrum", no_orbit)
+    monkeypatch.setattr(RunReport, "add", no_check)
     cfg = {**DEFORMED, "system": {**DEFORMED["system"], **system}, "task": task}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -454,6 +485,20 @@ def test_build_system_linear():
     system, resolved = build_system(cfg)
     assert system.dim == 2
     assert resolved["kind"] == "linear"
+
+
+def test_python_m_phlab_exits_2_on_a_bad_config(tmp_path):
+    """``python -m phlab`` runs the command line without an installed script."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**DEFORMED, "task": {"n_orbits": 0}}))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "phlab", "lyapunov", str(path),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert "config error: task.n_orbits:" in done.stderr
 
 
 def test_product_base_by_id():

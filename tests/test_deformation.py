@@ -19,14 +19,12 @@ from phlab.deformation import (
     ParamCaps,
     _fine_axis_on,
     _slab_grid,
-    _slab_partials,
     build_deformed_system,
     center_gap_condition,
     eigenvalue_rates,
     rate_inequalities,
     search_params,
     select_fixed_point_pair,
-    small_partial_sup,
 )
 from phlab.ergodic import make_rng
 from phlab.errors import InfeasibleParamsError, ParameterTooLargeError
@@ -848,7 +846,7 @@ def test_search_params_satisfies_inequalities(params, bump_bound):
 
 def test_search_params_zero_M():
     # with M = 0 the bounds reduce to luu >= 2 lu, first feasible at (2, 1)
-    params = search_params(BumpBound(M=0.0, argmin=(0, 0), min_value=0.0, grid=1)).params
+    params = search_params(BumpBound(M=0.0, argmin=0.0)).params
     assert (params.n, params.m) == (2, 1)
 
 
@@ -857,23 +855,21 @@ def test_condition_holds_for_small_eps1():
     assert ok and low < 1.0 < high and value > 0.0
 
 
-def test_search_params_k_raised_above_floor(bump_bound):
-    params = search_params(bump_bound, ParamCaps(k_start=2.0)).params
-    assert params.k > 2.0
-
-
 def test_search_params_infeasible(bump_bound):
     with pytest.raises(InfeasibleParamsError):
         search_params(bump_bound, ParamCaps(n_max=2, m_max=1))
 
 
 def test_partial_sup_below_budget(system):
-    assert small_partial_sup(system) < system.params.eps0
+    """search_params takes the least k whose cross-partial sup is below eps0."""
+    eps0 = system.params.eps0
+    assert system.cross_partial_sup() < eps0
+    assert system._with(k=system.params.k - 1.0).cross_partial_sup() >= eps0
 
 
 def _flat_slab_gradients(system):
-    """The slab scans as they were before _slab_partials: field_gradient on
-    the flat (N, 4) slab grid, its fine axis moved onto each cube's axis."""
+    """The slab scan the set-up once ran: field_gradient on the flat (N, 4)
+    slab grid, its fine axis moved onto each cube's axis."""
     grid = _slab_grid(system.params.delta, system.params.k)
     return [system.field_gradient(cube, _fine_axis_on(grid, cube.j)) for cube in system.cubes]
 
@@ -885,29 +881,33 @@ def _bits(x):
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_slab_scans_match_flat_grid_bitwise(bump_bound, data):
-    """_slab_partials holds field_gradient's dF/dy and largest |cross partial|
-    on the flat slab grid, element by element and bit for bit; so
-    small_partial_sup, and make_tilde's accept/raise and its min dP/dc and
-    dQ/dd, are the flat path's, across ParamCaps and eps_tilde."""
+    """The closed forms against the flat slab scan they replaced, across
+    ParamCaps and eps_tilde: cross_partial_sup bounds every cross partial of
+    field_gradient there and is reached at the point it names; the least
+    dF/dy there is coef + mul/div bit for bit, and make_tilde raises exactly
+    when that is <= 1e-9."""
     n, m = data.draw(st.sampled_from(_rate_feasible_pairs(bump_bound)), label="n, m")
     d = data.draw(st.floats(1e-3, ParamCaps().delta), label="delta")
     k = 10.0 ** data.draw(st.floats(np.log10(2.0), 4.0), label="log10 k")
     eps_tilde = data.draw(st.sampled_from([0.0, 0.5, 0.999, 1.5]), label="eps_tilde")
     base = build_deformed_system(
         DeformationParams(n=n, m=m, delta=d, k=k, eps1=eps1_for(n, m)), bound=bump_bound)
-    # the variant make_tilde builds, here without its monotonicity scan
+    # the variant make_tilde builds, here without its monotonicity check
     system = DeformedSystem(base.auto, base.bump, replace(base.params, eps_tilde=eps_tilde),
                             base.chart_p, base.chart_q)
     flat = _flat_slab_gradients(system)
-    sup = max(np.max(np.abs(g[..., c.others])) for c, g in zip(system.cubes, flat))
-    assert small_partial_sup(system).hex() == float(sup).hex()
+    sup = system.cross_partial_sup()
+    assert max(np.max(np.abs(g[..., c.others])) for c, g in zip(system.cubes, flat)) <= sup
+    # reached with ky at the peak of t s(t), r at the peak of |s'| on a = r
+    t, r = system.bump.peak_moment()[0], system.bump.peak_derivative()[0]
+    cube = max(system.cubes, key=lambda c: abs(c.coef))
+    point = np.zeros(4)
+    point[cube.j], point[cube.others[0]] = t / k, r
+    reached = abs(system.field_gradient(cube, point)[cube.others[0]])
+    assert reached == pytest.approx(sup, rel=1e-12)
     failing = None
     for cube, g in zip(system.cubes, flat):
-        dy, cross = _slab_partials(system, cube)
-        assert dy.shape == cross.shape == (13, 13, 41, 13)
-        assert np.array_equal(_bits(dy.ravel()), _bits(g[:, cube.j]))
-        assert np.array_equal(_bits(cross.ravel()), _bits(np.max(np.abs(g[:, cube.others]), axis=1)))
-        assert float(np.min(dy)).hex() == float(np.min(g[:, cube.j])).hex()
+        assert float(np.min(g[:, cube.j])).hex() == (cube.coef + cube.mul / cube.div).hex()
         if failing is None and np.min(g[:, cube.j]) <= 1e-9:
             failing = "abcd"[cube.j]
     if eps_tilde > 0 and failing:
