@@ -89,6 +89,21 @@ class SmoothBump:
         der *= sp
         return val.reshape(x.shape), der.reshape(x.shape)
 
+    def point_profile(self, x):
+        """s(x) and s'(x) at one float x, as floats: profile's operations in
+        its order, so its bits, without numpy's per-call cost.  The two
+        exponentials stay np.exp, which rounds apart from math.exp."""
+        half = self.delta / 2.0
+        t = (self.delta - abs(x)) / half
+        neg_sign = -1.0 if x > 0 else 1.0 if x < 0 else -0.0 if x == 0 else -x  # -np.sign(x)
+        if not 0.0 < t < 1.0:
+            return (1.0 if t >= 1.0 else 0.0), neg_sign * 0.0
+        u = 1.0 - t
+        a = float(np.exp(-1.0 / t))
+        b = float(np.exp(-1.0 / u))
+        ab = a + b
+        return a / ab, neg_sign / half * ((a / (t * t) * b + a * (b / (u * u))) / (ab * ab))
+
     def __call__(self, x):
         val, _ = self.profile(x, derivative=False)
         return float(val) if val.ndim == 0 else val

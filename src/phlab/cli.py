@@ -64,6 +64,9 @@ TASKS = {}
 #: subcommand -> the system kinds it accepts
 TASK_KINDS = {}
 DEFORMED_KINDS = ("deformed", "tilde")
+# most bins of a Cesàro grid, grid_side ** dim: each dense float64 grid array
+# then holds at most 8 MB (32 bins per side in 4-D)
+MAX_GRID_BINS = 2**20
 
 
 def task(name, kinds):
@@ -103,6 +106,14 @@ def _fd_jacobian(system, pts):
                   / (2 * s * h[:, None]) for s in (1, 2))
         jac[:, :, i] = (4 * d1 - d2) / 3
     return jac
+
+
+def _cesaro_grid(config, default_side, dim):
+    """The Cesàro bin grid (grid_side,) * dim, refused above MAX_GRID_BINS bins."""
+    side = config.task_value("grid_side", default_side)
+    if side**dim > MAX_GRID_BINS:
+        raise ConfigError(f"task.grid_side: {side}^{dim} bins exceed the cap of {MAX_GRID_BINS}")
+    return (side,) * dim
 
 
 # ----------------------------------------------------------------------------
@@ -359,7 +370,7 @@ def run_gibbs(config: ExperimentConfig, report: RunReport, out_dir: str, system)
     rng = make_rng(config.seed, 3)
     n_samples = config.task_value("plaque_samples", 10_000)
     n_steps = config.task_value("cesaro_steps", 2000)
-    grid_side = config.task_value("grid_side", 16)
+    grid = _cesaro_grid(config, 16, system.dim)
     half_length = config.task_value("plaque_half_length", 0.1)
     integral_orbit = config.task_value("integral_orbit", 20_000)
     if integral_orbit <= 200:
@@ -380,7 +391,6 @@ def run_gibbs(config: ExperimentConfig, report: RunReport, out_dir: str, system)
 
     slab = gibbs_mod.SlabMassTracker(system)
     center = gibbs_mod.CenterGrowthTracker(system, n_samples, warmup=warmup)
-    grid = (grid_side,) * 4
     state = gibbs_mod.cesaro_push(system, plaque, n_steps, grid, trackers=(slab, center))
     report.add("cesaro-mass", abs(state.accumulated.total - 1.0) < 1e-12,
                abs(state.accumulated.total - 1.0), "< 1e-12")
@@ -495,7 +505,7 @@ def run_product_checks(config: ExperimentConfig, report: RunReport, out_dir: str
                           f"got {system.d2}x{system.d2}")
     n_diagram = config.task_value("diagram_points", 2000)
     identity_orbit = config.task_value("identity_orbit", 5000)
-    grid_side = config.task_value("grid_side", 12)
+    grid = _cesaro_grid(config, 12, system.dim)
     n_samples = config.task_value("plaque_samples", 4000)
     n_steps = config.task_value("cesaro_steps", 400)
 
@@ -533,7 +543,7 @@ def run_product_checks(config: ExperimentConfig, report: RunReport, out_dir: str
         anchor = np.concatenate([[0.3, 0.7], [w, w]])
         plq = gibbs_mod.UnstablePlaque(anchor=anchor, direction=direction,
                                        half_length=0.2, sample_count=n_samples)
-        state = gibbs_mod.cesaro_push(system, plq, n_steps, (grid_side,) * system.dim)
+        state = gibbs_mod.cesaro_push(system, plq, n_steps, grid)
         marg[tag] = fiber_pushforward_statistics(system, state.accumulated)
     tv_base = gibbs_mod.total_variation(marg["w1"][0], marg["w2"][0])
     tv_fiber = gibbs_mod.total_variation(marg["w1"][1], marg["w2"][1])

@@ -35,7 +35,14 @@ through index arrays.  One rule keeps this bit for bit the full-batch
 lookup: a one-row matmul goes through gemv and can round an ulp away from
 the batched gemm, while two-row lookups round as the batch does, so a lone
 candidate of a batch of two or more rows is looked up with one non-candidate
-row beside it (lookup_rows); a one-row input keeps its one-row lookup.  The
+row beside it (lookup_rows).  A one-row input keeps its one-row lookup and
+takes the point loop (_point_loop): the same screen cells, read by Python
+ints, the same one-row to_chart matmul, and every later operation in its
+batch order on Python floats, keeping np.exp for the bump's exponentials
+and _solve on one-element arrays.  So a single point (or a (1, 4) batch,
+as bundle_exponent runs) gets bit for bit the former one-row lookup at a
+fraction of its numpy calls; it is still not bitwise a row of a larger
+batch, whose chart lookups round through gemm.  The
 loop moves the points that lie inside, and on the forward pass takes row j
 of Df from the same s, s' values: one
 SmoothBump.profile call on r and ky together in the explicit direction; in
@@ -219,6 +226,11 @@ class Cube:
         o0, o1, o2 = (coords[..., i] for i in self.others)
         return coords[..., self.j], np.sqrt(o0 * o0 + o1 * o1 + o2 * o2)
 
+    @cached_property
+    def column(self):
+        """Chart axis j in ambient coordinates, as four floats."""
+        return tuple(self.chart.axes[:, self.j].tolist())
+
 
 class DeformedSystem:
     """The map f = A o I_eps with analytic Jacobians and exact charts."""
@@ -397,12 +409,15 @@ class DeformedSystem:
         restricted to rows and columns lo..3 (lo = 0 the 4x4, lo = 2 the
         (u, s) block), and the forward pass overwrites row j of each point in
         a cube with that of Df at the input, from the same bump values; hit
-        tells whether any point lay in a cube.
+        tells whether any point lay in a cube.  A one-row pts takes
+        _point_loop, the same arithmetic in Python floats.
         """
         jac = None
         if lo is not None:
             jac = np.empty((pts.shape[0], 4 - lo, 4 - lo))
             jac[...] = self._diag[lo]
+        if pts.shape[0] == 1:
+            return jac, self._point_loop(pts, forward, jac, lo)
         bits = self.screen(pts)
         cand = bits.nonzero()[0]
         if not cand.size:
@@ -440,6 +455,61 @@ class DeformedSystem:
             shift = (new - sub[..., j])[:, None] * cube.chart.axes[:, j]
             pts[at] = reduce_torus(pts[at] + shift)
         return jac, hit
+
+    def _point_bits(self, x):
+        """screen on one reduced point x, four floats: the same cells (a NaN
+        in the last one, as screen_cells), read by Python ints."""
+        cells = []
+        for v in x:
+            v *= SCREEN_SIDE
+            cells.append(int(v) if v < SCREEN_SIDE - 1 else SCREEN_SIDE - 1)
+        uu_ss, u_s = self.screen_tables
+        return int(uu_ss[cells[0] + 256 * cells[1]] & u_s[cells[2] + 256 * cells[3]])
+
+    def _point_loop(self, pts, forward, jac, lo):
+        """_cube_loop on a one-row pts, in Python floats: each operation of the
+        batch code in its order, so the bits of its one-row lookup.  Only the
+        chart lookup (the same one-row to_chart matmul), the exponentials of
+        the bump band and the root solve (on one-element arrays) stay numpy.
+        Fills row j of jac[0] on the forward pass; returns hit.
+        """
+        x = pts[0].tolist()
+        bits = self._point_bits(x)
+        k, hit = self.params.k, False
+        for bit, cube in zip(CUBE_BITS, self.cubes):
+            if not bits & bit:
+                continue
+            coords, inside = cube.chart.to_chart(pts)
+            if not inside[0]:
+                continue
+            hit = True
+            j, c = cube.j, coords[0].tolist()
+            y = c[j]
+            o0, o1, o2 = (c[i] for i in cube.others)
+            r = math.sqrt(o0 * o0 + o1 * o1 + o2 * o2)
+            sr, dsr = self.bump.point_profile(r)
+            if forward == cube.forward_explicit:
+                sky, dsky = self.bump.point_profile(k * y)
+                new = self._field_y(cube, y, sky, sr) * cube.div / cube.mul
+            else:
+                new, sky, dsky = (v.item() for v in self._solve(cube, np.array([y]), np.array([sr])))
+            if forward and jac is not None:  # _gradient at the input (explicit) or the root
+                at = y if cube.forward_explicit else new
+                common = sky * at * cube.coef * dsr / r if r > 0 else 0.0
+                row = [common * v for v in c]
+                row[j] = self._field_dy(cube, k * at, sky, dsky, sr)
+                if not cube.forward_explicit:  # implicit differentiation at the root
+                    rate, dj = -self.rates[j].item(), row[j]
+                    row = [rate * v / dj for v in row]
+                    row[j] = 1.0 / dj
+                jac[0, j - lo] = row[lo:]
+            d = new - y
+            for i, a in enumerate(cube.column):  # reduce_torus(x + d * axis j)
+                v = x[i] + d * a
+                v -= math.floor(v)
+                x[i] = 0.0 if v >= 1.0 else v
+            pts[0] = x
+        return hit
 
     def _deform(self, x, forward):
         """I_eps (forward) or its inverse: the cube loop without Jacobian rows."""

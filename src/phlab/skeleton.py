@@ -28,6 +28,10 @@ from .torus import reduce_torus, torus_displacement, torus_distance
 
 HYPERBOLIC_MULTIPLIER_TOL = 1e-6
 PERIODIC_RESIDUAL_TOL = 1e-10
+# Newton stops below max(tol, this many eps times ||Df^period||_inf): rounding
+# alone leaves a residual near eps ||Df^period||, which passes 1e-12 from
+# period 7 of the cat map on; at periods <= 6 the floor stays below 1e-12
+NEWTON_ROUNDING_ULPS = 8
 
 MAX_ARC_POINTS = 200_000  # vertex budget of one arc; a capped arc is flagged incomplete
 _BLOCK = 16  # polyline vertices per block in the heteroclinic distance search
@@ -63,8 +67,9 @@ def newton_periodic(system, guess, period: int, max_iter: int = 50,
     """Newton iteration for a period-``period`` point near ``guess``.
 
     Solves f^period(x) = x on the lift using the analytic Jacobian minus the
-    identity; converged roots are reduced mod 1 and classified by the
-    multipliers of Df^period.
+    identity, until the residual is below tol or below the rounding floor
+    NEWTON_ROUNDING_ULPS * eps * ||Df^period||_inf; converged roots are
+    reduced mod 1 and classified by the multipliers of Df^period.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
@@ -75,7 +80,7 @@ def newton_periodic(system, guess, period: int, max_iter: int = 50,
         m, y = orbit_jacobian(system, x, period, True)
         g = torus_displacement(y, x)
         residual = float(np.linalg.norm(g))
-        if residual < tol:
+        if residual < tol or residual < _rounding_floor(m):
             break
         eigs = np.linalg.eigvals(m)
         if np.min(np.abs(eigs - 1.0)) < 1e-8:
@@ -102,6 +107,11 @@ def newton_periodic(system, guess, period: int, max_iter: int = 50,
         stable_index=int(np.sum(moduli < 1.0)),
         residual=residual,
     )
+
+
+def _rounding_floor(m):
+    """The residual that rounding alone leaves in f^period(x) - x, Df^period = m."""
+    return NEWTON_ROUNDING_ULPS * np.finfo(float).eps * float(np.abs(m).sum(axis=1).max())
 
 
 def distinct_records(records, tol: float = 1e-8):

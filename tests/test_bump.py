@@ -193,6 +193,21 @@ def test_profile_matches_frozen_oracle_bitwise(bump, rng):
     _assert_profile_is_oracle(bump, (rng.random(1000) - 0.5) * 6 * d)
 
 
+def test_point_profile_matches_profile_bitwise(bump, rng):
+    """The one-float profile gives profile's bits: off the band (signed zeros,
+    +-inf and NaN included), on its edges and across it."""
+    d = bump.delta
+    band = np.sign(rng.random(2000) - 0.5) * (0.5 + 0.5 * rng.random(2000)) * d
+    edges = np.concatenate([np.nextafter([d / 2, -d / 2], [d, -d]),
+                            np.nextafter([d, -d], [0.0, 0.0])])
+    xs = np.concatenate([_band_free_inputs(d), band, edges, (rng.random(2000) - 0.5) * 6 * d])
+    for x in xs:
+        want = bump.profile(np.array([x]))
+        got = bump.point_profile(float(x))
+        assert all(type(v) is float for v in got), x
+        assert np.array(got).tobytes() == np.concatenate(want).tobytes(), x
+
+
 def test_measure_constraint():
     with pytest.raises(MeasureConstraintError):
         SmoothBump(1.0 / 39.0)

@@ -313,6 +313,10 @@ def test_main_rejects_bool_for_int(tmp_path, capsys, override, field):
     # verify-construction reads every task value before its first check
     ("verify-construction", {}, {**SMALL_CONSTRUCTION, "roundtrip_points": 0},
      "task.roundtrip_points"),
+    # a Cesàro grid of more than MAX_GRID_BINS bins is refused before it is allocated
+    ("gibbs", {}, {"grid_side": 300}, "task.grid_side"),
+    ("gibbs", {}, {"grid_side": 33}, "task.grid_side"),
+    ("product-checks", PRODUCT, {"grid_side": 300}, "task.grid_side"),
 ])
 def test_main_bad_values_exit_2_naming_the_field(tmp_path, capsys, monkeypatch, subcommand,
                                                  system, task, field):
@@ -332,6 +336,21 @@ def test_main_bad_values_exit_2_naming_the_field(tmp_path, capsys, monkeypatch, 
     path.write_text(json.dumps(cfg))
     assert main([subcommand, str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
+
+
+def test_cesaro_grid_cap_is_inclusive():
+    """The shipped sizes (16 for gibbs, 12 for product-checks) and grids of
+    exactly MAX_GRID_BINS bins pass; one more bin per side does not."""
+
+    def grid(side, dim):
+        return cli._cesaro_grid(ExperimentConfig(seed=1, system={}, task={"grid_side": side}),
+                                16, dim)
+
+    for side, dim in ((16, 4), (12, 4), (32, 4), (1024, 2)):
+        assert grid(side, dim) == (side,) * dim
+    for side, dim in ((33, 4), (1025, 2)):
+        with pytest.raises(ConfigError, match="task.grid_side"):
+            grid(side, dim)
 
 
 def test_skeleton_takes_a_product_with_a_4x4_fiber(tmp_path):

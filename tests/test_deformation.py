@@ -14,6 +14,8 @@ from phlab.bump import BumpBound
 from phlab.cli import _fd_jacobian
 from phlab.config import ExperimentConfig, build_system
 from phlab.deformation import (
+    SCREEN_SIDE,
+    ChartBox,
     DeformationParams,
     DeformedSystem,
     ParamCaps,
@@ -445,6 +447,11 @@ def test_advance_matches_step_across_param_caps(bump, bump_bound, data):
         reject()
     pts = _advance_points(system, make_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")), 40)
     _assert_advance_is_step_and_jacobian_chart(system, pts, [0, 40, 200, len(pts) - 1])
+    # single points (the point loop) against the boolean-mask loop: random, both
+    # cubes in band, r < delta / 2, r >= delta and out of band, p and q
+    oracle = _oracle_of(system)
+    for i in (0, 40, 80, 120, 160, 200, 240, 280, 320, len(pts) - 2, len(pts) - 1):
+        _assert_maps_match_oracle(system, oracle, pts[i])
 
 
 def _bundle_loop_oracle(system, starts, length, transient, bundle):
@@ -690,16 +697,88 @@ def _oracle_of(sys_):
     return _OracleSystem(sys_.auto, sys_.bump, sys_.params, sys_.chart_p, sys_.chart_q)
 
 
+def _outcome(fn, *args):
+    """(shape, bytes) of each array fn returns, or the type of what it raises."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # the exception is the outcome
+        return type(exc)
+    return [(a.shape, a.tobytes()) for a in (out if isinstance(out, tuple) else (out,))]
+
+
 def _assert_maps_match_oracle(sys_, oracle, x):
-    """Every public map of sys_ against the oracle system, by tobytes()."""
+    """Every public map of sys_ against the oracle system: the same shapes and
+    bytes, or the same exception."""
     for forward in (True, False):
         for full in (False, True):
-            got, want = sys_.advance(x, forward, full), oracle.advance(x, forward, full)
-            for a, b in zip(got, want):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (forward, full)
+            got = _outcome(sys_.advance, x, forward, full)
+            assert got == _outcome(oracle.advance, x, forward, full), (forward, full)
     for name in ("step", "step_inverse", "deform", "deform_inverse", "jacobian_chart"):
-        a, b = getattr(sys_, name)(x), getattr(oracle, name)(x)
-        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert _outcome(getattr(sys_, name), x) == _outcome(getattr(oracle, name), x), name
+
+
+def _cell_edge_points(sys_, rng):
+    """Points of both cubes with one ambient coordinate on a screen cell edge
+    (x * SCREEN_SIDE an exact integer), and the same one ulp below the edge."""
+    out = []
+    for cube in sys_.cubes:
+        half = cube.chart.half_width
+        for x, i in zip(cube.chart.from_chart((rng.random((8, 4)) - 0.5) * 2 * half),
+                        itertools.cycle(range(4))):
+            edge = np.round(x[i] * SCREEN_SIDE) / SCREEN_SIDE
+            for v in (edge % 1.0, np.nextafter(edge, -1.0) % 1.0):
+                out.append(x.copy())
+                out[-1][i] = v
+    return out
+
+
+def _face_points(sys_, rng):
+    """Points on a cube face: chart coordinate i is exactly -half_width or
+    +half_width as to_chart computes it.  Each is found by walking the ambient
+    coordinate that moves coordinate i most, ulp by ulp, from a point near
+    the face; a walk that steps over the face is dropped."""
+    out = []
+    for cube in sys_.cubes:
+        chart, half = cube.chart, cube.chart.half_width
+        for i, side in itertools.product(range(4), (-half, half)):
+            a = int(np.argmax(np.abs(chart.axes[:, i])))
+            for _ in range(8):
+                coords = (rng.random(4) - 0.5) * half
+                coords[i] = side
+                x = chart.from_chart(coords)
+                for _ in range(64):
+                    c = chart.to_chart(x)[0][i]
+                    if c == side:
+                        out.append(x)
+                        break
+                    x[a] = np.nextafter(x[a], np.inf if (side - c) * chart.axes[a, i] > 0 else -np.inf)
+    return out
+
+
+def _wrap_point(sys_):
+    """A point of the p cube whose deformed ambient coordinate a, before its
+    reduction, is a tiny negative number, about -1e-18: x - floor(x) rounds
+    it to 1.0, which reduce_torus maps to 0.0.  Found by a secant search for
+    the input coordinate a that puts the image on 0, then a step of 2e-18."""
+    cube = sys_.cubes[0]
+    a = int(np.argmax(np.abs(cube.column)))
+    y = 0.3 * sys_.params.delta / sys_.params.k  # on the plateau of s(ky)
+    x = cube.chart.from_chart(np.array([0.0, 0.0, y, 0.0]))
+
+    def image(v):
+        x[a] = v
+        return float(torus_displacement(sys_.deform(x)[a], 0.0))
+
+    v0, v1 = x[a], x[a] + 1e-7
+    g0, g1 = image(v0), image(v1)
+    for _ in range(50):
+        if abs(g1) < 1e-19 or g1 == g0:
+            break
+        v0, v1, g0 = v1, v1 - g1 * (v1 - v0) / (g1 - g0), g1
+        g1 = image(v1)
+    slope = (image(v1 + 1e-12) - image(v1 - 1e-12)) / 2e-12
+    image(v1 - np.sign(slope) * 2e-18)
+    return x
 
 
 @pytest.mark.parametrize("eps_tilde", [0.0, 0.5])
@@ -713,7 +792,18 @@ def test_maps_match_boolean_mask_cube_loop(system, rng, eps_tilde):
     mixed = _advance_points(sys_, rng, 200)
     far = rng.random((4000, 4))
     far = far[sys_.screen(far) == 0]  # rows no cube can hold
-    for x in list(mixed[::97]) + [c.chart.center for c in sys_.cubes]:
+    faces = _face_points(sys_, rng)
+    assert len(faces) >= 16
+    wrap = _wrap_point(sys_)
+    assert sys_.deform(wrap)[np.argmax(np.abs(sys_.cubes[0].column))] == 0.0
+    nan, inf = np.nan, np.inf
+    odd = [[nan, 0.5, 0.5, 0.5], [0.0, 0.0, nan, 0.0], [nan] * 4, [inf, 0.0, 0.0, 0.0],
+           [0.0, 0.0, -inf, 0.0], [inf, -inf, inf, -inf]]
+    odd += [np.where(np.arange(4) == i, v, c.chart.center)
+            for c in sys_.cubes for i in (0, 2) for v in (nan, inf, -inf)]
+    singles = list(mixed[::97]) + [c.chart.center for c in sys_.cubes] + faces + [wrap]
+    singles += _cell_edge_points(sys_, rng) + [np.array(x, dtype=float) for x in odd]
+    for x in singles:
         _assert_maps_match_oracle(sys_, oracle, x)
         _assert_maps_match_oracle(sys_, oracle, x[None, :])
     for c, cube in enumerate(sys_.cubes):
@@ -729,6 +819,28 @@ def test_maps_match_boolean_mask_cube_loop(system, rng, eps_tilde):
         _assert_maps_match_oracle(sys_, oracle, inside)
     big = np.concatenate([rng.random((10_000 - len(mixed), 4)), mixed])
     _assert_maps_match_oracle(sys_, oracle, big[rng.permutation(len(big))])
+
+
+def test_one_row_advance_at_p_takes_the_point_loop(system, monkeypatch):
+    """A one-row advance at p screens in Python floats (no screen call) and
+    looks the p cube up once forward, and once more for the preimage's
+    Jacobian backward; a two-row batch still takes the screened batch loop."""
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(DeformedSystem, "screen", counted("screen", DeformedSystem.screen))
+    monkeypatch.setattr(ChartBox, "to_chart", counted("to_chart", ChartBox.to_chart))
+    p = system.chart_p.center
+    for x, forward, want in ((p, True, (0, 1)), (p[None, :], True, (0, 1)),
+                             (p, False, (0, 2)), (np.stack([p, p]), True, (1, 1))):
+        calls.update(screen=0, to_chart=0)
+        system.advance(x, forward)
+        assert (calls["screen"], calls["to_chart"]) == want, (x.shape, forward)
 
 
 def test_bundle_exponent_at_p_pinned(system):

@@ -64,6 +64,31 @@ def test_census_matches_determinant(cat):
             assert torus_distance(x, rec.point) < 1e-10
 
 
+@pytest.mark.parametrize("period", [11, 12])
+def test_newton_converges_at_high_periods(cat, period):
+    """At period 11 and 12 rounding alone leaves residuals near eps ||D^period||
+    (1e-11), above the 1e-12 tolerance, which Newton then never met on a
+    quarter (period 11) to three quarters (period 12) of the census seeds;
+    the rounding floor stops it there.  A sample of the census, seeded as
+    `skeleton` seeds it: each record is a point of the census."""
+    guesses = np.array(enumerate_periodic(IntegerMatrix(CAT_MAP), period))
+    rng = make_rng(period)
+    for i in rng.choice(len(guesses), 24, replace=False):
+        rec = newton_periodic(cat, guesses[i] + 1e-3 * rng.standard_normal(2), period)
+        assert np.min(torus_distance(guesses, rec.point)) < 1e-10
+        assert rec.residual < skeleton._rounding_floor(np.linalg.matrix_power(
+            np.array(CAT_MAP, dtype=float), period))
+
+
+def test_rounding_floor_leaves_low_periods_at_tol():
+    """Up to period 6 of the cat map the floor is below 1e-12, so the `skeleton`
+    census (periods <= 5) stops exactly where it did with tol alone."""
+    power = np.array(CAT_MAP, dtype=float)
+    for period in range(1, 7):
+        assert skeleton._rounding_floor(np.linalg.matrix_power(power, period)) < 1e-12
+    assert skeleton._rounding_floor(np.linalg.matrix_power(power, 7)) > 1e-12
+
+
 def test_stable_index_constant_along_orbit(cat):
     d_mat = IntegerMatrix(CAT_MAP)
     pts = [p for p in enumerate_periodic(d_mat, 3) if np.linalg.norm(p) > 1e-9]
