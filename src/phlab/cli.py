@@ -67,6 +67,8 @@ DEFORMED_KINDS = ("deformed", "tilde")
 # most bins of a Cesàro grid, grid_side ** dim: each dense float64 grid array
 # then holds at most 8 MB (32 bins per side in 4-D)
 MAX_GRID_BINS = 2**20
+# most points per side of verify-construction's grid_points ** 4 chart mesh
+MAX_GRID_POINTS = 16
 
 
 def task(name, kinds):
@@ -127,6 +129,8 @@ def run_verify_construction(config: ExperimentConfig, report: RunReport, out_dir
     rng = make_rng(config.seed)
     n_bump = config.task_value("bump_samples", 1000)
     gp = config.task_value("grid_points", 11)
+    if gp > MAX_GRID_POINTS:
+        raise ConfigError(f"task.grid_points: {gp} per side exceeds the cap of {MAX_GRID_POINTS}")
     n_rand = config.task_value("random_chart_points", 20_000)
     n_round = config.task_value("roundtrip_points", 10_000)
     n_chart = config.task_value("roundtrip_chart_points", 1000)

@@ -30,29 +30,27 @@ plane (ambient axes 0-1) and one in the (u, s) plane (axes 2-3).  One 64x64
 cell table per plane marks the cells within reach of each cube (half-width
 plus half a cell diagonal), and two gathers and an & give every row its
 candidate cubes; most steps have none and return at once.  Only candidate
-rows are looked up in a chart (ChartBox.to_chart), and moved and filled
-through index arrays.  One rule keeps this bit for bit the full-batch
-lookup: a one-row matmul goes through gemv and can round an ulp away from
-the batched gemm, while two-row lookups round as the batch does, so a lone
-candidate of a batch of two or more rows is looked up with one non-candidate
-row beside it (lookup_rows).  A one-row input keeps its one-row lookup and
-takes the point loop (_point_loop): the same screen cells, read by Python
-ints, the same one-row to_chart matmul, and every later operation in its
-batch order on Python floats, keeping np.exp for the bump's exponentials
-and _solve on one-element arrays.  So a single point (or a (1, 4) batch,
-as bundle_exponent runs) gets bit for bit the former one-row lookup at a
-fraction of its numpy calls; it is still not bitwise a row of a larger
-batch, whose chart lookups round through gemm.  The
-loop moves the points that lie inside, and on the forward pass takes row j
-of Df from the same s, s' values: one
-SmoothBump.profile call on r and ky together in the explicit direction; in
-the solved one, a call on r and the solve's own s, s' at its root.  Off the
-bump's transition band, as at p and q themselves, profile returns without
-evaluating an exponential.  deform / deform_inverse and jacobian_chart are
-thin wrappers over it, and advance(x, forward, full) returns one step of f
-together with its chart Jacobian (the (u, s) center block unless full):
-(f(x), Df(x)) forward, (f^-1(x), Df(f^-1(x))) backward, bit for bit what
-step / step_inverse and jacobian_chart give.  Outside both cubes Df is
+rows are looked up in a chart (ChartBox.to_chart, elementwise on the 2x2
+blocks, so a row rounds the same alone and in any batch; a matmul would not),
+and moved and filled through index arrays.  A one-row input takes the point
+loop (_point_loop): the same screen cells and to_chart, then each later
+operation in its batch order on Python floats (np.exp for the bump's
+exponentials, _solve on one-element arrays).  So a single point, or a (1, 4)
+batch as bundle_exponent runs, gets the bits of its row in any batch, up to
+the matmul of A (ToralAutomorphism.apply), which still rounds by batch.
+
+The loop moves the points inside and, with a Jacobian, takes row j of Df
+from the same s, s' values in both directions: grad F at the field point z,
+the input on the explicit side (one SmoothBump.profile call on r and ky),
+the root on the solved side (a call on r; the solve's own s, s').  I_eps
+moves only axis j, so z and r are the preimage's too, and a backward pass
+never looks the preimage up again.  Off the bump's transition band, as at p
+and q, profile evaluates no exponential.  deform / deform_inverse and
+jacobian_chart wrap the loop, and advance(x, forward, full) returns one step
+of f with its chart Jacobian (the (u, s) block unless full): (f(x), Df(x)),
+bit for bit step and jacobian_chart, or (f^-1(x), Df(f^-1(x))), the image
+bit for bit step_inverse and the in-cube Jacobian rows within about 1e-10
+relative of jacobian_chart at the preimage.  Outside both cubes Df is
 diag(rates), built once, with no field arithmetic at all.
 
 The set-up is one-dimensional (bump.py).  A cross partial of a field is
@@ -102,19 +100,38 @@ SCREEN_MARGIN = 1e-9  # slack on the screen's reach, far above chart rounding
 # workload's peak RSS by up to 10 MB, with the heap layout)
 SCREEN_BLOCK = 8192
 CUBE_BITS = (1, 2)  # screen bits of the p and q cubes, in DeformedSystem.cubes order
+# the two ambient axes e, o of each chart coordinate's 2x2 block
+BLOCK_FIRST, BLOCK_SECOND = np.array((0, 0, 2, 2)), np.array((1, 1, 3, 3))
 
 
 @dataclass(frozen=True)
 class ChartBox:
-    """Affine eigen-chart at a fixed point; axes columns ordered (uu, ss, u, s)."""
+    """Affine eigen-chart at a fixed point; axes columns ordered (uu, ss, u, s),
+    block diagonal (2 + 2) like A."""
 
     center: np.ndarray
     half_width: float
     axes: np.ndarray
 
+    def __post_init__(self):
+        if self.axes[:2, 2:].any() or self.axes[2:, :2].any():
+            raise ValueError("chart axes must be block diagonal (2 + 2)")
+
+    @cached_property
+    def block_weights(self):
+        """a[e, i] and a[o, i] for each coordinate i."""
+        return self.axes[BLOCK_FIRST, range(4)], self.axes[BLOCK_SECOND, range(4)]
+
     def to_chart(self, x):
-        """Chart coordinates of x, shape (4,) or (N, 4), and the inside-cube mask."""
-        coords = torus_displacement(x, self.center) @ self.axes
+        """Chart coordinates of x, shape (4,) or (N, 4), and the inside-cube mask.
+        Coordinate i is d[e] a[e, i] + d[o] a[o, i] on its block, in that order."""
+        d = torus_displacement(x, self.center)
+        first, second = self.block_weights
+        coords = np.take(d, BLOCK_FIRST, axis=-1)
+        coords *= first
+        d = np.take(d, BLOCK_SECOND, axis=-1)
+        d *= second
+        coords += d
         # the four one-byte flags of a row, read as one int32, are all true
         # exactly when the word is 0x01010101 (in either byte order)
         flags = np.abs(coords) <= self.half_width
@@ -134,19 +151,6 @@ def screen_cells(pts):
     cells = pts * SCREEN_SIDE
     np.fmin(cells, SCREEN_SIDE - 1, out=cells)
     return cells.astype(np.uint8, order="C").view("<u2").astype(np.intp)
-
-
-def lookup_rows(rows, n):
-    """The rows of an n-row batch to look up for candidate rows ``rows``.
-
-    A one-row matmul goes through gemv, which can round the chart
-    coordinates an ulp away from the batched gemm, so a lone candidate of a
-    batch (n >= 2) is looked up together with one other row (which must not
-    be a candidate): two-row lookups round as the whole batch does.
-    """
-    if rows.size == 1 and n > 1:
-        return np.array((rows[0], 0 if rows[0] else 1))
-    return rows
 
 
 @dataclass(frozen=True)
@@ -381,8 +385,6 @@ class DeformedSystem:
         tables = (np.zeros((side, 256), np.uint8), np.zeros((side, 256), np.uint8))
         for bit, cube in zip(CUBE_BITS, self.cubes):
             axes = cube.chart.axes
-            if axes[:2, 2:].any() or axes[2:, :2].any():
-                raise ValueError("the cube screen needs block-diagonal chart axes")
             reach = cube.chart.half_width + math.sqrt(0.5) / side + SCREEN_MARGIN
             for table, f in zip(tables, (slice(0, 2), slice(2, 4))):
                 coords = torus_displacement(centres, cube.chart.center[f]) @ axes[f, f]
@@ -405,56 +407,55 @@ class DeformedSystem:
         Moves pts in place to I_eps(pts) (forward) or I_eps^-1(pts): the screen
         picks each cube's candidate rows, and only those are looked up in its
         chart; axis j of the rows inside changes by the explicit F div/mul or
-        by the root solve.  With ``lo``, returns (jac, hit): jac is diag(rates)
-        restricted to rows and columns lo..3 (lo = 0 the 4x4, lo = 2 the
-        (u, s) block), and the forward pass overwrites row j of each point in
-        a cube with that of Df at the input, from the same bump values; hit
-        tells whether any point lay in a cube.  A one-row pts takes
-        _point_loop, the same arithmetic in Python floats.
+        by the root solve.  With ``lo``, returns jac: diag(rates) restricted
+        to rows and columns lo..3 (lo = 0 the 4x4, lo = 2 the (u, s) block),
+        with row j of each point in a cube that of Df at the forward input
+        point (pts forward, its image backward): grad F, or its implicit row
+        at q, at the field point z, from the same bump values.  A one-row pts
+        takes _point_loop, the same arithmetic in Python floats.
         """
         jac = None
         if lo is not None:
             jac = np.empty((pts.shape[0], 4 - lo, 4 - lo))
             jac[...] = self._diag[lo]
         if pts.shape[0] == 1:
-            return jac, self._point_loop(pts, forward, jac, lo)
+            self._point_loop(pts, forward, jac, lo)
+            return jac
         bits = self.screen(pts)
         cand = bits.nonzero()[0]
         if not cand.size:
-            return jac, False
+            return jac
         bits = bits[cand]
-        rows = forward and jac is not None
-        k, hit = self.params.k, False
+        rows = jac is not None
+        k = self.params.k
         for bit, cube in zip(CUBE_BITS, self.cubes):
-            look = lookup_rows(cand.compress(bits & bit), pts.shape[0])
+            look = cand.compress(bits & bit)
             if not look.size:
                 continue
             coords, inside = cube.chart.to_chart(pts[look])
             at = look[inside]
             if not at.size:
                 continue
-            hit = True
             j, sub = cube.j, coords[inside]
             y, r = cube.split(sub)
             if forward == cube.forward_explicit:  # s, s' at r and at ky in one call
                 s, ds = self.bump.profile(np.concatenate((r, k * y)), derivative=rows)
                 sr, sky = s.reshape(2, -1)
                 dsr, dsky = ds.reshape(2, -1) if rows else (None, None)
-                new = self._field_y(cube, y, sky, sr) * cube.div / cube.mul
+                new, z = self._field_y(cube, y, sky, sr) * cube.div / cube.mul, y
             else:  # the solve needs s(r) first
                 sr, dsr = self.bump.profile(r, derivative=rows)
                 new, sky, dsky = self._solve(cube, y, sr)
-            if rows:
-                if cube.forward_explicit:  # grad F at the input point
-                    row = self._gradient(cube, sub, y, r, sky, dsky, sr, dsr)
-                else:  # implicit differentiation of F(u) = y mul/div at the root u
-                    g = self._gradient(cube, sub, new, r, sky, dsky, sr, dsr)
+                z = new
+            if rows:  # grad F at the field point z
+                row = g = self._gradient(cube, sub, z, r, sky, dsky, sr, dsr)
+                if not cube.forward_explicit:  # implicit differentiation of F(u) = y mul/div
                     row = -self.rates[j] * g / g[..., j:j + 1]
                     row[..., j] = 1.0 / g[..., j]
                 jac[at, j - lo, :] = row[..., lo:]
-            shift = (new - sub[..., j])[:, None] * cube.chart.axes[:, j]
+            shift = (new - y)[:, None] * cube.chart.axes[:, j]
             pts[at] = reduce_torus(pts[at] + shift)
-        return jac, hit
+        return jac
 
     def _point_bits(self, x):
         """screen on one reduced point x, four floats: the same cells (a NaN
@@ -468,21 +469,20 @@ class DeformedSystem:
 
     def _point_loop(self, pts, forward, jac, lo):
         """_cube_loop on a one-row pts, in Python floats: each operation of the
-        batch code in its order, so the bits of its one-row lookup.  Only the
-        chart lookup (the same one-row to_chart matmul), the exponentials of
-        the bump band and the root solve (on one-element arrays) stay numpy.
-        Fills row j of jac[0] on the forward pass; returns hit.
+        batch code in its order, so the bits of its row in any batch.  Only
+        the chart lookup (to_chart itself), the exponentials of the bump band
+        and the root solve (on one-element arrays) stay numpy.  Fills row j
+        of jac[0] at the field point, as _cube_loop does.
         """
         x = pts[0].tolist()
         bits = self._point_bits(x)
-        k, hit = self.params.k, False
+        k = self.params.k
         for bit, cube in zip(CUBE_BITS, self.cubes):
             if not bits & bit:
                 continue
             coords, inside = cube.chart.to_chart(pts)
             if not inside[0]:
                 continue
-            hit = True
             j, c = cube.j, coords[0].tolist()
             y = c[j]
             o0, o1, o2 = (c[i] for i in cube.others)
@@ -490,15 +490,15 @@ class DeformedSystem:
             sr, dsr = self.bump.point_profile(r)
             if forward == cube.forward_explicit:
                 sky, dsky = self.bump.point_profile(k * y)
-                new = self._field_y(cube, y, sky, sr) * cube.div / cube.mul
+                new, z = self._field_y(cube, y, sky, sr) * cube.div / cube.mul, y
             else:
                 new, sky, dsky = (v.item() for v in self._solve(cube, np.array([y]), np.array([sr])))
-            if forward and jac is not None:  # _gradient at the input (explicit) or the root
-                at = y if cube.forward_explicit else new
-                common = sky * at * cube.coef * dsr / r if r > 0 else 0.0
+                z = new
+            if jac is not None:  # _gradient at the field point z
+                common = sky * z * cube.coef * dsr / r if r > 0 else 0.0
                 row = [common * v for v in c]
-                row[j] = self._field_dy(cube, k * at, sky, dsky, sr)
-                if not cube.forward_explicit:  # implicit differentiation at the root
+                row[j] = self._field_dy(cube, k * z, sky, dsky, sr)
+                if not cube.forward_explicit:  # implicit differentiation
                     rate, dj = -self.rates[j].item(), row[j]
                     row = [rate * v / dj for v in row]
                     row[j] = 1.0 / dj
@@ -509,7 +509,6 @@ class DeformedSystem:
                 v -= math.floor(v)
                 x[i] = 0.0 if v >= 1.0 else v
             pts[0] = x
-        return hit
 
     def _deform(self, x, forward):
         """I_eps (forward) or its inverse: the cube loop without Jacobian rows."""
@@ -536,28 +535,26 @@ class DeformedSystem:
         return self.deform_inverse(self.auto.apply_inverse(x))
 
     def advance(self, x, forward=True, full=False):
-        """One step of f with its chart Jacobian, from one chart lookup per cube.
+        """One step of f with its chart Jacobian, from one cube pass.
 
-        Forward returns (f(x), Df(x)), backward (f^{-1}(x), Df(f^{-1}(x))),
-        bit for bit what step / step_inverse and jacobian_chart give.  Df is
-        the (u, s) center block, shape (..., 2, 2), or with ``full`` the 4x4
-        chart Jacobian.  Backward, the preimage is looked up again only when
-        some point lay in a cube: Df there needs its own chart coordinates.
+        Forward returns (f(x), Df(x)), backward (f^{-1}(x), Df(f^{-1}(x))).
+        Df is the (u, s) center block, shape (..., 2, 2), or with ``full`` the
+        4x4 chart Jacobian.  All is bit for bit step / step_inverse and
+        jacobian_chart, except backward Df's in-cube rows: taken at the field
+        point in hand, they agree with jacobian_chart at the preimage, which
+        looks it up again, to about 1e-10 relative (module docstring).
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         lo = 0 if full else 2
         if forward:
             pts = reduce_torus(np.atleast_2d(x))
-            jac, _ = self._cube_loop(pts, True, lo)
+            jac = self._cube_loop(pts, True, lo)
             out = self.auto.apply(pts[0] if single else pts)
         else:
             # apply_inverse already reduces; atleast_2d views its fresh output
             out = self.auto.apply_inverse(x)
-            pts = np.atleast_2d(out)
-            jac, hit = self._cube_loop(pts, False, lo)
-            if hit:
-                jac, _ = self._cube_loop(pts.copy(), True, lo)
+            jac = self._cube_loop(np.atleast_2d(out), False, lo)
         return out, (jac[0] if single else jac)
 
     def jacobian_chart(self, x):
@@ -568,18 +565,19 @@ class DeformedSystem:
         In a cube only row j differs: grad P at p, the implicit row at q.
         """
         x = np.asarray(x, dtype=float)
-        jac, _ = self._cube_loop(reduce_torus(np.atleast_2d(x)), True, 0)
+        jac = self._cube_loop(reduce_torus(np.atleast_2d(x)), True, 0)
         return jac[0] if x.ndim == 1 else jac
 
     def jacobian(self, x):
         """Analytic Df in ambient coordinates (conjugated by the eigenbasis)."""
         axes = self.chart_p.axes
-        jc = self.jacobian_chart(x)
-        return axes @ jc @ axes.T
+        return axes @ self.jacobian_chart(x) @ axes.T
 
     def jacobian_inverse(self, x):
-        """Analytic Jacobian of f^{-1} at x, i.e. inv(Df) at the preimage."""
-        return np.linalg.inv(self.jacobian(self.step_inverse(x)))
+        """Analytic Jacobian of f^{-1} at x, i.e. inv(Df) at the preimage, from
+        one backward advance."""
+        axes = self.chart_p.axes
+        return np.linalg.inv(axes @ self.advance(x, False, True)[1] @ axes.T)
 
     # -- variants --------------------------------------------------------------
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformation import CUBE_BITS, lookup_rows, screen_cells
-from .torus import reduce_torus, torus_displacement
+from .deformation import CUBE_BITS, screen_cells
+from .torus import reduce_torus
 
 
 class EmpiricalMeasure:
@@ -187,9 +187,7 @@ class SlabMassTracker:
 
     def __init__(self, system):
         self.table = system.screen_tables[0]  # the (uu, ss) factor's cells
-        self.center = system.chart_p.center
-        self.axes = system.chart_p.axes[:, :2]
-        self.width = system.chart_p.half_width
+        self.chart = system.chart_p
         self.hits = 0.0
         self.total = 0
 
@@ -200,8 +198,8 @@ class SlabMassTracker:
         slab, and only the (uu, ss) chart coordinates bound it.
         """
         cells = screen_cells(pts[:, :2])[:, 0]
-        rows = lookup_rows((self.table[cells] & CUBE_BITS[0]).nonzero()[0], len(pts))
-        near = np.abs(torus_displacement(pts[rows], self.center) @ self.axes) <= self.width
+        rows = (self.table[cells] & CUBE_BITS[0]).nonzero()[0]
+        near = np.abs(self.chart.to_chart(pts[rows])[0][:, :2]) <= self.chart.half_width
         self.hits += float(np.count_nonzero(near[:, 0] & near[:, 1]))
         self.total += len(pts)
 

@@ -184,18 +184,12 @@ def grow_manifold(system, record: PeriodicPointRecord, kind: str,
     if np.linalg.norm(proj - direction) > 1e-8:
         raise ValueError("seed direction is not in the requested eigenspace")
 
-    if kind == "unstable":
-        def advance(pts):
-            out = pts
-            for _ in range(record.period):
-                out = system.step(out)
-            return out
-    else:
-        def advance(pts):
-            out = pts
-            for _ in range(record.period):
-                out = system.step_inverse(out)
-            return out
+    step = system.step if kind == "unstable" else system.step_inverse
+
+    def advance(pts):
+        for _ in range(record.period):
+            pts = step(pts)
+        return pts
 
     root = record.point
     t0 = min(1e-5, resolution)

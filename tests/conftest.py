@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from phlab.bump import SmoothBump, compute_M
 from phlab.deformation import (
@@ -9,6 +10,11 @@ from phlab.deformation import (
     search_params,
 )
 from phlab.ergodic import make_rng
+
+# one deterministic profile for every property test: the same examples on every
+# run, no deadline, and no example database written into the checkout
+settings.register_profile("phlab", deadline=None, derandomize=True, database=None)
+settings.load_profile("phlab")
 
 
 @pytest.fixture(scope="session")

@@ -317,6 +317,9 @@ def test_main_rejects_bool_for_int(tmp_path, capsys, override, field):
     ("gibbs", {}, {"grid_side": 300}, "task.grid_side"),
     ("gibbs", {}, {"grid_side": 33}, "task.grid_side"),
     ("product-checks", PRODUCT, {"grid_side": 300}, "task.grid_side"),
+    # a chart mesh of more than MAX_GRID_POINTS per side is refused before it is built
+    ("verify-construction", {}, {**SMALL_CONSTRUCTION, "grid_points": 17}, "task.grid_points"),
+    ("verify-construction", {}, {**SMALL_CONSTRUCTION, "grid_points": 100}, "task.grid_points"),
 ])
 def test_main_bad_values_exit_2_naming_the_field(tmp_path, capsys, monkeypatch, subcommand,
                                                  system, task, field):
@@ -392,7 +395,7 @@ _SYSTEMS = st.one_of(
 )
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(system=_SYSTEMS, subcommand=st.sampled_from(["skeleton", "product-checks"]))
 def test_main_fuzzed_system_section_never_tracebacks(system, subcommand):
     """Any system section exits 0, 1 or 2 through main(); an exception fails the test."""

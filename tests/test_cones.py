@@ -249,7 +249,7 @@ def test_extract_splitting_matches_point_list_oracle(system, tilde_half, pure_A,
     _assert_extraction_matches_oracle(sys_, points, (1, 40))
 
 
-@settings(max_examples=6, deadline=None, derandomize=True)
+@settings(max_examples=6)
 @given(data=st.data())
 def test_extract_splitting_matches_oracle_across_param_caps(bump, bump_bound, data):
     n, m = data.draw(st.sampled_from(_rate_feasible_pairs(bump_bound)), label="n, m")

@@ -256,9 +256,11 @@ def test_slab_tracker_matches_chart_lookup(system, rng):
 
 
 def _full_batch_slab_hits(system, pts):
-    """SlabMassTracker's count before the cube screen: every row displaced and charted."""
+    """SlabMassTracker's count before the cube screen: every row displaced and
+    charted, each (uu, ss) coordinate as two products and one sum."""
     chart = system.chart_p
-    near = np.abs(torus_displacement(pts, chart.center) @ chart.axes[:, :2]) <= chart.half_width
+    d, a = torus_displacement(pts, chart.center), chart.axes
+    near = np.abs(d[:, [0, 0]] * a[0, :2] + d[:, [1, 1]] * a[1, :2]) <= chart.half_width
     return float(np.count_nonzero(near[:, 0] & near[:, 1]))
 
 

@@ -164,7 +164,7 @@ def _hyperbolic_2x2():
 HYPERBOLIC_2X2 = _hyperbolic_2x2()
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(base=st.sampled_from(HYPERBOLIC_2X2), fiber=st.sampled_from(HYPERBOLIC_2X2),
        rows=st.integers(2, 60), seed=st.integers(0, 2**32 - 1))
 def test_block_step_matches_two_factor_oracle_on_accepted_pairs(base, fiber, rows, seed):

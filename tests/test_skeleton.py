@@ -251,7 +251,7 @@ def _all_pairs_closest(a, b):
     return float(dist[i, j]), a[i], b[j]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     dim=st.sampled_from([2, 4]),
     n_a=st.integers(1, 70),
