@@ -384,10 +384,9 @@ class DeformedSystem:
         centres = np.stack(np.meshgrid(mid, mid, indexing="ij"), axis=-1)
         tables = (np.zeros((side, 256), np.uint8), np.zeros((side, 256), np.uint8))
         for bit, cube in zip(CUBE_BITS, self.cubes):
-            axes = cube.chart.axes
             reach = cube.chart.half_width + math.sqrt(0.5) / side + SCREEN_MARGIN
             for table, f in zip(tables, (slice(0, 2), slice(2, 4))):
-                coords = torus_displacement(centres, cube.chart.center[f]) @ axes[f, f]
+                coords = torus_displacement(centres, cube.chart.center[f]) @ cube.chart.axes[f, f]
                 table[:, :side][(np.abs(coords) <= reach).all(axis=-1).T] |= bit
         return tuple(t.ravel() for t in tables)
 

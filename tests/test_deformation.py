@@ -76,6 +76,8 @@ def test_to_chart_mask_matches_all_reduction(system, rng):
         w = chart.half_width
         # centered at 0 with identity axes, the coordinates of x are x itself
         exact = type(chart)(center=np.zeros(4), half_width=w, axes=np.eye(4))
+        with pytest.raises(ValueError, match="block diagonal"):
+            type(chart)(center=np.zeros(4), half_width=w, axes=np.eye(4)[:, [0, 2, 1, 3]])
         faces = _edge_coords(w)
         near = chart.from_chart(np.concatenate([faces, (rng.random((5000, 4)) - 0.5) * 3 * w]))
         batch = np.concatenate([faces, near, rng.random((100, 4))])
