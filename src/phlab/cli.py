@@ -11,6 +11,7 @@ passes, 1 on any failed check, 2 on a usage or config error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from itertools import chain
@@ -59,22 +60,24 @@ from .torus import (
     torus_distance,
 )
 
-#: subcommand -> fn(config, report, out_dir, system); run_task builds the system
+#: subcommand -> fn(config, report, out_dir, system, **task values), run by run_task
 TASKS = {}
 #: subcommand -> the system kinds it accepts
 TASK_KINDS = {}
+#: subcommand -> {task key: default}, the task function's keyword-only parameters
+TASK_KEYS = {}
 DEFORMED_KINDS = ("deformed", "tilde")
 # most bins of a Cesàro grid, grid_side ** dim: each dense float64 grid array
 # then holds at most 8 MB (32 bins per side in 4-D)
 MAX_GRID_BINS = 2**20
-# most points per side of verify-construction's grid_points ** 4 chart mesh
-MAX_GRID_POINTS = 16
 
 
 def task(name, kinds):
     def wrap(fn):
         TASKS[name] = fn
         TASK_KINDS[name] = kinds
+        TASK_KEYS[name] = {p.name: p.default for p in inspect.signature(fn).parameters.values()
+                           if p.kind is p.KEYWORD_ONLY}
         return fn
 
     return wrap
@@ -110,9 +113,8 @@ def _fd_jacobian(system, pts):
     return jac
 
 
-def _cesaro_grid(config, default_side, dim):
-    """The Cesàro bin grid (grid_side,) * dim, refused above MAX_GRID_BINS bins."""
-    side = config.task_value("grid_side", default_side)
+def _cesaro_grid(side, dim):
+    """The Cesàro bin grid (side,) * dim, refused above MAX_GRID_BINS bins."""
     if side**dim > MAX_GRID_BINS:
         raise ConfigError(f"task.grid_side: {side}^{dim} bins exceed the cap of {MAX_GRID_BINS}")
     return (side,) * dim
@@ -122,35 +124,30 @@ def _cesaro_grid(config, default_side, dim):
 
 
 @task("verify-construction", DEFORMED_KINDS)
-def run_verify_construction(config: ExperimentConfig, report: RunReport, out_dir: str, system):
+def run_verify_construction(config: ExperimentConfig, report: RunReport, out_dir: str, system,
+                            *, bump_samples=1000, grid_points=11, random_chart_points=20_000,
+                            roundtrip_points=10_000, roundtrip_chart_points=1000,
+                            fd_points=1000, eps_tilde_check=0.05):
     params = system.params
     bump = system.bump
     delta = params.delta
     rng = make_rng(config.seed)
-    n_bump = config.task_value("bump_samples", 1000)
-    gp = config.task_value("grid_points", 11)
-    if gp > MAX_GRID_POINTS:
-        raise ConfigError(f"task.grid_points: {gp} per side exceeds the cap of {MAX_GRID_POINTS}")
-    n_rand = config.task_value("random_chart_points", 20_000)
-    n_round = config.task_value("roundtrip_points", 10_000)
-    n_chart = config.task_value("roundtrip_chart_points", 1000)
-    n_fd = config.task_value("fd_points", 1000)
     tilde = system
     if params.eps_tilde == 0:
         try:
-            tilde = system.make_tilde(config.task_value("eps_tilde_check", 0.05))
+            tilde = system.make_tilde(eps_tilde_check)
         except ParameterTooLargeError as exc:
             raise ConfigError(f"task.eps_tilde_check: {exc}") from exc
 
-    xs = np.linspace(0.0, delta / 2.0, n_bump)
+    xs = np.linspace(0.0, delta / 2.0, bump_samples)
     report.add("bump-plateau", np.all(bump(xs) == 1.0), float(np.min(bump(xs))), "= 1")
-    xs = np.linspace(delta, 4.0 * delta, n_bump)
+    xs = np.linspace(delta, 4.0 * delta, bump_samples)
     report.add("bump-support", np.all(bump(xs) == 0.0), float(np.max(bump(xs))), "= 0")
     # strict decrease saturates in float64 at the flat band endpoints, so
     # demand "never increases" on the full band and strictness on its core
-    xs = np.linspace(delta / 2.0, delta, n_bump + 2)[1:-1]
+    xs = np.linspace(delta / 2.0, delta, bump_samples + 2)[1:-1]
     diffs = np.diff(bump(xs))
-    core = np.linspace(delta / 2.0 + delta / 20.0, delta - delta / 20.0, n_bump)
+    core = np.linspace(delta / 2.0 + delta / 20.0, delta - delta / 20.0, bump_samples)
     core_diffs = np.diff(bump(core))
     report.add("bump-monotone", np.all(diffs <= 0.0) and np.all(core_diffs < 0.0),
                float(np.max(core_diffs)), "< 0 on the core, <= 0 everywhere")
@@ -161,7 +158,7 @@ def run_verify_construction(config: ExperimentConfig, report: RunReport, out_dir
     # analytic derivative vs centered differences; in the flat tails of the
     # transition both fall below double-precision resolution of s, so an
     # absolute floor takes over there
-    xs = np.linspace(0.0, 2 * delta, n_bump)
+    xs = np.linspace(0.0, 2 * delta, bump_samples)
     keep = (np.abs(xs - delta / 2.0) > 1e-4) & (np.abs(xs - delta) > 1e-4)
     xs = xs[keep]
     h = 1e-7
@@ -185,9 +182,9 @@ def run_verify_construction(config: ExperimentConfig, report: RunReport, out_dir
     # monotone derivative bounds on the chart grid, random points, and the
     # active slab where the extremes actually live
     tol = 1e-9
-    g = np.linspace(-2 * delta, 2 * delta, gp)
+    g = np.linspace(-2 * delta, 2 * delta, grid_points)
     mesh = np.stack(np.meshgrid(g, g, g, g, indexing="ij"), axis=-1).reshape(-1, 4)
-    rand_pts = (rng.random((n_rand, 4)) - 0.5) * 4 * delta
+    rand_pts = (rng.random((random_chart_points, 4)) - 0.5) * 4 * delta
     slab = _slab_grid(delta, params.k, n_c=41, n_abd=9)
     allpts = np.concatenate([mesh, rand_pts, slab])
     for cube, name, upper in zip(system.cubes, ("dPdc", "dQdd"),
@@ -197,8 +194,8 @@ def run_verify_construction(config: ExperimentConfig, report: RunReport, out_dir
         report.add(f"splitting-{name}-upper", np.max(dy) <= upper + tol,
                    float(np.max(dy)), f"<= {upper:.10g}")
 
-    pts = rng.random((n_round, 4))
-    chart_coords = (rng.random((n_chart, 4)) - 0.5) * 4 * delta
+    pts = rng.random((roundtrip_points, 4))
+    chart_coords = (rng.random((roundtrip_chart_points, 4)) - 0.5) * 4 * delta
     pts = np.concatenate([
         pts,
         system.chart_p.from_chart(chart_coords),
@@ -219,9 +216,9 @@ def run_verify_construction(config: ExperimentConfig, report: RunReport, out_dir
                float(np.max(np.abs(jq - target_q))), "< 1e-8")
 
     fd_pts = np.concatenate([
-        rng.random((n_fd // 2, 4)),
-        system.chart_p.from_chart((rng.random((n_fd // 4, 4)) - 0.5) * 4 * delta),
-        system.chart_q.from_chart((rng.random((n_fd // 4, 4)) - 0.5) * 4 * delta),
+        rng.random((fd_points // 2, 4)),
+        system.chart_p.from_chart((rng.random((fd_points // 4, 4)) - 0.5) * 4 * delta),
+        system.chart_q.from_chart((rng.random((fd_points // 4, 4)) - 0.5) * 4 * delta),
     ])
     ja = system.jacobian(fd_pts)
     jf = _fd_jacobian(system, fd_pts)
@@ -263,10 +260,8 @@ def run_verify_construction(config: ExperimentConfig, report: RunReport, out_dir
 
 
 @task("verify-cones", DEFORMED_KINDS)
-def run_verify_cones(config: ExperimentConfig, report: RunReport, out_dir: str, system):
-    n_points = config.task_value("n_points", 2000)
-    n_vectors = config.task_value("n_vectors", 5)
-    sandwich_steps = config.task_value("sandwich_steps", 20)
+def run_verify_cones(config: ExperimentConfig, report: RunReport, out_dir: str, system,
+                     *, n_points=2000, n_vectors=5, sandwich_steps=20):
     cones = cones_mod.standard_cones(system)
     plan = [
         ("uu-forward", "forward", True),
@@ -305,31 +300,30 @@ def run_verify_cones(config: ExperimentConfig, report: RunReport, out_dir: str, 
 
 
 @task("lyapunov", DEFORMED_KINDS)
-def run_lyapunov(config: ExperimentConfig, report: RunReport, out_dir: str, system):
-    n_orbits = config.task_value("n_orbits", 20)
-    length = config.task_value("orbit_length", 20_000)
-    transient = config.task_value("transient", 200)
-    if length <= transient:
+def run_lyapunov(config: ExperimentConfig, report: RunReport, out_dir: str, system,
+                 *, n_orbits=20, orbit_length=20_000, transient=200, pesin_horizon=4,
+                 min_good_orbits=None):
+    if orbit_length <= transient:
         raise ConfigError(f"task.orbit_length: must exceed task.transient ({transient})")
-    spectrum_length = min(length, 20_000)
+    spectrum_length = min(orbit_length, 20_000)
     if spectrum_length <= transient:
         raise ConfigError(f"task.transient: must be below the {spectrum_length}-step spectrum")
-    horizon = config.task_value("pesin_horizon", 4)
-    need = config.task_value("min_good_orbits", n_orbits - 1)
-    if need > n_orbits:
+    min_good_orbits = n_orbits - 1 if min_good_orbits is None else min_good_orbits
+    if min_good_orbits > n_orbits:
         raise ConfigError(f"task.min_good_orbits: must not exceed task.n_orbits ({n_orbits})")
     starts = make_rng(config.seed, 1).random((n_orbits, 4))
 
-    cu_vals, cu_conv = bundle_exponent_batch(system, starts, length, transient, "cu")
-    cs_vals, cs_conv = bundle_exponent_batch(system, starts, length, transient, "cs_ss")
+    cu_vals, cu_conv = bundle_exponent_batch(system, starts, orbit_length, transient, "cu")
+    cs_vals, cs_conv = bundle_exponent_batch(system, starts, orbit_length, transient, "cs_ss")
     rows = [("orbit", "cu_exponent", "cu_converged", "cs_ss_exponent", "cs_ss_converged")]
     for i in range(n_orbits):
         rows.append((i, cu_vals[i], bool(cu_conv[i]), cs_vals[i], bool(cs_conv[i])))
     write_csv(os.path.join(out_dir, "bundle_exponents.csv"), rows)
     n_pos = int(np.sum(cu_vals > 0))
     n_neg = int(np.sum(cs_vals < 0))
-    report.add("cu-exponent-positive", n_pos >= need, n_pos, f">= {need} of {n_orbits}")
-    report.add("cs-exponent-negative", n_neg >= need, n_neg, f">= {need} of {n_orbits}")
+    goal = f">= {min_good_orbits} of {n_orbits}"
+    report.add("cu-exponent-positive", n_pos >= min_good_orbits, n_pos, goal)
+    report.add("cs-exponent-negative", n_neg >= min_good_orbits, n_neg, goal)
     report.add("convergence-flags", bool(np.all(cu_conv) and np.all(cs_conv)),
                int(np.sum(cu_conv) + np.sum(cs_conv)), f"= {2 * n_orbits}")
 
@@ -346,7 +340,7 @@ def run_lyapunov(config: ExperimentConfig, report: RunReport, out_dir: str, syst
     # finite-horizon Pesin block: generic points are members below the center
     # gap, the flattened fixed point is expelled immediately
     alpha = 0.5 * float(np.log(system.lu))
-    q = PesinBlockQuery(alpha=alpha, l=1, horizon=horizon)
+    q = PesinBlockQuery(alpha=alpha, l=1, horizon=pesin_horizon)
     member, _ = pesin_block_membership(system, starts[0], q)
     report.add("pesin-member-generic", member, member, "member",
                f"alpha = log(lu)/2 = {alpha:.4f}")
@@ -355,7 +349,7 @@ def run_lyapunov(config: ExperimentConfig, report: RunReport, out_dir: str, syst
                first if first is not None else -1, "first failure at n = 1")
 
     est, log_rate, gap = entropy_volume_identity(
-        system, OrbitSpec(start=starts[1], length=length, transient=0))
+        system, OrbitSpec(start=starts[1], length=orbit_length, transient=0))
     report.add("skew-volume-identity", gap < 0.05, gap, "< 0.05",
                f"estimate {est:.6f} vs log(luu) {log_rate:.6f}")
     hist_rows = [("step", "exp1", "exp2", "exp3", "exp4")]
@@ -370,32 +364,29 @@ def run_lyapunov(config: ExperimentConfig, report: RunReport, out_dir: str, syst
 
 
 @task("gibbs", DEFORMED_KINDS)
-def run_gibbs(config: ExperimentConfig, report: RunReport, out_dir: str, system):
+def run_gibbs(config: ExperimentConfig, report: RunReport, out_dir: str, system,
+              *, plaque_samples=10_000, cesaro_steps=2000, grid_side=16, plaque_half_length=0.1,
+              integral_orbit=20_000, tracker_warmup=50):
     rng = make_rng(config.seed, 3)
-    n_samples = config.task_value("plaque_samples", 10_000)
-    n_steps = config.task_value("cesaro_steps", 2000)
-    grid = _cesaro_grid(config, 16, system.dim)
-    half_length = config.task_value("plaque_half_length", 0.1)
-    integral_orbit = config.task_value("integral_orbit", 20_000)
+    grid = _cesaro_grid(grid_side, system.dim)
     if integral_orbit <= 200:
         raise ConfigError("task.integral_orbit: must exceed the 200-step transient")
-    warmup = config.task_value("tracker_warmup", 50)
-    if warmup >= n_steps:
-        raise ConfigError(f"task.tracker_warmup: must be below task.cesaro_steps ({n_steps})")
+    if tracker_warmup >= cesaro_steps:
+        raise ConfigError(f"task.tracker_warmup: must be below task.cesaro_steps ({cesaro_steps})")
 
     anchor = rng.random(4)
-    plaque = gibbs_mod.seed_plaque(system, anchor, half_length, n_samples)
+    plaque = gibbs_mod.seed_plaque(system, anchor, plaque_half_length, plaque_samples)
     # the base projection of the plaque must carry the uniform segment measure
     base_dir = plaque.direction[:2] / np.linalg.norm(plaque.direction[:2])
     proj = torus_displacement(plaque.points(), plaque.anchor)[:, :2] @ base_dir
     t = (np.sort(proj) - proj.min()) / (proj.max() - proj.min())
-    ks = float(np.max(np.abs(t - (np.arange(n_samples) + 0.5) / n_samples)))
+    ks = float(np.max(np.abs(t - (np.arange(plaque_samples) + 0.5) / plaque_samples)))
     report.add("plaque-base-uniform", ks < 0.02, ks, "< 0.02",
                "KS statistic of the projected segment parameter")
 
     slab = gibbs_mod.SlabMassTracker(system)
-    center = gibbs_mod.CenterGrowthTracker(system, n_samples, warmup=warmup)
-    state = gibbs_mod.cesaro_push(system, plaque, n_steps, grid, trackers=(slab, center))
+    center = gibbs_mod.CenterGrowthTracker(system, plaque_samples, warmup=tracker_warmup)
+    state = gibbs_mod.cesaro_push(system, plaque, cesaro_steps, grid, trackers=(slab, center))
     report.add("cesaro-mass", abs(state.accumulated.total - 1.0) < 1e-12,
                abs(state.accumulated.total - 1.0), "< 1e-12")
     base = gibbs_mod.pushforward_base(state.accumulated, 2)
@@ -436,23 +427,17 @@ def run_gibbs(config: ExperimentConfig, report: RunReport, out_dir: str, system)
 
 
 @task("skeleton", DEFORMED_KINDS + ("linear", "product"))
-def run_skeleton(config: ExperimentConfig, report: RunReport, out_dir: str, system):
+def run_skeleton(config: ExperimentConfig, report: RunReport, out_dir: str, system,
+                 *, census_max_period=5, arc_length=3.0, arc_resolution=1e-3, tol=1e-4):
     cat = LinearSystem(ToralAutomorphism(CAT_MAP))
     d_mat = IntegerMatrix(CAT_MAP)
-    max_period = config.task_value("census_max_period", 5)
-    target = config.task_value("arc_length", 3.0)
-    resolution = config.task_value("arc_resolution", 1e-3)
-    tol = config.task_value("tol", 1e-4)
     rng = make_rng(config.seed, 5)
     rows = [("period", "expected", "found")]
     census_ok = True
-    for n in range(1, max_period + 1):
-        guesses = enumerate_periodic(d_mat, n)
-        recs = []
-        for g in guesses:
-            recs.append(skel_mod.newton_periodic(
-                cat, g + 1e-3 * rng.standard_normal(2), n))
-        recs = skel_mod.distinct_records(recs)
+    for n in range(1, census_max_period + 1):
+        recs = skel_mod.distinct_records([
+            skel_mod.newton_periodic(cat, g + 1e-3 * rng.standard_normal(2), n)
+            for g in enumerate_periodic(d_mat, n)])
         expected = fixed_point_count(d_mat, n)
         rows.append((n, expected, len(recs)))
         census_ok = census_ok and (len(recs) == expected)
@@ -469,8 +454,8 @@ def run_skeleton(config: ExperimentConfig, report: RunReport, out_dir: str, syst
     ]
     arcs = {
         i: {
-            "unstable": skel_mod.grow_fan(cat, r, "unstable", target, resolution),
-            "stable": skel_mod.grow_fan(cat, r, "stable", target, resolution),
+            "unstable": skel_mod.grow_fan(cat, r, "unstable", arc_length, arc_resolution),
+            "stable": skel_mod.grow_fan(cat, r, "stable", arc_length, arc_resolution),
         }
         for i, r in enumerate(recs)
     }
@@ -503,17 +488,15 @@ def run_skeleton(config: ExperimentConfig, report: RunReport, out_dir: str, syst
 
 
 @task("product-checks", ("product",))
-def run_product_checks(config: ExperimentConfig, report: RunReport, out_dir: str, system):
+def run_product_checks(config: ExperimentConfig, report: RunReport, out_dir: str, system,
+                       *, diagram_points=2000, identity_orbit=5000, grid_side=12,
+                       plaque_samples=4000, cesaro_steps=400):
     if system.d2 != 2:  # the plaques are seeded at fiber points (w, w)
         raise ConfigError(f"system.fiber_matrix: product-checks needs a 2x2 fiber, "
                           f"got {system.d2}x{system.d2}")
-    n_diagram = config.task_value("diagram_points", 2000)
-    identity_orbit = config.task_value("identity_orbit", 5000)
-    grid = _cesaro_grid(config, 12, system.dim)
-    n_samples = config.task_value("plaque_samples", 4000)
-    n_steps = config.task_value("cesaro_steps", 400)
+    grid = _cesaro_grid(grid_side, system.dim)
 
-    res = commuting_diagram_check(system, n_diagram, rng=make_rng(config.seed, 7))
+    res = commuting_diagram_check(system, diagram_points, rng=make_rng(config.seed, 7))
     report.add("diagram-base", res["base"] < 1e-14, res["base"], "< 1e-14")
     report.add("diagram-fiber", res["fiber"] < 1e-14, res["fiber"], "< 1e-14")
 
@@ -546,8 +529,8 @@ def run_product_checks(config: ExperimentConfig, report: RunReport, out_dir: str
     for tag, w in (("w1", 0.15), ("w2", 0.65)):
         anchor = np.concatenate([[0.3, 0.7], [w, w]])
         plq = gibbs_mod.UnstablePlaque(anchor=anchor, direction=direction,
-                                       half_length=0.2, sample_count=n_samples)
-        state = gibbs_mod.cesaro_push(system, plq, n_steps, grid)
+                                       half_length=0.2, sample_count=plaque_samples)
+        state = gibbs_mod.cesaro_push(system, plq, cesaro_steps, grid)
         marg[tag] = fiber_pushforward_statistics(system, state.accumulated)
     tv_base = gibbs_mod.total_variation(marg["w1"][0], marg["w2"][0])
     tv_fiber = gibbs_mod.total_variation(marg["w1"][1], marg["w2"][1])
@@ -568,20 +551,28 @@ def run_product_checks(config: ExperimentConfig, report: RunReport, out_dir: str
 def run_task(name: str, config: ExperimentConfig, out_dir: str | None = None) -> RunReport:
     """In-process entry point used by the CLI and the test suite.
 
-    Checks the system kind against TASK_KINDS before anything is built, then
-    builds the system, records its resolved parameters and runs the task.
+    Before anything is built it checks the system kind, refuses a task key
+    that no subcommand declares (one task section may serve several) and
+    reads TASK_KEYS[name]; then it builds the system and runs the task.
     """
     if name not in TASKS:
         raise ConfigError(f"unknown subcommand {name!r}; choose from {sorted(TASKS)}")
     kinds = TASK_KINDS[name]
     if config.system["kind"] not in kinds:
         raise ConfigError(f"{name} needs a {' or '.join(kinds)} system config")
+    unknown = sorted(config.task.keys() - set(chain.from_iterable(TASK_KEYS.values())))
+    if unknown:
+        raise ConfigError(f"task.{unknown[0]}: no subcommand reads this key")
+    values = config.task_values(TASK_KEYS[name])
     out = out_dir or config.output_dir
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir: cannot create {out!r}: {exc.strerror}") from exc
     report = RunReport(task=name, seed=config.seed)
     system, resolved = build_system(config)
     report.set_params(**resolved)
-    TASKS[name](config, report, out, system)
+    TASKS[name](config, report, out, system, **values)
     report.write(out)
     return report
 

@@ -47,8 +47,9 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError("top level: expected an object")
         seed = raw.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigError("seed: expected a non-negative integer")
+        # Philox keys are uint64 words, and gibbs keys an orbit with seed + 11
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= 2**64 - 12:
+            raise ConfigError("seed: expected an integer in [0, 2**64 - 12]")
         system = raw.get("system")
         if not isinstance(system, dict):
             raise ConfigError("system: expected an object")
@@ -61,27 +62,31 @@ class ExperimentConfig:
         if not isinstance(task, dict):
             raise ConfigError("task: expected an object")
         out = raw.get("output_dir", "out")
-        if not isinstance(out, str):
-            raise ConfigError("output_dir: expected a string")
+        if not isinstance(out, str) or not out:
+            raise ConfigError("output_dir: expected a non-empty string")
         _validate_system(system)
         return cls(seed=seed, system=system, task=task, output_dir=out)
 
-    def task_value(self, key, default):
-        value = self.task.get(key, default)
-        # bool is a subclass of int, so it is told apart explicitly
-        if isinstance(value, bool) != isinstance(default, bool) or (
-            not isinstance(value, type(default))
-            and not (isinstance(default, float) and isinstance(value, int))
-        ):
-            raise ConfigError(f"task.{key}: expected {type(default).__name__}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"task.{key}: expected a finite number, got {value}")
-        low = _TASK_MINIMUM.get(key, 1)
-        if isinstance(default, int) and not isinstance(default, bool) and value < low:
-            raise ConfigError(f"task.{key}: expected an integer >= {low}, got {value}")
-        if key in _TASK_POSITIVE and not value > 0:
-            raise ConfigError(f"task.{key}: expected a number > 0, got {value}")
-        return value
+    def task_values(self, defaults):
+        """defaults, with each key the task section sets checked against the type
+        of its default (int for None, which the task works out) and its bounds."""
+        values = dict(defaults)
+        for key in (key for key in self.task if key in defaults):
+            value = values[key] = self.task[key]
+            kind = int if defaults[key] is None else type(defaults[key])
+            # bool is a subclass of int, so it is told apart explicitly
+            if isinstance(value, bool) or not (
+                isinstance(value, kind) or (kind is float and isinstance(value, int))
+            ):
+                raise ConfigError(f"task.{key}: expected {kind.__name__}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"task.{key}: expected a finite number, got {value}")
+            low, high = _TASK_MINIMUM.get(key, 1), _TASK_MAXIMUM.get(key, math.inf)
+            if kind is int and not low <= value <= high:
+                raise ConfigError(f"task.{key}: expected an integer in [{low}, {high}], got {value}")
+            if key in _TASK_POSITIVE and not value > 0:
+                raise ConfigError(f"task.{key}: expected a number > 0, got {value}")
+        return values
 
 
 # lower bounds of integer task values that differ from the default bound of 1:
@@ -89,6 +94,8 @@ class ExperimentConfig:
 # bump_samples and plaque_samples need two samples for a difference or a spread
 _TASK_MINIMUM = {"n_orbits": 2, "transient": 0, "tracker_warmup": 0, "fd_points": 4,
                  "bump_samples": 2, "plaque_samples": 2}
+# upper bounds: verify-construction's chart mesh holds grid_points ** 4 points
+_TASK_MAXIMUM = {"grid_points": 16}
 # float task values that must be positive
 _TASK_POSITIVE = {"arc_resolution", "tol", "plaque_half_length", "arc_length", "eps_tilde_check"}
 

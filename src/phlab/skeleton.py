@@ -27,11 +27,12 @@ from .errors import NotHyperbolicError, PhlabError
 from .torus import reduce_torus, torus_displacement, torus_distance
 
 HYPERBOLIC_MULTIPLIER_TOL = 1e-6
-PERIODIC_RESIDUAL_TOL = 1e-10
-# Newton stops below max(tol, this many eps times ||Df^period||_inf): rounding
-# alone leaves a residual near eps ||Df^period||, which passes 1e-12 from
-# period 7 of the cat map on; at periods <= 6 the floor stays below 1e-12
+NEWTON_TOL = 1e-12
+# Newton stops below max(NEWTON_TOL, this many eps times ||Df^period||_inf):
+# rounding alone leaves a residual near eps ||Df^period||, which passes 1e-12
+# from period 7 of the cat map on; at periods <= 6 the floor stays below 1e-12
 NEWTON_ROUNDING_ULPS = 8
+DISTINCT_TOL = 1e-8  # records closer than this on the torus are one point
 
 MAX_ARC_POINTS = 200_000  # vertex budget of one arc; a capped arc is flagged incomplete
 _BLOCK = 16  # polyline vertices per block in the heteroclinic distance search
@@ -62,12 +63,11 @@ class PeriodicPointRecord:
         return (self.period, tuple(np.round(self.point, 10)))
 
 
-def newton_periodic(system, guess, period: int, max_iter: int = 50,
-                    tol: float = 1e-12) -> PeriodicPointRecord:
+def newton_periodic(system, guess, period: int, max_iter: int = 50) -> PeriodicPointRecord:
     """Newton iteration for a period-``period`` point near ``guess``.
 
     Solves f^period(x) = x on the lift using the analytic Jacobian minus the
-    identity, until the residual is below tol or below the rounding floor
+    identity, until the residual is below NEWTON_TOL or the rounding floor
     NEWTON_ROUNDING_ULPS * eps * ||Df^period||_inf; converged roots are
     reduced mod 1 and classified by the multipliers of Df^period.
     """
@@ -80,7 +80,7 @@ def newton_periodic(system, guess, period: int, max_iter: int = 50,
         m, y = orbit_jacobian(system, x, period, True)
         g = torus_displacement(y, x)
         residual = float(np.linalg.norm(g))
-        if residual < tol or residual < _rounding_floor(m):
+        if residual < NEWTON_TOL or residual < _rounding_floor(m):
             break
         eigs = np.linalg.eigvals(m)
         if np.min(np.abs(eigs - 1.0)) < 1e-8:
@@ -114,11 +114,11 @@ def _rounding_floor(m):
     return NEWTON_ROUNDING_ULPS * np.finfo(float).eps * float(np.abs(m).sum(axis=1).max())
 
 
-def distinct_records(records, tol: float = 1e-8):
+def distinct_records(records):
     """Deduplicate by torus distance; deterministic keep-first order."""
     kept = []
     for rec in sorted(records, key=lambda r: r.sort_key()):
-        if all(torus_distance(rec.point, k.point) > tol for k in kept):
+        if all(torus_distance(rec.point, k.point) > DISTINCT_TOL for k in kept):
             kept.append(rec)
     return kept
 

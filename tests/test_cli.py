@@ -1,6 +1,8 @@
+import ast
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phlab import cli
+from phlab import config as config_mod
 from phlab.cli import _fd_jacobian, main, run_task
 from phlab.config import ExperimentConfig, build_system
 from phlab.deformation import DeformationParams, build_deformed_system
@@ -345,15 +348,144 @@ def test_cesaro_grid_cap_is_inclusive():
     """The shipped sizes (16 for gibbs, 12 for product-checks) and grids of
     exactly MAX_GRID_BINS bins pass; one more bin per side does not."""
 
-    def grid(side, dim):
-        return cli._cesaro_grid(ExperimentConfig(seed=1, system={}, task={"grid_side": side}),
-                                16, dim)
-
     for side, dim in ((16, 4), (12, 4), (32, 4), (1024, 2)):
-        assert grid(side, dim) == (side,) * dim
+        assert cli._cesaro_grid(side, dim) == (side,) * dim
     for side, dim in ((33, 4), (1025, 2)):
         with pytest.raises(ConfigError, match="task.grid_side"):
-            grid(side, dim)
+            cli._cesaro_grid(side, dim)
+
+
+#: every (subcommand, task key, default) of the former task_value calls; None
+#: stands for the former default n_orbits - 1
+FORMER_TASK_KEYS = {
+    "verify-construction": {"bump_samples": 1000, "grid_points": 11,
+                            "random_chart_points": 20_000, "roundtrip_points": 10_000,
+                            "roundtrip_chart_points": 1000, "fd_points": 1000,
+                            "eps_tilde_check": 0.05},
+    "verify-cones": {"n_points": 2000, "n_vectors": 5, "sandwich_steps": 20},
+    "lyapunov": {"n_orbits": 20, "orbit_length": 20_000, "transient": 200, "pesin_horizon": 4,
+                 "min_good_orbits": None},
+    "gibbs": {"plaque_samples": 10_000, "cesaro_steps": 2000, "grid_side": 16,
+              "plaque_half_length": 0.1, "integral_orbit": 20_000, "tracker_warmup": 50},
+    "skeleton": {"census_max_period": 5, "arc_length": 3.0, "arc_resolution": 1e-3,
+                 "tol": 1e-4},
+    "product-checks": {"diagram_points": 2000, "identity_orbit": 5000, "grid_side": 12,
+                       "plaque_samples": 4000, "cesaro_steps": 400},
+}
+
+
+def test_task_keys_keep_the_former_defaults_and_bounds():
+    assert sum(map(len, FORMER_TASK_KEYS.values())) == 30
+    assert repr(cli.TASK_KEYS) == repr(FORMER_TASK_KEYS)  # repr tells 3 from 3.0
+    assert config_mod._TASK_MINIMUM == {"n_orbits": 2, "transient": 0, "tracker_warmup": 0,
+                                        "fd_points": 4, "bump_samples": 2, "plaque_samples": 2}
+    assert config_mod._TASK_MAXIMUM == {"grid_points": 16}
+    assert config_mod._TASK_POSITIVE == {"arc_resolution", "tol", "plaque_half_length",
+                                         "arc_length", "eps_tilde_check"}
+    assert cli.MAX_GRID_BINS == 2**20
+
+
+class _Built(Exception):
+    """Raised in place of build_system: the run got past every up-front check."""
+
+
+def _refuse_build(config):
+    raise _Built
+
+
+@pytest.mark.parametrize("subcommand, system, task, field", [
+    ("skeleton", {}, {"orbit_lenght": 500}, "task.orbit_lenght"),
+    ("lyapunov", {}, {**TINY, "seed": 3}, "task.seed"),
+    ("verify-construction", {}, {"roundtrip_points": 0}, "task.roundtrip_points"),
+    ("verify-construction", {}, {"grid_points": 17}, "task.grid_points"),
+    # read on a tilde system too, where no tilde variant is built from it
+    ("verify-construction", {"kind": "tilde"}, {"eps_tilde_check": -0.5},
+     "task.eps_tilde_check"),
+    ("gibbs", {}, {"plaque_half_length": "x"}, "task.plaque_half_length"),
+    ("lyapunov", {}, {"min_good_orbits": 2.0}, "task.min_good_orbits"),
+    ("product-checks", PRODUCT, {"diagram_points": 1.5}, "task.diagram_points"),
+])
+def test_bad_task_key_exits_2_before_the_system_is_built(tmp_path, capsys, monkeypatch,
+                                                         subcommand, system, task, field):
+    monkeypatch.setattr(cli, "build_system", _refuse_build)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 1, "system": {**DEFORMED["system"], **system},
+                                "task": task}))
+    assert main([subcommand, str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_task_keys_of_other_subcommands_are_accepted(tmp_path, monkeypatch):
+    """One task section may serve several subcommands, as configs/deformed.json does."""
+    monkeypatch.setattr(cli, "build_system", _refuse_build)
+    cfg = small({**TINY, **SMALL_CONSTRUCTION, "diagram_points": 5, "tol": 0.5})
+    for subcommand in ("verify-construction", "lyapunov", "skeleton"):
+        with pytest.raises(_Built):
+            run_task(subcommand, cfg, str(tmp_path))
+
+
+@pytest.mark.parametrize("seed", [2**64 - 11, 2**64])
+def test_main_refuses_a_seed_past_the_philox_key(tmp_path, capsys, seed):
+    """Philox takes uint64 key words and gibbs keys an orbit with seed + 11."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**DEFORMED, "seed": seed}))
+    assert main(["gibbs", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: seed:" in capsys.readouterr().err
+
+
+def test_largest_seed_is_accepted():
+    assert ExperimentConfig.from_dict({**DEFORMED, "seed": 2**64 - 12}).seed == 2**64 - 12
+    make_rng(2**64 - 12 + 11, 29)
+
+
+def test_main_refuses_an_output_dir_it_cannot_create(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**DEFORMED, "output_dir": ""}))
+    assert main(["lyapunov", str(path)]) == 2
+    assert "config error: output_dir:" in capsys.readouterr().err
+    path.write_text(json.dumps({**DEFORMED, "task": TINY, "output_dir": str(blocker / "out")}))
+    assert main(["lyapunov", str(path)]) == 2
+    assert "config error: output_dir:" in capsys.readouterr().err
+    path.write_text(json.dumps({**DEFORMED, "task": TINY}))
+    assert main(["lyapunov", str(path), "--out", str(blocker / "out")]) == 2
+    assert "config error: output_dir:" in capsys.readouterr().err
+
+
+REPO = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def _readme():
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_shipped_configs_pass_the_task_check(tmp_path, monkeypatch):
+    """Every config in configs/ passes the up-front checks of each subcommand the
+    README runs it with; no system is built."""
+    runs = re.findall(r"^phlab ([\w-]+) configs/(\S+\.json)$", _readme(), re.M)
+    assert {name for _, name in runs} == set(os.listdir(os.path.join(REPO, "configs")))
+    monkeypatch.setattr(cli, "build_system", _refuse_build)
+    for subcommand, name in runs:
+        cfg = ExperimentConfig.from_file(os.path.join(REPO, "configs", name))
+        with pytest.raises(_Built):
+            run_task(subcommand, cfg, str(tmp_path))
+
+
+def test_readme_task_tables_match_task_keys():
+    """The README's table per subcommand lists its keys and defaults; the first
+    code span of a default cell is its Python literal."""
+    tables, current = {}, None
+    for line in _readme().splitlines():
+        heading = re.fullmatch(r"#### `([\w-]+)`", line)
+        row = re.match(r"\| `(\w+)` \| `([^`]+)`", line)
+        if heading:
+            current = tables.setdefault(heading.group(1), {})
+        elif row and current is not None:
+            current[row.group(1)] = ast.literal_eval(row.group(2))
+    assert tables == cli.TASK_KEYS
 
 
 def test_skeleton_takes_a_product_with_a_4x4_fiber(tmp_path):
@@ -395,16 +527,61 @@ _SYSTEMS = st.one_of(
 )
 
 
-@settings(max_examples=25)
-@given(system=_SYSTEMS, subcommand=st.sampled_from(["skeleton", "product-checks"]))
-def test_main_fuzzed_system_section_never_tracebacks(system, subcommand):
-    """Any system section exits 0, 1 or 2 through main(); an exception fails the test."""
-    task = {"census_max_period": 1, "arc_length": 0.2, "arc_resolution": 0.05, "tol": 0.05,
-            "diagram_points": 50, "identity_orbit": 300}
+#: per subcommand, a valid system and a task that runs in well under a second
+FUZZ_BASE = {
+    "verify-construction": (DEFORMED["system"], SMALL_CONSTRUCTION),
+    "verify-cones": (DEFORMED["system"], {"n_points": 20, "n_vectors": 2, "sandwich_steps": 5}),
+    "lyapunov": (DEFORMED["system"], TINY),
+    "gibbs": (DEFORMED["system"], {"plaque_samples": 50, "cesaro_steps": 5,
+                                   "integral_orbit": 300, "grid_side": 4, "tracker_warmup": 1}),
+    "skeleton": (DEFORMED["system"], {"census_max_period": 1, "arc_length": 0.2,
+                                      "arc_resolution": 0.05, "tol": 0.05}),
+    "product-checks": (PRODUCT, {"diagram_points": 50, "identity_orbit": 300,
+                                 "plaque_samples": 50, "cesaro_steps": 5, "grid_side": 4}),
+}
+#: task values stay small, so that no fuzzed run is long: every orbit, sample
+#: count and arc is at most 5 (or its tiny default) long
+_TASK_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.text(max_size=3),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -1.0, 0.0, 0.3, 1.5]),
+    st.lists(st.integers(-3, 3), max_size=3))
+_TASK_KEY_NAMES = st.one_of(
+    st.sampled_from(sorted(set().union(*cli.TASK_KEYS.values()))), st.text(max_size=4))
+#: replacements for one part of a valid config
+_FUZZ_PARTS = {
+    "seed": st.one_of(st.integers(0, 2**64 + 5),
+                      st.sampled_from([2**64 - 12, 2**64 - 11, 2**64]), _JUNK),
+    "output_dir": st.one_of(st.just(""), st.text(max_size=5), _JUNK),
+    "system": _SYSTEMS,
+    "task": _JUNK,
+}
+
+
+@st.composite
+def _fuzzed_runs(draw):
+    """A subcommand and its tiny config with junk in a task key, at most one
+    other part replaced, or junk in place of the whole object."""
+    subcommand = draw(st.sampled_from(sorted(FUZZ_BASE)))
+    system, task = FUZZ_BASE[subcommand]
+    cfg = {"seed": 1, "system": system,
+           "task": {**task, **draw(st.dictionaries(_TASK_KEY_NAMES, _TASK_VALUES, max_size=2))}}
+    part = draw(st.sampled_from([None, "object", *_FUZZ_PARTS]))
+    if part == "object":
+        return subcommand, draw(_JUNK)
+    if part is not None:
+        cfg[part] = draw(_FUZZ_PARTS[part])
+    return subcommand, cfg
+
+
+@settings(max_examples=100)
+@given(run=_fuzzed_runs())
+def test_main_fuzzed_config_never_tracebacks(run):
+    """Any config exits 0, 1 or 2 through main(); an exception fails the test."""
+    subcommand, cfg = run
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
-            json.dump({"seed": 1, "system": system, "task": task}, fh)
+            json.dump(cfg, fh)
         assert main([subcommand, path, "--out", os.path.join(tmp, "out")]) in (0, 1, 2)
 
 
