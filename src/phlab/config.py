@@ -46,6 +46,7 @@ class ExperimentConfig:
     def from_dict(cls, raw):
         if not isinstance(raw, dict):
             raise ConfigError("top level: expected an object")
+        _refuse_unknown(raw, _CONFIG_KEYS, "")
         seed = raw.get("seed", 0)
         # Philox keys are uint64 words, and gibbs keys an orbit with seed + 11
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= 2**64 - 12:
@@ -58,6 +59,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"system.kind: expected deformed|tilde|linear|product, got {kind!r}"
             )
+        _refuse_unknown(system, _SYSTEM_KEYS[kind], "system.")
         task = raw.get("task", {})
         if not isinstance(task, dict):
             raise ConfigError("task: expected an object")
@@ -87,6 +89,24 @@ class ExperimentConfig:
             if key in _TASK_POSITIVE and not value > 0:
                 raise ConfigError(f"task.{key}: expected a number > 0, got {value}")
         return values
+
+
+_CONFIG_KEYS = ("seed", "system", "task", "output_dir")
+# the keys each system kind reads (n, m, k and eps1 only with auto_params false)
+_DEFORMED_KEYS = ("kind", "auto_params", "n", "m", "k", "eps1", "delta")
+_SYSTEM_KEYS = {
+    "deformed": _DEFORMED_KEYS,
+    "tilde": (*_DEFORMED_KEYS, "eps_tilde"),
+    "linear": ("kind", "matrix"),
+    "product": ("kind", "base_id", "base_matrix", "fiber_matrix"),
+}
+
+
+def _refuse_unknown(section, known, prefix):
+    """Exit 2 on the first key, in sorted order, that the section does not read."""
+    unknown = sorted(str(key) for key in section if key not in known)
+    if unknown:
+        raise ConfigError(f"{prefix}{unknown[0]}: unknown key; expected one of {', '.join(known)}")
 
 
 # lower bounds of integer task values that differ from the default bound of 1:

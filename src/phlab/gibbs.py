@@ -8,19 +8,28 @@ the Lebesgue budget of the chart cross-section.
 
 Samples, not curve segments, are pushed: stretching opens gaps that only cost
 spatial resolution, which the grid tolerance absorbs.  Each step is binned by
-one ``np.bincount`` over flat bin indices (exact integer counts), and
+one pass (_bin_counts: the cloud reduced once, the flat cell index built
+column by column, one ``np.bincount``, exact integer counts), and
+cesaro_push divides each step's counts into one reused mass buffer.
 ``EmpiricalMeasure.to_rows`` yields the occupied bins lazily, so the 16^4-bin
 measure CSV streams to disk without a row list.
+
+The trackers use the exact structure of f on the batch: outside the two cubes
+Df is diag(rates), so only rows that DeformedSystem.screen flags are charted.
+SlabMassTracker computes only the (uu, ss) chart pair of those rows, and
+CenterGrowthTracker carries every other row's center direction by
+diag(lu, ls); both need a system with the cube screen (a DeformedSystem).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .deformation import CUBE_BITS, screen_cells
-from .torus import reduce_torus
+from .torus import reduce_torus, torus_displacement
 
 
 class EmpiricalMeasure:
@@ -37,11 +46,7 @@ class EmpiricalMeasure:
     def from_points(cls, points, grid):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         grid = tuple(int(g) for g in grid)
-        idx = [np.minimum((reduce_torus(points[:, j]) * g).astype(int), g - 1)
-               for j, g in enumerate(grid)]
-        # integer counts are exact, so the mass is bitwise that of np.add.at
-        counts = np.bincount(np.ravel_multi_index(idx, grid), minlength=int(np.prod(grid)))
-        return cls(grid, counts.reshape(grid) / len(points))
+        return cls(grid, _bin_counts(points, grid) / len(points))
 
     @classmethod
     def uniform(cls, grid):
@@ -70,6 +75,26 @@ class EmpiricalMeasure:
         """Lazy (index..., mass) rows for occupied bins, in C order."""
         occupied = self.mass > 0
         return zip(*(i.tolist() for i in np.nonzero(occupied)), self.mass[occupied].tolist())
+
+
+def _bin_counts(points, grid):
+    """Points (N, d) per cell of the grid over [0, 1)^d, as integers of shape grid.
+
+    The cloud is reduced once and the flat C-order cell index is built column
+    by column in one intp array, for one ``np.bincount``.  Integer counts are
+    exact, so count / N is bitwise the mass of one np.add.at per point.  A
+    reduced coordinate is at most 1 - 2^-53, so x * g <= g - g 2^-53 lies
+    below the midpoint of g and the double under it, and floor(x * g) is
+    always a cell.  A NaN has no cell and raises.
+    """
+    cells = reduce_torus(points)
+    if np.isnan(cells).any():
+        raise ValueError("points must be finite to be binned")
+    flat = np.zeros(len(cells), np.intp)
+    for j, g in enumerate(grid):
+        flat *= g
+        flat += (cells[:, j] * g).astype(np.intp)
+    return np.bincount(flat, minlength=math.prod(grid)).reshape(grid)
 
 
 def total_variation(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> float:
@@ -161,24 +186,24 @@ def cesaro_push(system, plaque: UnstablePlaque, n_steps: int, grid,
         raise ValueError("n_steps must be >= 1")
     pts = plaque.points()
     grid = tuple(int(g) for g in grid)
-    acc = np.zeros(grid)
-    first = last = None
+    acc, step_mass = np.zeros(grid), np.empty(grid)
+    first = None
     for j in range(n_steps):
-        step_mass = EmpiricalMeasure.from_points(pts, grid).mass
+        # the division from_points makes, into one buffer for every step
+        np.divide(_bin_counts(pts, grid), len(pts), out=step_mass)
         acc += step_mass
         if j == 0:
-            first = step_mass
+            first = EmpiricalMeasure(grid, step_mass.copy())
         for tracker in trackers:
             tracker.observe(j, pts)
         if j < n_steps - 1:
             pts = system.step(pts)
-    last = EmpiricalMeasure.from_points(system.step(pts), grid).mass
     return CesaroState(
         accumulated=EmpiricalMeasure(grid, acc / n_steps),
         steps=n_steps,
         samples=pts,
-        first_step=EmpiricalMeasure(grid, first),
-        last_step=EmpiricalMeasure(grid, last),
+        first_step=first,
+        last_step=EmpiricalMeasure.from_points(system.step(pts), grid),
     )
 
 
@@ -187,7 +212,9 @@ class SlabMassTracker:
 
     def __init__(self, system):
         self.table = system.screen_tables[0]  # the (uu, ss) factor's cells
-        self.chart = system.chart_p
+        chart = system.chart_p
+        self.center, self.axes = chart.center[:2], chart.axes[:2, :2]  # the (uu, ss) block
+        self.half_width = chart.half_width
         self.hits = 0.0
         self.total = 0
 
@@ -195,11 +222,16 @@ class SlabMassTracker:
         """Counts the reduced points pts (N, 4) in the slab.
 
         Only rows whose (uu, ss) screen cell carries the p bit can lie in the
-        slab, and only the (uu, ss) chart coordinates bound it.
+        slab, and only the (uu, ss) chart coordinates bound it: each is
+        d[0] a[0, i] + d[1] a[1, i], ChartBox.to_chart's two products and one
+        sum, on the rows' (uu, ss) displacement d alone.
         """
-        cells = screen_cells(pts[:, :2])[:, 0]
+        cells = screen_cells(pts)[:, 0]  # contiguous: a strided (N, 2) view costs more
         rows = (self.table[cells] & CUBE_BITS[0]).nonzero()[0]
-        near = np.abs(self.chart.to_chart(pts[rows])[0][:, :2]) <= self.chart.half_width
+        d = torus_displacement(pts[rows, :2], self.center)
+        coords = d[:, :1] * self.axes[0]
+        coords += d[:, 1:] * self.axes[1]
+        near = np.abs(coords) <= self.half_width
         self.hits += float(np.count_nonzero(near[:, 0] & near[:, 1]))
         self.total += len(pts)
 
@@ -213,24 +245,36 @@ class CenterGrowthTracker:
 
     Transports an in-plane direction with every push; after the warm-up the
     direction rides the center-unstable bundle, so the running mean estimates
-    the volume integral of the limit measure along that bundle.
+    the volume integral of the limit measure along that bundle.  The (u, s)
+    center plane is invariant and Df on it is diag(lu, ls) outside both
+    cubes, so only the rows system.screen flags go through jacobian_chart;
+    the rest are scaled by (lu, ls), the bits of the full-batch product with
+    the diagonal block but for the sign of a zero.  The system needs screen
+    and rates.
     """
 
     def __init__(self, system, sample_count, warmup: int = 50):
         self.system = system
+        # Df on the (u, s) plane off the screen, one row per sample: a product of
+        # equal shapes is one contiguous loop, one with a broadcast (2,) row is N
+        self.center_rates = np.tile(system.rates[2:4], (sample_count, 1))
         self.warmup = warmup
         self.dirs = np.broadcast_to(np.array([1.0, 0.0]), (sample_count, 2)).copy()
         self.log_sum = 0.0
         self.count = 0
 
     def observe(self, step, pts):
-        jac = self.system.jacobian_chart(pts)[:, 2:4, 2:4]
-        w = np.einsum("nij,nj->ni", jac, self.dirs)
+        w = self.dirs * self.center_rates
+        rows = self.system.screen(pts).nonzero()[0]
+        jac = self.system.jacobian_chart(pts[rows])[:, 2:4, 2:4]
+        w[rows] = np.einsum("nij,nj->ni", jac, self.dirs[rows])
         g = np.sqrt(w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1])  # bitwise np.linalg.norm(w, axis=1)
         if step >= self.warmup:
             self.log_sum += float(np.sum(np.log(g)))
             self.count += len(pts)
-        self.dirs = w / g[:, None]
+        for column in w.T:  # w / g[:, None], a column at a time
+            column /= g
+        self.dirs = w
 
     @property
     def value(self) -> float:

@@ -41,6 +41,14 @@ PRODUCT = {"kind": "product", "base_id": "cat^3", "fiber_matrix": [[2, 1], [1, 1
 FIBER_4X4 = [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]]
 
 
+def _with_deformed_keys(system):
+    """DEFORMED's system updated by system; a linear or product system as given,
+    since auto_params is not one of its keys."""
+    if system.get("kind") in ("linear", "product"):
+        return system
+    return {**DEFORMED["system"], **system}
+
+
 def small(task_overrides=None, **kw):
     cfg = json.loads(json.dumps(DEFORMED))
     cfg["task"] = task_overrides or {}
@@ -337,7 +345,7 @@ def test_main_bad_values_exit_2_naming_the_field(tmp_path, capsys, monkeypatch, 
 
     monkeypatch.setattr(cli, "lyapunov_spectrum", no_orbit)
     monkeypatch.setattr(RunReport, "add", no_check)
-    cfg = {**DEFORMED, "system": {**DEFORMED["system"], **system}, "task": task}
+    cfg = {**DEFORMED, "system": _with_deformed_keys(system), "task": task}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main([subcommand, str(path), "--out", str(tmp_path / "out")]) == 2
@@ -409,7 +417,7 @@ def test_bad_task_key_exits_2_before_the_system_is_built(tmp_path, capsys, monke
                                                          subcommand, system, task, field):
     monkeypatch.setattr(cli, "build_system", _refuse_build)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"seed": 1, "system": {**DEFORMED["system"], **system},
+    path.write_text(json.dumps({"seed": 1, "system": _with_deformed_keys(system),
                                 "task": task}))
     assert main([subcommand, str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
@@ -557,32 +565,66 @@ _FUZZ_PARTS = {
 }
 
 
+#: extra keys for a config or its system section: misspellings, keys of other
+#: sections or kinds, and short text (which may happen to be a known key)
+_EXTRA_KEYS = st.one_of(
+    st.sampled_from(["seeed", "outptu_dir", "eps_tild", "matrix", "delta", "task", "kind"]),
+    st.text(max_size=4))
+
+
 @st.composite
 def _fuzzed_runs(draw):
     """A subcommand and its tiny config with junk in a task key, at most one
-    other part replaced, or junk in place of the whole object."""
+    other part replaced or one extra top-level or system key, or junk in place
+    of the whole object; and whether an extra key alone must make it exit 2."""
     subcommand = draw(st.sampled_from(sorted(FUZZ_BASE)))
     system, task = FUZZ_BASE[subcommand]
-    cfg = {"seed": 1, "system": system,
+    cfg = {"seed": 1, "system": dict(system),
            "task": {**task, **draw(st.dictionaries(_TASK_KEY_NAMES, _TASK_VALUES, max_size=2))}}
-    part = draw(st.sampled_from([None, "object", *_FUZZ_PARTS]))
+    part = draw(st.sampled_from([None, "object", "extra key", *_FUZZ_PARTS]))
     if part == "object":
-        return subcommand, draw(_JUNK)
+        return subcommand, draw(_JUNK), False
+    if part == "extra key":
+        section, known = draw(st.sampled_from([
+            (cfg, config_mod._CONFIG_KEYS),
+            (cfg["system"], config_mod._SYSTEM_KEYS[system["kind"]])]))
+        key = draw(_EXTRA_KEYS)
+        section[key] = draw(_JUNK)
+        return subcommand, cfg, key not in known
     if part is not None:
         cfg[part] = draw(_FUZZ_PARTS[part])
-    return subcommand, cfg
+    return subcommand, cfg, False
 
 
 @settings(max_examples=100)
 @given(run=_fuzzed_runs())
 def test_main_fuzzed_config_never_tracebacks(run):
-    """Any config exits 0, 1 or 2 through main(); an exception fails the test."""
-    subcommand, cfg = run
+    """Any config exits 0, 1 or 2 through main(); an exception fails the test.
+    A key that its section does not read exits 2."""
+    subcommand, cfg, unknown_key = run
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
-        assert main([subcommand, path, "--out", os.path.join(tmp, "out")]) in (0, 1, 2)
+        status = main([subcommand, path, "--out", os.path.join(tmp, "out")])
+        assert status in ((2,) if unknown_key else (0, 1, 2))
+
+
+@pytest.mark.parametrize("cfg, field", [
+    ({**DEFORMED, "seeed": 5}, "seeed"),
+    ({**DEFORMED, "outptu_dir": "x"}, "outptu_dir"),
+    ({**DEFORMED, "system": {"kind": "tilde", "eps_tild": 0.5}}, "system.eps_tild"),
+    ({**DEFORMED, "system": {"kind": "deformed", "eps_tilde": 0.5}}, "system.eps_tilde"),
+    ({**DEFORMED, "system": {"kind": "linear", "matrix": [[2, 1], [1, 1]], "delta": 0.01}},
+     "system.delta"),
+    ({**DEFORMED, "system": {**PRODUCT, "fiber": [[2, 1], [1, 1]]}}, "system.fiber"),
+])
+def test_main_unknown_config_keys_exit_2_naming_the_key(tmp_path, capsys, cfg, field):
+    """A misspelled top-level or system key is refused, not run at its default."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["skeleton", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {field}: unknown key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("system, status", [

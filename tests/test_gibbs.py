@@ -7,6 +7,7 @@ from phlab.gibbs import (
     EmpiricalMeasure,
     SlabMassTracker,
     UnstablePlaque,
+    _bin_counts,
     cesaro_push,
     pushforward_base,
     seed_plaque,
@@ -175,36 +176,82 @@ def test_measure_rows_roundtrip(rng):
 
 # --- oracles: the former per-point kernels, kept to pin the fast ones bitwise ---
 
-def _add_at_mass(points, grid):
-    """Former from_points: one np.add.at per point into a float grid."""
+def _add_at_counts(points, grid):
+    """Former binning: one np.add.at per point into a float grid."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     idx = tuple(
         np.minimum((reduce_torus(points[:, j]) * grid[j]).astype(int), grid[j] - 1)
         for j in range(len(grid))
     )
-    mass = np.zeros(grid)
-    np.add.at(mass, idx, 1.0)
-    return mass / len(points)
+    counts = np.zeros(grid)
+    np.add.at(counts, idx, 1.0)
+    return counts
 
 
-def _edge_cloud(rng, n, d, side):
-    """Random points plus points on bin edges, at 1 - ulp, at -0.0 and at 1.0."""
-    edges = np.arange(side + 1) / side
-    special = np.array([0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), -np.nextafter(0.0, 1.0),
-                        np.nextafter(0.5, 0.0), 0.5, 2.0 - 1e-17])
-    cols = np.concatenate([edges, special])
-    pts = np.concatenate([rng.random((n, d)), rng.choice(cols, size=(n, d))])
+def _add_at_mass(points, grid):
+    """Former from_points: the np.add.at counts over the number of points."""
+    return _add_at_counts(points, grid) / len(np.atleast_2d(points))
+
+
+def _edge_cloud(rng, n, grid):
+    """Random points plus, per column, every bin edge of its side and one ulp
+    either side, 1 - ulp, 1.0, -0.0 and small negatives; every 7th row -0.0."""
+    cols = []
+    for g in grid:
+        edges = np.arange(g + 1) / g
+        special = np.concatenate([
+            edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
+            [np.nextafter(1.0, 0.0), 1.0, -0.0, -np.nextafter(0.0, 1.0), -1e-17, -1e-3,
+             -0.5 / g, np.nextafter(0.5, 0.0), 0.5, 2.0 - 1e-17]])
+        cols.append(np.concatenate([rng.random(n), rng.choice(special, n)]))
+    pts = np.stack(cols, axis=1)
     pts[::7] = -0.0
     return pts
 
 
-@pytest.mark.parametrize("grid", [(4, 4), (16, 16), (3, 5), (4, 4, 4, 4), (16,) * 4])
+@pytest.mark.parametrize("grid", [(4, 4), (16, 16), (3, 5), (4, 4, 4, 4), (16,) * 4,
+                                  (3, 5, 7, 2), (32, 32)])
 def test_from_points_matches_add_at_bitwise(rng, grid):
-    pts = _edge_cloud(rng, 3000, len(grid), grid[0])
+    """The counting helper and from_points against np.add.at, bitwise."""
+    pts = _edge_cloud(rng, 3000, grid)
+    counts = _bin_counts(pts, grid)
+    assert counts.shape == grid and counts.sum() == len(pts)
+    assert counts.astype(float).tobytes() == _add_at_counts(pts, grid).tobytes()
     got = EmpiricalMeasure.from_points(pts, grid).mass
     want = _add_at_mass(pts, grid)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def test_bin_counts_refuse_nan():
+    pts = np.full((4, 2), 0.5)
+    pts[2, 0] = np.nan  # a NaN in a leading column would wrap into a cell
+    with pytest.raises(ValueError, match="finite"):
+        _bin_counts(pts, (16, 16))
+
+
+def _per_step_push(system, plaque, n_steps, grid):
+    """cesaro_push before the shared counting buffer: from_points on every step."""
+    pts, acc = plaque.points(), np.zeros(grid)
+    for j in range(n_steps):
+        mass = EmpiricalMeasure.from_points(pts, grid).mass
+        acc += mass
+        if j == 0:
+            first = mass
+        if j < n_steps - 1:
+            pts = system.step(pts)
+    return acc / n_steps, first, EmpiricalMeasure.from_points(system.step(pts), grid).mass, pts
+
+
+@pytest.mark.parametrize("n_steps, grid", [(1, (16,) * 4), (40, (16,) * 4), (40, (3, 5, 7, 2))])
+def test_cesaro_push_matches_per_step_from_points(system, n_steps, grid):
+    plq = seed_plaque(system, np.array([0.21, 0.43, 0.65, 0.87]), 0.1, 3000)
+    state = cesaro_push(system, plq, n_steps, grid)
+    acc, first, last, pts = _per_step_push(system, plq, n_steps, grid)
+    assert state.accumulated.mass.tobytes() == acc.tobytes()
+    assert state.first_step.mass.tobytes() == first.tobytes()
+    assert state.last_step.mass.tobytes() == last.tobytes()
+    assert state.samples.tobytes() == pts.tobytes()
 
 
 def test_from_points_single_point_matches_add_at():
@@ -221,7 +268,7 @@ def _former_rows(measure):
 
 
 def test_to_rows_matches_argwhere_loop(rng):
-    m = EmpiricalMeasure.from_points(_edge_cloud(rng, 500, 4, 6), (6, 6, 6, 6))
+    m = EmpiricalMeasure.from_points(_edge_cloud(rng, 500, (6,) * 4), (6, 6, 6, 6))
     got = list(m.to_rows())
     want = _former_rows(m)
     assert got == want
@@ -292,13 +339,49 @@ def test_slab_tracker_matches_full_batch_formula(system, rng):
     assert tracker.total == sum(len(b) for b in batches)
 
 
-def test_center_tracker_norm_matches_linalg_norm(system, rng):
-    pts = np.concatenate([rng.random((500, 4)), chart_points(system, rng, 500)])
-    tracker = CenterGrowthTracker(system, len(pts), warmup=0)
-    tracker.dirs = rng.standard_normal((len(pts), 2))
-    dirs = tracker.dirs.copy()
+def _full_batch_center_step(system, pts, dirs):
+    """CenterGrowthTracker.observe before the screen: every row through
+    jacobian_chart, one einsum on the (u, s) block, and np.linalg.norm."""
     w = np.einsum("nij,nj->ni", system.jacobian_chart(pts)[:, 2:4, 2:4], dirs)
     g = np.linalg.norm(w, axis=1)
-    tracker.observe(0, pts)
-    assert tracker.log_sum == float(np.sum(np.log(g)))
-    assert tracker.dirs.tobytes() == (w / g[:, None]).tobytes()
+    return float(np.sum(np.log(g))), w / g[:, None]
+
+
+def test_center_tracker_norm_matches_linalg_norm(system, rng, monkeypatch):
+    """The screened observe equals the full-batch one bitwise: on a batch with
+    no screened row, on one row at p and one at q, on batches of 2 and 100
+    that each hold one in-cube row, and on a mixed batch; jacobian_chart only
+    ever sees screened rows."""
+    far = rng.random((4000, 4))
+    far = far[system.screen(far) == 0]
+    inside = chart_points(system, rng, 50)
+    inside = inside[system.chart_p.to_chart(inside)[1]]
+    batches = [far[:300], system.chart_p.center[None, :], system.chart_q.center[None, :],
+               np.concatenate([rng.random((500, 4)), chart_points(system, rng, 500)])]
+    for n in (2, 100):
+        for i, x in enumerate(inside[:5]):
+            batch = far[rng.choice(len(far), n, replace=False)]
+            batch[i % n] = x
+            batches.append(batch)
+
+    seen = []
+    jacobian_chart = system.jacobian_chart
+
+    def screened_only(x):
+        seen.append(len(x))
+        assert np.all(system.screen(x) != 0)
+        return jacobian_chart(x)
+
+    for pts in batches:
+        dirs = rng.standard_normal((len(pts), 2))
+        want_sum, want_dirs = _full_batch_center_step(system, pts, dirs)
+        tracker = CenterGrowthTracker(system, len(pts), warmup=0)
+        tracker.dirs = dirs.copy()
+        with monkeypatch.context() as m:
+            m.setattr(system, "jacobian_chart", screened_only)
+            tracker.observe(0, pts)
+        assert tracker.log_sum == want_sum
+        assert tracker.dirs.tobytes() == want_dirs.tobytes()
+    # one call per observe, empty on the batch with no screened row
+    assert len(seen) == len(batches) and seen[0] == 0 and seen[1] == seen[2] == 1
+    assert max(seen) < 1000
