@@ -313,22 +313,19 @@ def run_lyapunov(config: ExperimentConfig, report: RunReport, out_dir: str, syst
         raise ConfigError(f"task.min_good_orbits: must not exceed task.n_orbits ({n_orbits})")
     starts = make_rng(config.seed, 1).random((n_orbits, 4))
 
-    cu_vals, cu_conv = bundle_exponent_batch(system, starts, orbit_length, transient, "cu")
-    cs_vals, cs_conv = bundle_exponent_batch(system, starts, orbit_length, transient, "cs_ss")
+    (cu, cs), conv = bundle_exponent_batch(system, starts, orbit_length, transient)
     rows = [("orbit", "cu_exponent", "cu_converged", "cs_ss_exponent", "cs_ss_converged")]
-    for i in range(n_orbits):
-        rows.append((i, cu_vals[i], bool(cu_conv[i]), cs_vals[i], bool(cs_conv[i])))
+    rows += zip(range(n_orbits), cu, conv[0].tolist(), cs, conv[1].tolist())
     write_csv(os.path.join(out_dir, "bundle_exponents.csv"), rows)
-    n_pos = int(np.sum(cu_vals > 0))
-    n_neg = int(np.sum(cs_vals < 0))
+    n_pos = int(np.sum(cu > 0))
+    n_neg = int(np.sum(cs < 0))
     goal = f">= {min_good_orbits} of {n_orbits}"
     report.add("cu-exponent-positive", n_pos >= min_good_orbits, n_pos, goal)
     report.add("cs-exponent-negative", n_neg >= min_good_orbits, n_neg, goal)
-    report.add("convergence-flags", bool(np.all(cu_conv) and np.all(cs_conv)),
-               int(np.sum(cu_conv) + np.sum(cs_conv)), f"= {2 * n_orbits}")
+    report.add("convergence-flags", bool(conv.all()), int(conv.sum()), f"= {2 * n_orbits}")
 
-    at_p = bundle_exponent(
-        system, OrbitSpec(start=system.chart_p.center, length=2000, transient=0), "cu")
+    at_p, _ = bundle_exponent(
+        system, OrbitSpec(start=system.chart_p.center, length=2000, transient=0))
     report.add("cu-exponent-at-p", abs(at_p.value) < 1e-6, at_p.value, "|.| < 1e-6")
 
     spec = lyapunov_spectrum(
@@ -400,8 +397,7 @@ def run_gibbs(config: ExperimentConfig, report: RunReport, out_dir: str, system,
     report.add("cu-integral-cesaro", center.value > 0.0, center.value, "> 0")
 
     orbit = OrbitSpec(start=None, seed=config.seed + 11, length=integral_orbit, transient=200)
-    cu = bundle_exponent(system, orbit, "cu")
-    cs = bundle_exponent(system, orbit, "cs")
+    cu, cs = bundle_exponent(system, orbit)
     report.add("cu-integral-orbit", cu.value > 0.0, cu.value, "> 0",
                "time average of log|det Df restricted to F^cu|")
     report.add("cs-inverse-integral-orbit", -cs.value > 0.0, -cs.value, "> 0",

@@ -92,8 +92,10 @@ class ExperimentConfig:
 
 
 _CONFIG_KEYS = ("seed", "system", "task", "output_dir")
-# the keys each system kind reads (n, m, k and eps1 only with auto_params false)
-_DEFORMED_KEYS = ("kind", "auto_params", "n", "m", "k", "eps1", "delta")
+# the keys each system kind may set; _validate_system refuses n, m, k and eps1
+# unless auto_params is false, and a product's base_matrix beside its base_id
+_MANUAL_KEYS = ("n", "m", "k", "eps1")
+_DEFORMED_KEYS = ("kind", "auto_params", *_MANUAL_KEYS, "delta")
 _SYSTEM_KEYS = {
     "deformed": _DEFORMED_KEYS,
     "tilde": (*_DEFORMED_KEYS, "eps_tilde"),
@@ -158,6 +160,8 @@ def _validate_system(system):
     if kind == "linear":
         _validate_matrix(system.get("matrix"), "system.matrix")
     elif kind == "product":
+        if "base_id" in system and "base_matrix" in system:
+            raise ConfigError("system.base_matrix: give base_id or base_matrix, not both")
         if "base_id" in system:
             if _cat_power_from_id(system["base_id"]) is None:
                 raise ConfigError(
@@ -172,7 +176,12 @@ def _validate_system(system):
         auto = system.get("auto_params", True)
         if not isinstance(auto, bool):
             raise ConfigError("system.auto_params: expected true or false")
-        if not auto:
+        if auto:
+            for key in _MANUAL_KEYS:
+                if key in system:
+                    raise ConfigError(f"system.{key}: auto_params is true, which selects it; "
+                                      "set auto_params to false to give it")
+        else:
             for key in ("n", "m"):
                 v = system.get(key)
                 if isinstance(v, bool) or not isinstance(v, int) or v < 1:

@@ -33,8 +33,8 @@ candidate cubes; most steps have none and return at once.  Only candidate
 rows are looked up in a chart (ChartBox.to_chart, elementwise on the 2x2
 blocks, so a row rounds the same alone and in any batch; a matmul would not),
 and moved and filled through index arrays.  A one-row input takes the point
-loop (_point_loop): the same screen cells and to_chart, then each later
-operation in its batch order on Python floats (np.exp for the bump's
+loop (_point_loop): the same screen cells, then each operation of to_chart
+and of the cube in its batch order on Python floats (np.exp for the bump's
 exponentials, _solve on one-element arrays).  So a single point, or a (1, 4)
 batch as bundle_exponent runs, gets the bits of its row in any batch, up to
 the matmul of A (ToralAutomorphism.apply), which still rounds by batch.
@@ -139,6 +139,28 @@ class ChartBox:
         # exactly when the word is 0x01010101 (in either byte order)
         flags = np.abs(coords) <= self.half_width
         return coords, flags.view(np.int32)[..., 0] == 0x01010101
+
+    @cached_property
+    def point_weights(self):
+        """The center as floats, and for each coordinate i its block's terms
+        (e, o, a[e, i], a[o, i]) as Python numbers."""
+        first, second = self.block_weights
+        return tuple(self.center.tolist()), tuple(zip(
+            BLOCK_FIRST.tolist(), BLOCK_SECOND.tolist(), first.tolist(), second.tolist()))
+
+    def point_to_chart(self, x):
+        """to_chart on one reduced point x, four Python floats: its operations
+        in its order, so its bits, as a list of four floats and a bool.  x and
+        the center lie in [0, 1), so rint(d) is -1, 0 or 1; a NaN stays NaN,
+        and outside, as in to_chart."""
+        center, terms = self.point_weights
+        d = []
+        for v, c in zip(x, center):
+            v -= c
+            d.append(v - 1.0 if v > 0.5 else v + 1.0 if v < -0.5 else v)
+        coords = [d[e] * a + d[o] * b for e, o, a, b in terms]
+        h = self.half_width
+        return coords, all(abs(v) <= h for v in coords)
 
     def from_chart(self, coords):
         return reduce_torus(self.center + coords @ self.axes.T)
@@ -471,10 +493,10 @@ class DeformedSystem:
 
     def _point_loop(self, pts, forward, jac, lo):
         """_cube_loop on a one-row pts, in Python floats: each operation of the
-        batch code in its order, so the bits of its row in any batch.  Only
-        the chart lookup (to_chart itself), the exponentials of the bump band
-        and the root solve (on one-element arrays) stay numpy.  Fills row j
-        of jac[0] at the field point, as _cube_loop does.
+        batch code in its order, so the bits of its row in any batch, the
+        chart lookup included (point_to_chart).  Only the exponentials of the
+        bump band and the root solve (on one-element arrays) stay numpy.
+        Fills row j of jac[0] at the field point, as _cube_loop does.
         """
         x = pts[0].tolist()
         bits = self._point_bits(x)
@@ -482,10 +504,10 @@ class DeformedSystem:
         for bit, cube in zip(CUBE_BITS, self.cubes):
             if not bits & bit:
                 continue
-            coords, inside = cube.chart.to_chart(pts)
-            if not inside[0]:
+            c, inside = cube.chart.point_to_chart(x)
+            if not inside:
                 continue
-            j, c = cube.j, coords[0].tolist()
+            j = cube.j
             y = c[j]
             o0, o1, o2 = (c[i] for i in cube.others)
             r = math.sqrt(o0 * o0 + o1 * o1 + o2 * o2)

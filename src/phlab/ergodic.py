@@ -1,19 +1,19 @@
 """Lyapunov exponents, Birkhoff averages, Pesin-block tests, growth identities.
 
-Spectra use the QR (Benettin) scheme with re-orthonormalization every step,
-and add up log|det Df| along the same steps.  Bundle exponents follow a single
-direction in the chart eigenbasis, where the Jacobian is block triangular over
-the exactly invariant (u, s) plane: forward propagation for the expanding
-bundles (uu, and cu inside the center plane), backward propagation for the
-contracting ones (cs inside the plane, and ss).  The top rate of the
-contracting 2-plane cs + ss is therefore the cs rate.  Seeds start on the
-linear eigen-axes and converge along the orbit; a transient prefix is
-discarded.  One batched loop serves every bundle; a single orbit is a batch of
-one.  Each of its steps is one ``system.advance`` call, which returns the next
-point and the chart Jacobian block the bundle needs, (u, s) for cu and cs,
-the full 4x4 for uu and ss, at that step's base point.
+A system of T^4 with an ``advance`` (the deformed map, a linear map) has a
+block lower-triangular chart Jacobian: the uu and ss rows are exactly
+diagonal and the (u, s) plane is exactly invariant.  So its spectrum is
+{log luu, log lss} and that of the 2x2 center cocycle B (Barreira & Pesin
+2007), which one forward pass of ``system.advance`` steps gives as a
+closed-form 2x2 QR: with w = B v, g = |w| and v renormalized to w / g each
+step, the log R diagonals are log g, whose average is the cu exponent, and
+log|det B| - log g, whose average is the derived cs exponent, the top rate of
+the contracting plane cs + ss.  The seed starts on the u axis; a transient
+prefix is discarded; a single orbit is a batch of one.  Any other system (a
+ProductSystem, a map of T^2) takes the QR (Benettin) scheme on the full Df.
 
-All orbit statistics carry a convergence flag: the last-quarter mean must sit
+Every orbit average carries a convergence flag: the mean of the last quarter
+of its per-step series (log|det B_t| - log g_t for the derived cs) must sit
 within three standard errors of the full mean.
 """
 
@@ -65,65 +65,90 @@ class LyapunovSpectrum:
     exponents: np.ndarray
     history: np.ndarray  # rows (step, est_1, ..., est_d)
     log_det: float
-    length: int
-    transient: int
-    start: np.ndarray
 
     @property
     def total(self) -> float:
         return float(np.sum(self.exponents))
 
 
-def _qr_step(jacs, frames):
-    z = jacs @ frames
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    sign = np.where(diag < 0, -1.0, 1.0)
-    q = q * sign[..., None, :]
-    return q, np.abs(diag)
+def _benettin(system, x, frame):
+    """The QR steps of Df along the orbit of x: yields the log R diagonals and
+    log|det Df| of each step."""
+    while True:
+        jac = system.jacobian(x)
+        q, r = np.linalg.qr(jac @ frame)
+        diag = np.diagonal(r)
+        frame = q * np.where(diag < 0, -1.0, 1.0)
+        yield np.log(np.abs(diag)), np.log(np.abs(np.linalg.det(jac)))
+        x = system.step(x)
+
+
+def _center_cocycle(system, x, v):
+    """The closed-form 2x2 QR of the center cocycle along the forward orbits of
+    the rows of x (N, 4), from frames with first columns v (N, 2): yields per
+    step the log R diagonals as a (2, N) array, refilled at the next step, and
+    log|det B|.  w = B v is formed in np.einsum("nij,nj->ni")'s order, so log g
+    has the bits of that product and of np.linalg.norm."""
+    v0, v1 = v[:, 0], v[:, 1]
+    logs = np.empty((2, len(v)))
+    log_g, log_cs = logs
+    while True:
+        x, b = system.advance(x, True, False)
+        b00, b01, b10, b11 = b[:, 0, 0], b[:, 0, 1], b[:, 1, 0], b[:, 1, 1]
+        w0 = b00 * v0 + b01 * v1
+        w1 = b10 * v0 + b11 * v1
+        g = np.sqrt(w0 * w0 + w1 * w1)
+        v0, v1 = w0 / g, w1 / g
+        np.log(g, out=log_g)
+        log_det = np.log(np.abs(b00 * b11 - b01 * b10))
+        np.subtract(log_det, log_g, out=log_cs)
+        yield logs, log_det
 
 
 def lyapunov_spectrum(system, orbit: OrbitSpec, frame0=None) -> LyapunovSpectrum:
-    """Full Benettin spectrum along one orbit, re-orthonormalizing every step.
+    """Full spectrum along one orbit, by QR with re-orthonormalization every step.
 
-    A frame warm-up of min(200, half the kept steps) spins the orthonormal
-    frame onto the Oseledets flag before accumulation starts; without it the
-    estimates carry a seed-dependent O(1/n) offset even for constant
-    Jacobians.  The history keeps the running estimates every
-    max(1, steps // 200) steps and at the last step.  ``frame0`` replaces the
-    identity as the initial orthonormal frame.
+    On T^4 with an ``advance``: log luu, log lss and _center_cocycle's 2x2 QR,
+    with log_det = log luu + log lss + the average of log|det B|; otherwise
+    the Benettin QR of Df, with the average of log|det Df|.  A frame warm-up of
+    min(200, half the kept steps) spins the frame onto the Oseledets flag
+    before accumulation starts; without it the estimates carry a
+    seed-dependent O(1/n) offset even for constant Jacobians.  The history
+    keeps the running estimates (luu, lss, cu, cs on the 2x2 path) every
+    max(1, steps // 200) steps and at the last.  ``frame0`` replaces the
+    identity as the initial orthonormal frame, 2x2 on the 2x2 path.
     """
-    d = system.dim
-    x = orbit.resolve_start(d)
+    x = orbit.resolve_start(system.dim)
     for _ in range(orbit.transient):
         x = system.step(x)
-    frame = np.eye(d) if frame0 is None else np.asarray(frame0, dtype=float).copy()
+    block = system.dim == 4 and hasattr(system, "advance")
+    frame = np.eye(2 if block else system.dim) if frame0 is None else np.asarray(frame0, float)
+    if block:
+        fixed = np.log(system.rates[:2])
+        logs = ((r[:, 0], det[0]) for r, det in _center_cocycle(system, x[None], frame[None, :, 0]))
+    else:
+        fixed = np.zeros(0)
+        logs = _benettin(system, x, frame)
     warmup = min(200, (orbit.length - orbit.transient) // 2)
     for _ in range(warmup):
-        frame, _ = _qr_step(system.jacobian(x), frame)
-        x = system.step(x)
-    sums = np.zeros(d)
+        next(logs)
+    sums = np.zeros(len(frame))
     log_det = 0.0
     steps = orbit.length - orbit.transient - warmup  # >= 1 as length > transient
     stride = max(1, steps // 200)
     history = []
     for t in range(1, steps + 1):
-        jac = system.jacobian(x)
-        frame, growth = _qr_step(jac, frame)
-        sums += np.log(growth)
-        log_det += np.log(np.abs(np.linalg.det(jac)))
-        x = system.step(x)
+        growth, det = next(logs)
+        sums += growth
+        log_det += det
         if t % stride == 0 or t == steps:
-            history.append((t, *(sums / t)))
+            history.append((t, *fixed, *(sums / t)))
     if not np.all(np.isfinite(sums)):
         raise OrbitDivergedError("non-finite Lyapunov sums; the map left the torus?")
     return LyapunovSpectrum(
-        exponents=np.sort(sums / steps)[::-1],
+        exponents=np.sort(np.concatenate((fixed, sums / steps)))[::-1],
         history=np.array(history),
-        log_det=log_det / steps,
-        length=orbit.length,
-        transient=orbit.transient,
-        start=orbit.resolve_start(d),
+        log_det=np.sum(fixed) + log_det / steps,
     )
 
 
@@ -184,50 +209,29 @@ def birkhoff_average(system, orbit: OrbitSpec, observable) -> RunningAverage:
     return RunningAverage(value=float(mean[0]), converged=bool(converged[0]))
 
 
-# -- single-direction bundle exponents ---------------------------------------
-
-_SEED_AXIS = {"uu": 0, "ss": 1, "cu": 2, "cs": 3}
-_PLANE = slice(2, 4)
+# -- center bundle exponents ---------------------------------------------------
 
 
-def bundle_exponent_batch(system, starts, length: int, transient: int, bundle: str):
-    """Birkhoff averages of log ||Df restricted to one bundle||, many orbits at once.
-
-    Forward bundles (uu, cu) propagate a seed along the forward orbit; the
-    contracting ones (cs, ss) along the backward orbit, with the sign flipped
-    so the value always refers to forward time.  "cs_ss", the top rate of the
-    contracting 2-plane, is the cs rate (see the module docstring).  Returns
-    (values, converged flags), one per row of ``starts``.
+def bundle_exponent_batch(system, starts, length: int, transient: int):
+    """The cu and cs exponents of many orbits at once, from one forward pass:
+    the averages over steps t >= transient of _center_cocycle's log R
+    diagonals, from the u axis.  Returns (values, converged flags), each of
+    shape (2, N): row 0 cu, row 1 cs, one column per row of ``starts``.
     """
-    if bundle == "cs_ss":
-        bundle = "cs"
-    if bundle not in _SEED_AXIS:
-        raise ValueError(f"unknown bundle {bundle!r}")
-    x = np.atleast_2d(np.asarray(starts, dtype=float)).copy()
-    tally = _Tally(x.shape[0], length, transient)
-    forward = bundle in ("uu", "cu")
-    full = bundle in ("uu", "ss")
-    seed = np.zeros(4)
-    seed[_SEED_AXIS[bundle]] = 1.0
-    vs = np.tile(seed if full else seed[_PLANE], (x.shape[0], 1))
-    for t in range(length):
-        x, m = system.advance(x, forward, full)
-        if forward:
-            w = np.einsum("nij,nj->ni", m, vs)
-        else:
-            w = np.linalg.solve(m, vs[:, :, None])[:, :, 0]
-        g = np.sqrt(np.add.reduce(w * w, axis=1))  # np.linalg.norm(w, axis=1), undispatched
-        tally.add(t, np.log(g) if forward else -np.log(g))
-        vs = w / g[:, None]
+    x = np.atleast_2d(np.asarray(starts, dtype=float))
+    tally = _Tally((2, x.shape[0]), length, transient)
+    seed = np.tile((1.0, 0.0), (x.shape[0], 1))
+    for t, (logs, _) in zip(range(length), _center_cocycle(system, x, seed)):
+        tally.add(t, logs)
     return tally.result()
 
 
-def bundle_exponent(system, orbit: OrbitSpec, bundle: str) -> RunningAverage:
-    """bundle_exponent_batch on the single orbit ``orbit``."""
+def bundle_exponent(system, orbit: OrbitSpec):
+    """bundle_exponent_batch on the single orbit ``orbit``: (cu, cs) averages."""
     mean, converged = bundle_exponent_batch(
-        system, orbit.resolve_start(system.dim)[None, :], orbit.length, orbit.transient,
-        bundle)
-    return RunningAverage(value=float(mean[0]), converged=bool(converged[0]))
+        system, orbit.resolve_start(system.dim)[None, :], orbit.length, orbit.transient)
+    return tuple(RunningAverage(value=float(m), converged=bool(c))
+                 for m, c in zip(mean[:, 0], converged[:, 0]))
 
 
 def push_forward(system, x, v, n: int):

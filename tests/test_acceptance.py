@@ -196,13 +196,12 @@ def test_06_cone_program(system, capfd):
 def test_07_lyapunov_signs(system, capfd):
     with criterion(7, 300.0, "cu > 0 and cs+ss < 0 on >= 99/100 orbits; 0 at p", capfd):
         starts = make_rng(107).random((100, 4))
-        cu, cu_ok = bundle_exponent_batch(system, starts, 100_000, 1000, "cu")
-        cs, cs_ok = bundle_exponent_batch(system, starts, 100_000, 1000, "cs_ss")
+        (cu, cs), (cu_ok, cs_ok) = bundle_exponent_batch(system, starts, 100_000, 1000)
         assert int(np.sum(cu > 0)) >= 99
         assert int(np.sum(cs < 0)) >= 99
         assert bool(np.all(cu_ok)) and bool(np.all(cs_ok))
-        at_p = bundle_exponent(
-            system, OrbitSpec(start=system.chart_p.center, length=2000, transient=0), "cu")
+        at_p, _ = bundle_exponent(
+            system, OrbitSpec(start=system.chart_p.center, length=2000, transient=0))
         assert abs(at_p.value) < 1e-6
 
 
@@ -258,8 +257,7 @@ def test_08_gibbs_integral_positivity(system, capfd):
         assert float(np.mean(cs_vals)) > 0.0  # cs inverse integral, same estimate
         assert slab.value <= 0.01 + 0.02
         orbit = OrbitSpec(start=None, seed=108, length=100_000, transient=1000)
-        cu = bundle_exponent(system, orbit, "cu")
-        cs = bundle_exponent(system, orbit, "cs")
+        cu, cs = bundle_exponent(system, orbit)
         assert cu.value > 0.0
         assert -cs.value > 0.0
 

@@ -1,4 +1,5 @@
 import ast
+import copy
 import filecmp
 import json
 import os
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,6 +82,26 @@ def test_lyapunov_small(tmp_path):
     assert report.all_passed
     assert (tmp_path / "bundle_exponents.csv").exists()
     assert (tmp_path / "lyapunov_history.gp").exists()
+
+
+def test_lyapunov_negative_control_pins_the_checks_that_see_the_deformation(system, tmp_path):
+    """lyapunov on f and on its twin with both cube coefs 0, where I_eps is the
+    identity and f = A.  Only the two checks at the fixed point p move, and
+    both fail on A: the other checks cannot tell f from A at this size (no
+    orbit meets a band), and the one forward pass still sees I_eps at p."""
+    twin = copy.copy(system)
+    twin.cubes = tuple(replace(cube, coef=0.0) for cube in system.cubes)
+    cfg = small()
+    checks = {}
+    for name, sys_ in (("f", system), ("A", twin)):
+        report = RunReport(task="lyapunov", seed=cfg.seed)
+        cli.run_lyapunov(cfg, report, str(tmp_path / name), sys_, n_orbits=20, orbit_length=400)
+        checks[name] = {c.name: (c.passed, c.value) for c in report.checks}
+    assert checks["f"].keys() == checks["A"].keys()
+    moved = {k for k in checks["f"] if checks["f"][k][1] != checks["A"][k][1]}
+    assert moved == {"cu-exponent-at-p", "pesin-excluded-at-p"}
+    assert all(passed for passed, _ in checks["f"].values())
+    assert {k for k, (passed, _) in checks["A"].items() if not passed} == moved
 
 
 def test_gibbs_small(tmp_path):
@@ -331,6 +353,13 @@ def test_main_rejects_bool_for_int(tmp_path, capsys, override, field):
     # a chart mesh of more than MAX_GRID_POINTS per side is refused before it is built
     ("verify-construction", {}, {**SMALL_CONSTRUCTION, "grid_points": 17}, "task.grid_points"),
     ("verify-construction", {}, {**SMALL_CONSTRUCTION, "grid_points": 100}, "task.grid_points"),
+    # auto_params selects n, m, k and eps1, so a value given beside it is refused, not
+    # dropped; so is a base_matrix beside a base_id
+    ("lyapunov", {"n": 3}, TINY, "system.n"),
+    ("lyapunov", {"m": 1}, TINY, "system.m"),
+    ("lyapunov", {"k": 3803}, TINY, "system.k"),
+    ("lyapunov", {"kind": "tilde", "eps1": 0.01}, TINY, "system.eps1"),
+    ("product-checks", {**PRODUCT, "base_matrix": [[13, 8], [8, 5]]}, {}, "system.base_matrix"),
 ])
 def test_main_bad_values_exit_2_naming_the_field(tmp_path, capsys, monkeypatch, subcommand,
                                                  system, task, field):

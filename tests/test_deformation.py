@@ -107,6 +107,46 @@ def test_to_chart_mask_nan_and_inf(system):
     assert not inside
 
 
+#: torus coordinates anywhere, and on either side of the 0/1 seam and of 1/2
+_UNIT_FLOATS = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.sampled_from([0.0, 2.0**-60, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                     1 - 2.0**-40, 1 - 2.0**-53]))
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_point_to_chart_is_to_chart_bitwise(system, data):
+    """point_to_chart gives a point the coordinate bits and the flag that
+    to_chart gives its row: on and one ulp either side of the cube faces, near
+    the cube, across the 0/1 seam, at displacements of exactly +-1/2 from the
+    center, anywhere, and with a NaN.  On the identity box at 0 the
+    coordinates are the point itself, so the faces +-w are met exactly."""
+    w = system.chart_p.half_width
+    exact = ChartBox(center=np.zeros(4), half_width=w, axes=np.eye(4))
+    box = data.draw(st.sampled_from([system.chart_p, system.chart_q, exact]), label="chart")
+    edge = [0.0, w, np.nextafter(w, 1.0), np.nextafter(w, 0.0)]
+    edge += [-v for v in edge[1:]]
+    rows = st.lists(st.one_of(st.sampled_from(edge), st.floats(-3 * w, 3 * w)),
+                    min_size=4, max_size=4)
+    near = box.from_chart(np.array(data.draw(st.lists(rows, min_size=1, max_size=20),
+                                             label="chart coordinates")))
+    anywhere = np.array(data.draw(st.lists(st.lists(_UNIT_FLOATS, min_size=4, max_size=4),
+                                           min_size=1, max_size=20), label="points"))
+    signs = np.array(list(itertools.product([-0.5, 0.0, 0.5], repeat=4)))
+    half = reduce_torus(box.center + signs)
+    nan = np.where(np.eye(4, dtype=bool), np.nan, near[:1])
+    pts = np.concatenate([near, anywhere, half, nan])
+    with np.errstate(invalid="ignore"):
+        coords, inside = box.to_chart(pts)
+    for x, want, flag in zip(pts, coords, inside):
+        got, got_flag = box.point_to_chart(x.tolist())
+        got = np.array(got)
+        assert got_flag == flag, x
+        assert np.array_equal(np.isnan(got), np.isnan(want)), x
+        assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes(), x
+
+
 @settings(max_examples=10)
 @given(data=st.data())
 def test_screen_is_conservative_across_param_caps(bump_bound, data):
@@ -491,31 +531,22 @@ def test_advance_matches_step_across_param_caps(bump, bump_bound, data):
         _assert_maps_match_oracle(system, oracle, pts[i])
 
 
-def _bundle_loop_oracle(system, starts, length, transient, bundle):
-    """The bundle_exponent_batch loop before advance: step or step_inverse
-    plus jacobian_chart each step, sliced to the bundle's block."""
+def _bundle_loop_oracle(system, starts, length, transient):
+    """The bundle_exponent_batch loop before advance: step plus jacobian_chart
+    each step, sliced to the (u, s) block, cu by einsum and norm from the u
+    axis, and the derived cs as log|ad - bc| - log g."""
     from phlab.ergodic import _Tally
 
-    if bundle == "cs_ss":
-        bundle = "cs"
     x = np.atleast_2d(np.asarray(starts, dtype=float)).copy()
-    tally = _Tally(x.shape[0], length, transient)
-    forward = bundle in ("uu", "cu")
-    block = slice(2, 4) if bundle in ("cu", "cs") else slice(0, 4)
-    seed = np.zeros(4)
-    seed[{"uu": 0, "ss": 1, "cu": 2, "cs": 3}[bundle]] = 1.0
-    vs = np.tile(seed[block], (x.shape[0], 1))
+    tally = _Tally((2, x.shape[0]), length, transient)
+    vs = np.tile((1.0, 0.0), (x.shape[0], 1))
     for t in range(length):
-        if forward:
-            m = system.jacobian_chart(x)[:, block, block]
-            w = np.einsum("nij,nj->ni", m, vs)
-            x = system.step(x)
-        else:
-            x = system.step_inverse(x)
-            m = system.jacobian_chart(x)[:, block, block]
-            w = np.linalg.solve(m, vs[:, :, None])[:, :, 0]
+        m = system.jacobian_chart(x)[:, 2:4, 2:4]
+        w = np.einsum("nij,nj->ni", m, vs)
+        x = system.step(x)
         g = np.linalg.norm(w, axis=1)
-        tally.add(t, np.log(g) if forward else -np.log(g))
+        log_det = np.log(np.abs(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]))
+        tally.add(t, np.stack((np.log(g), log_det - np.log(g))))
         vs = w / g[:, None]
     return tally.result()
 
@@ -533,11 +564,10 @@ def test_bundle_exponents_on_advance_match_former_loop(system, eps_tilde):
         sys_.chart_q.from_chart((rng.random((5, 4)) - 0.5) * 2 * half),
         [sys_.chart_p.center, sys_.chart_q.center],
     ])
-    for bundle in ("cu", "cs_ss", "uu", "ss"):
-        got = bundle_exponent_batch(sys_, starts, 400, 40, bundle)
-        want = _bundle_loop_oracle(sys_, starts, 400, 40, bundle)
-        assert np.array_equal(got[0], want[0]), bundle
-        assert np.array_equal(got[1], want[1]), bundle
+    got = bundle_exponent_batch(sys_, starts, 400, 40)
+    want = _bundle_loop_oracle(sys_, starts, 400, 40)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
 
 
 # DeformedSystem._cube_loop, _gradient and _solve before the in-cube trims,
@@ -859,9 +889,9 @@ def test_maps_match_boolean_mask_cube_loop(system, rng, eps_tilde):
 
 
 def test_one_row_advance_at_p_takes_the_point_loop(system, monkeypatch):
-    """A one-row advance at p screens in Python floats (no screen call) and
-    looks the p cube up once in either direction; a two-row batch still takes
-    the screened batch loop."""
+    """A one-row advance at p screens and charts in Python floats (no screen
+    or to_chart call) and looks the p cube up once in either direction; a
+    two-row batch still takes the screened batch loop."""
     calls = {}
 
     def counted(name, fn):
@@ -872,12 +902,15 @@ def test_one_row_advance_at_p_takes_the_point_loop(system, monkeypatch):
 
     monkeypatch.setattr(DeformedSystem, "screen", counted("screen", DeformedSystem.screen))
     monkeypatch.setattr(ChartBox, "to_chart", counted("to_chart", ChartBox.to_chart))
+    monkeypatch.setattr(ChartBox, "point_to_chart",
+                        counted("point_to_chart", ChartBox.point_to_chart))
     p = system.chart_p.center
-    for x, forward, want in ((p, True, (0, 1)), (p[None, :], True, (0, 1)),
-                             (p, False, (0, 1)), (np.stack([p, p]), True, (1, 1))):
-        calls.update(screen=0, to_chart=0)
+    for x, forward, want in ((p, True, (0, 0, 1)), (p[None, :], True, (0, 0, 1)),
+                             (p, False, (0, 0, 1)), (np.stack([p, p]), True, (1, 1, 0))):
+        calls.update(screen=0, to_chart=0, point_to_chart=0)
         system.advance(x, forward)
-        assert (calls["screen"], calls["to_chart"]) == want, (x.shape, forward)
+        got = (calls["screen"], calls["to_chart"], calls["point_to_chart"])
+        assert got == want, (x.shape, forward)
 
 
 def test_backward_advance_makes_one_cube_pass(system, monkeypatch):
@@ -968,10 +1001,10 @@ def test_bundle_exponent_at_p_pinned(system):
     log_half = -0.6931471805599112
     cases = ((system, 0.0, 0.0), (system.make_tilde(0.5), log_half, -log_half))
     for sys_, p_value, q_value in cases:
-        at_p = bundle_exponent(
-            sys_, OrbitSpec(start=sys_.chart_p.center, length=2000, transient=0), "cu")
-        at_q = bundle_exponent(
-            sys_, OrbitSpec(start=sys_.chart_q.center, length=2000, transient=0), "cs_ss")
+        at_p, _ = bundle_exponent(
+            sys_, OrbitSpec(start=sys_.chart_p.center, length=2000, transient=0))
+        _, at_q = bundle_exponent(
+            sys_, OrbitSpec(start=sys_.chart_q.center, length=2000, transient=0))
         assert at_p.value.hex() == p_value.hex() and at_p.converged
         assert at_q.value.hex() == q_value.hex() and at_q.converged
 

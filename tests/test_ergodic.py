@@ -15,7 +15,7 @@ from phlab.ergodic import (
     pesin_block_membership,
     push_forward,
 )
-from phlab.ergodic import _Tally
+from phlab.ergodic import _Tally, _center_cocycle
 from phlab.product import LinearSystem, build_product
 from phlab.torus import CAT_MAP, IntegerMatrix, ToralAutomorphism, cat_power_product
 
@@ -36,23 +36,32 @@ def test_orbit_spec_validation():
 
 def test_batch_rejects_length_within_transient(system):
     with pytest.raises(ValueError, match="transient"):
-        bundle_exponent_batch(system, np.zeros((2, 4)), 100, 200, "cu")
+        bundle_exponent_batch(system, np.zeros((2, 4)), 100, 200)
 
 
 def test_pure_A_spectrum_exact(pure_A, rng):
-    spec = lyapunov_spectrum(pure_A, OrbitSpec(start=rng.random(4), length=3000,
-                                               transient=10))
-    assert np.max(np.abs(spec.exponents - expected_logs(pure_A))) < 1e-10
-    assert abs(spec.total) < 1e-10  # volume preserving
+    """On T^4 (the 2x2 center path) and on the cat map of T^2 (Benettin)."""
+    for sys_ in (pure_A, LinearSystem(ToralAutomorphism(CAT_MAP))):
+        spec = lyapunov_spectrum(sys_, OrbitSpec(start=rng.random(sys_.dim), length=3000,
+                                                 transient=10))
+        assert np.max(np.abs(spec.exponents - expected_logs(sys_))) < 1e-10
+        assert abs(spec.total) < 1e-10  # volume preserving
+
+
+def _cat_product():
+    return build_product(LinearSystem(ToralAutomorphism(IntegerMatrix(CAT_MAP).power(3))),
+                         ToralAutomorphism(CAT_MAP))
 
 
 def test_spectrum_frame_invariance(pure_A, rng):
-    """Two random orthonormal frames on the same orbit give the same exponents."""
+    """Two random orthonormal frames on the same orbit give the same exponents,
+    on the 2x2 path (frames of the (u, s) plane) and on the 4x4 path."""
     start = rng.random(4)
     orbit = OrbitSpec(start=start, length=2000, transient=0)
-    frames = [np.linalg.qr(make_rng(77, w).standard_normal((4, 4)))[0] for w in range(2)]
-    specs = [lyapunov_spectrum(pure_A, orbit, frame0=f) for f in frames]
-    assert np.max(np.abs(specs[0].exponents - specs[1].exponents)) < 1e-9
+    for sys_, d in ((pure_A, 2), (_cat_product(), 4)):
+        frames = [np.linalg.qr(make_rng(77, w).standard_normal((d, d)))[0] for w in range(2)]
+        specs = [lyapunov_spectrum(sys_, orbit, frame0=f) for f in frames]
+        assert np.max(np.abs(specs[0].exponents - specs[1].exponents)) < 1e-9
 
 
 def test_deformed_spectrum_at_p(system):
@@ -75,6 +84,9 @@ def test_tilde_spectrum_at_fixed_points(tilde):
 
 
 def test_spectrum_sum_matches_log_det(system, rng):
+    """The exponents add up to the average of log|det Df| over the same steps,
+    the ambient 4x4 determinant; log_det is log luu + log lss plus the
+    average of log|ad - bc| of the chart's (u, s) block, in step order."""
     start = rng.random(4)
     orbit = OrbitSpec(start=start, length=4000, transient=100)
     spec = lyapunov_spectrum(system, orbit)
@@ -82,86 +94,192 @@ def test_spectrum_sum_matches_log_det(system, rng):
     x = start.copy()
     for _ in range(orbit.length - steps):
         x = system.step(x)
-    acc = []
+    acc, center = [], 0.0
     for _ in range(steps):
         acc.append(np.log(np.abs(np.linalg.det(system.jacobian(x)))))
+        (a, b), (c, d) = system.jacobian_chart(x)[2:, 2:]
+        center += np.log(np.abs(a * d - b * c))
         x = system.step(x)
     assert abs(spec.total - math.fsum(acc) / steps) < 1e-8
-    assert spec.log_det == sum(acc) / steps  # same steps, same summation order
+    assert spec.log_det == math.log(system.luu) + math.log(system.lss) + center / steps
 
 
-def _pair_exponent_oracle(system, starts, length, transient):
-    """The generic cs_ss path: a backward 2-frame seeded on (ss, s), propagated
-    by the inverse 4x4 chart Jacobian with QR; the growth of its second (slower)
-    direction gives the top forward rate of the cs + ss plane."""
+class _Benettin:
+    """A system seen through step and jacobian only, which lyapunov_spectrum
+    runs on the 4x4 Benettin path."""
+
+    def __init__(self, system):
+        self.dim, self.step, self.jacobian = system.dim, system.step, system.jacobian
+
+
+def _band_starts(sys_, rng, n):
+    """n chart points of each cube's band, |k y| < delta and r < delta, on the
+    torus: the only points whose (u, s) block is not diag(lu, ls)."""
+    delta, k = sys_.params.delta, sys_.params.k
+    out = []
+    for cube in sys_.cubes:
+        coords = (rng.random((n, 4)) - 0.5) * (2 * delta / np.sqrt(3))  # r < delta
+        coords[:, cube.j] = (rng.random(n) - 0.5) * (2 * delta / k)
+        out.append(cube.chart.from_chart(coords))
+    pts = np.concatenate(out)
+    blocks = sys_.jacobian_chart(pts)[:, 2:, 2:]
+    assert not np.any(np.all(blocks == np.diag(sys_.rates[2:]), axis=(1, 2)))
+    return pts
+
+
+def _center_qr_oracle(system, starts, length, transient):
+    """Forward 2x2 QR of the (u, s) block of jacobian_chart along step, by
+    np.linalg.qr, from the frame e_u, e_s: the tallies of log r11 and log |r22|."""
     x = np.array(starts, dtype=float)
-    frames = np.broadcast_to(np.eye(4)[:, [1, 3]], (len(x), 4, 2)).copy()
-    tally = _Tally(len(x), length, transient)
+    frames = np.broadcast_to(np.eye(2), (len(x), 2, 2)).copy()
+    tally = _Tally((2, len(x)), length, transient)
     for t in range(length):
-        x = system.step_inverse(x)
-        q, r = np.linalg.qr(np.linalg.inv(system.jacobian_chart(x)) @ frames)
+        q, r = np.linalg.qr(system.jacobian_chart(x)[:, 2:, 2:] @ frames)
         diag = np.diagonal(r, axis1=-2, axis2=-1)
         frames = q * np.where(diag < 0, -1.0, 1.0)[:, None, :]
-        tally.add(t, -np.log(np.abs(diag[:, 1])))
+        tally.add(t, np.log(np.abs(diag.T)))
+        x = system.step(x)
     return tally.result()
 
 
 @pytest.mark.parametrize("which", ["system", "tilde"])
-def test_cs_ss_matches_generic_pair_exponent_bitwise(which, request):
-    """On the block-triangular chart Jacobian the 2x2 center solve reproduces
-    the 4x4 inverse + QR 2-frame exactly, in the charts and outside them."""
+def test_derived_cs_matches_forward_qr_oracle(which, request):
+    """In exact arithmetic log|det B| - log|B v| is the second R diagonal of
+    the 2x2 QR, so the derived cs (and cu, the first) match a generic forward
+    QR to rounding, on orbits that start in the band of either cube."""
     sys_ = request.getfixturevalue(which)
-    rng = make_rng(31)
-    half = 2.0 * sys_.params.delta
-    starts = np.concatenate([
-        rng.random((6, 4)),
-        sys_.chart_p.from_chart((rng.random((5, 4)) - 0.5) * 2 * half),
-        sys_.chart_q.from_chart((rng.random((5, 4)) - 0.5) * 2 * half),
-    ])
+    starts = _band_starts(sys_, make_rng(31), 6)
+    for length, transient in ((300, 0), (2000, 0), (2000, 200)):
+        got, _ = bundle_exponent_batch(sys_, starts, length, transient)
+        want, _ = _center_qr_oracle(sys_, starts, length, transient)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+class _RandomCocycle:
+    """A stand-in system whose advance returns full random 2x2 blocks, which
+    the deformed map never has (its center block is triangular in each cube):
+    rotations times diag(singular values in [1/2, 2]) times rotations, so that
+    log|det| is well conditioned."""
+
+    def __init__(self, n):
+        self.rng = make_rng(43)
+        self.n = n
+
+    def advance(self, x, forward, full):
+        c, s = (f(self.rng.random((2, self.n)) * 2 * np.pi) for f in (np.cos, np.sin))
+        rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)  # (2, n, 2, 2)
+        sigma = self.rng.uniform(0.5, 2.0, (self.n, 2))
+        return x, rot[0] * sigma[:, None, :] @ rot[1]
+
+
+def test_center_cocycle_on_full_blocks():
+    """On arbitrary 2x2 blocks the forward pass keeps the bits of the einsum
+    and norm loop for log g, and at every step its second row is the second R
+    diagonal of np.linalg.qr on the frame (v, v rotated by 90 degrees), and
+    log|det B| that of np.linalg.det, to rounding."""
+    n = 50
+    logs = _center_cocycle(_RandomCocycle(n), np.zeros((n, 4)), np.tile((0.6, 0.8), (n, 1)))
+    replay = _RandomCocycle(n)
+    v = np.tile((0.6, 0.8), (n, 1))
+    for _ in range(200):
+        (got, log_det), (_, b) = next(logs), replay.advance(None, True, False)
+        frames = np.stack([v, v @ np.array([[0.0, 1.0], [-1.0, 0.0]])], axis=2)
+        r22 = np.linalg.qr(b @ frames)[1][:, 1, 1]
+        w = np.einsum("nij,nj->ni", b, v)
+        g = np.linalg.norm(w, axis=1)
+        assert got[0].tobytes() == np.log(g).tobytes()
+        assert np.max(np.abs(got[1] - np.log(np.abs(r22)))) < 1e-14
+        assert np.max(np.abs(log_det - np.log(np.abs(np.linalg.det(b))))) < 1e-14
+        v = w / g[:, None]
+
+
+def _backward_cs_oracle(system, starts, length, transient):
+    """The former backward cs estimator: a seed on the s axis propagated along
+    the backward orbit by solving with the (u, s) block, -log of its growth
+    tallied."""
+    x = np.atleast_2d(np.asarray(starts, dtype=float)).copy()
+    tally = _Tally(x.shape[0], length, transient)
+    vs = np.tile((0.0, 1.0), (x.shape[0], 1))
+    for t in range(length):
+        x, m = system.advance(x, False, False)
+        w = np.linalg.solve(m, vs[:, :, None])[:, :, 0]
+        g = np.sqrt(np.add.reduce(w * w, axis=1))
+        tally.add(t, -np.log(g))
+        vs = w / g[:, None]
+    return tally.result()
+
+
+@pytest.mark.parametrize("which", ["system", "tilde"])
+def test_derived_cs_matches_backward_estimator_off_band(which, request):
+    """Off the bands the center block is diag(lu, ls) at every step, so the
+    derived cs has the bits of the former backward estimator, flags included."""
+    sys_ = request.getfixturevalue(which)
+    starts = make_rng(31).random((16, 4))
     for length, transient in ((300, 30), (2000, 200)):
-        got = bundle_exponent_batch(sys_, starts, length, transient, "cs_ss")
-        want = _pair_exponent_oracle(sys_, starts, length, transient)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        got = bundle_exponent_batch(sys_, starts, length, transient)
+        want = _backward_cs_oracle(sys_, starts, length, transient)
+        assert np.array_equal(got[0][1], want[0])
+        assert np.array_equal(got[1][1], want[1])
+
+
+@pytest.mark.parametrize("which", ["system", "tilde"])
+def test_center_spectrum_matches_benettin(which, request):
+    """The 2x2 spectrum with the exact log luu, log lss against the 4x4
+    Benettin scheme on the ambient Df, at band starts of both cubes and at
+    random starts.  From the frame (u, s, uu, ss) the 4x4 QR is the 2x2 one
+    with R diagonals luu, lss in exact arithmetic, step by step, so a one-step
+    orbit (no warm-up: the band step itself) agrees to rounding; from the
+    identity frame the two agree once the warm-up has spun the frames."""
+    sys_ = request.getfixturevalue(which)
+    aligned = sys_.chart_p.axes[:, [2, 3, 0, 1]]
+    starts = np.concatenate([_band_starts(sys_, make_rng(37), 3), make_rng(37).random((2, 4))])
+    for start in starts:
+        for length in (1, 800):
+            orbit = OrbitSpec(start=start, length=length, transient=0)
+            block = lyapunov_spectrum(sys_, orbit)
+            full = lyapunov_spectrum(_Benettin(sys_), orbit, frame0=aligned)
+            assert np.max(np.abs(block.exponents - full.exponents)) < 1e-12
+            assert abs(block.log_det - full.log_det) < 1e-12
+            if length > 1:
+                full = lyapunov_spectrum(_Benettin(sys_), orbit)
+                assert np.max(np.abs(block.exponents - full.exponents)) < 1e-9
 
 
 def test_bundle_exponents_pure_A(pure_A, rng):
+    """cu and cs from the forward pass, and the spectrum's exact uu and ss
+    logs, are the logs of A's eigenvalues."""
     logs = expected_logs(pure_A)
     orbit = OrbitSpec(start=rng.random(4), length=1500, transient=100)
-    assert abs(bundle_exponent(pure_A, orbit, "uu").value - logs[0]) < 1e-12
-    assert abs(bundle_exponent(pure_A, orbit, "cu").value - logs[1]) < 1e-12
-    assert abs(bundle_exponent(pure_A, orbit, "cs").value - logs[2]) < 1e-12
-    assert abs(bundle_exponent(pure_A, orbit, "ss").value - logs[3]) < 1e-12
-    assert abs(bundle_exponent(pure_A, orbit, "cs_ss").value - logs[2]) < 1e-12
+    cu, cs = bundle_exponent(pure_A, orbit)
+    assert abs(cu.value - logs[1]) < 1e-12
+    assert abs(cs.value - logs[2]) < 1e-12
+    spec = lyapunov_spectrum(pure_A, orbit)
+    assert abs(spec.exponents[0] - logs[0]) < 1e-12
+    assert abs(spec.exponents[3] - logs[3]) < 1e-12
 
 
 def test_bundle_exponent_at_p_is_zero(system):
-    res = bundle_exponent(system, OrbitSpec(start=system.chart_p.center,
-                                            length=500, transient=0), "cu")
+    res, _ = bundle_exponent(system, OrbitSpec(start=system.chart_p.center,
+                                               length=500, transient=0))
     assert abs(res.value) < 1e-12 and res.converged
 
 
 def test_bundle_signs_random_orbits(system):
     starts = make_rng(9).random((10, 4))
-    cu, cu_ok = bundle_exponent_batch(system, starts, 10_000, 200, "cu")
-    cs, cs_ok = bundle_exponent_batch(system, starts, 10_000, 200, "cs_ss")
+    (cu, cs), (cu_ok, cs_ok) = bundle_exponent_batch(system, starts, 10_000, 200)
     assert np.all(cu > 0) and np.all(cs < 0)
     assert np.all(cu_ok) and np.all(cs_ok)
 
 
 def test_bundle_sum_consistent_with_spectrum(system, rng):
-    """The four bundle exponents add up to the full spectrum sum."""
+    """The four bundle exponents, log luu, log lss and the forward pass's cu
+    and cs, add up to the sum of the 4x4 Benettin spectrum."""
     start = rng.random(4)
     orbit = OrbitSpec(start=start, length=20_000, transient=200)
-    total = sum(bundle_exponent(system, orbit, b).value
-                for b in ("uu", "cu", "cs", "ss"))
-    spec = lyapunov_spectrum(system, orbit)
+    cu, cs = bundle_exponent(system, orbit)
+    total = math.log(system.luu) + math.log(system.lss) + cu.value + cs.value
+    spec = lyapunov_spectrum(_Benettin(system), orbit)
     assert abs(total - spec.total) < 1e-2
-
-
-def test_bundle_rejects_unknown(system):
-    with pytest.raises(ValueError):
-        bundle_exponent(system, OrbitSpec(length=200, transient=10), "zz")
 
 
 def test_birkhoff_constant_observable(system, rng):
@@ -249,8 +367,7 @@ def _push_forward_oracle(system, x, v, n):
 
 
 def test_push_forward_matches_linalg_norm_loop_bitwise(system, rng):
-    product = build_product(LinearSystem(ToralAutomorphism(IntegerMatrix(CAT_MAP).power(3))),
-                            ToralAutomorphism(CAT_MAP))
+    product = _cat_product()
     for sys_, starts, n in ((system, [rng.random(4), system.chart_p.center,
                                       system.chart_q.center], 300),
                             (product, [rng.random(4), rng.random(4)], 2000)):
