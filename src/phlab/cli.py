@@ -404,8 +404,9 @@ def run_gibbs(config: ExperimentConfig, report: RunReport, out_dir: str, system,
                "time average of log|det Df^{-1} restricted to F^cs|")
 
     chart = system.chart_p
+    # point_to_chart gives each orbit point to_chart's flag, on Python floats
     occupancy = birkhoff_average(
-        system, orbit, lambda x: float(chart.to_chart(x)[1]))
+        system, orbit, lambda x: float(chart.point_to_chart(x.tolist())[1]))
     report.add("chart-occupancy-birkhoff", occupancy.value <= 0.01 + 0.02,
                occupancy.value, "<= 0.03",
                "orbit time in the p-cube vs the Lebesgue budget")

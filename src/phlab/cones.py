@@ -16,6 +16,7 @@ invariant (u, s) coordinate 2-plane of the deformed systems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,18 +214,20 @@ class SplittingEstimate:
 
 
 def _push(mats, seed):
-    """Push ``seed`` through mats[0], mats[1], ..., normalizing after each."""
-    v = seed / np.linalg.norm(seed)
+    """Push ``seed`` through mats[0], mats[1], ..., normalizing after each.
+    Norms are math.sqrt(v.dot(v)), np.linalg.norm's own 1-D formula."""
+    v = seed / math.sqrt(seed.dot(seed))
     for m in mats:
         v = m @ v
-        v /= np.linalg.norm(v)
+        v /= math.sqrt(v.dot(v))
     return v
 
 
 def _aligned_residual(v, w):
     s = np.sign(np.dot(v, w))
     s = 1.0 if s == 0 else s
-    return float(np.linalg.norm(v - s * w))
+    d = v - s * w
+    return math.sqrt(d.dot(d))
 
 
 def extract_splitting(system, x, n_iter: int = 60) -> SplittingEstimate:

@@ -32,12 +32,17 @@ plus half a cell diagonal), and two gathers and an & give every row its
 candidate cubes; most steps have none and return at once.  Only candidate
 rows are looked up in a chart (ChartBox.to_chart, elementwise on the 2x2
 blocks, so a row rounds the same alone and in any batch; a matmul would not),
-and moved and filled through index arrays.  A one-row input takes the point
-loop (_point_loop): the same screen cells, then each operation of to_chart
-and of the cube in its batch order on Python floats (np.exp for the bump's
-exponentials, _solve on one-element arrays).  So a single point, or a (1, 4)
-batch as bundle_exponent runs, gets the bits of its row in any batch, up to
-the matmul of A (ToralAutomorphism.apply), which still rounds by batch.
+and moved and filled through index arrays.
+
+A single point, shape (4,), never builds a batch: advance, step,
+step_inverse, deform, deform_inverse and jacobian_chart hand it to the
+one-row kernel advance_point (or its cube pass _point_cubes) as four Python
+floats.  Everything but A's one-row matmul (ToralAutomorphism.apply_point)
+runs in floats: reduce_torus as reduce_point, the same screen cells, then
+each operation of to_chart and of the cube in its batch order (np.exp for the
+bump's exponentials, _solve on one-element arrays).  So a point gets the bits
+of its (1, 4) batch, which takes the batch loop, and of its row in any batch
+up to the matmul of A, which still rounds by batch.
 
 The loop moves the points inside and, with a Jacobian, takes row j of Df
 from the same s, s' values in both directions: grad F at the field point z,
@@ -89,6 +94,7 @@ from .torus import (
     cat_power_product,
     enumerate_periodic,
     periodic_order,
+    reduce_point,
     reduce_torus,
     torus_displacement,
     torus_distance,
@@ -276,6 +282,7 @@ class DeformedSystem:
         self.rates = np.array([luu, lss, lu, ls])
         # Df outside both cubes, as the 4x4 (lo = 0) and the (u, s) block (lo = 2)
         self._diag = {lo: np.diag(self.rates[lo:]) for lo in (0, 2)}
+        self._diag_rows = {lo: d.tolist() for lo, d in self._diag.items()}
         self.luu, self.lss, self.lu, self.ls = luu, lss, lu, ls
         et = params.eps_tilde
         self.cubes = (
@@ -402,7 +409,9 @@ class DeformedSystem:
         as screen_cells gives.  Bit i of a cell is set when its centre is
         within cube i's half-width, plus half the cell diagonal and a rounding
         margin, in both chart coordinates of the factor.  Built on first use:
-        the systems search_params rejects are never stepped.
+        the systems search_params rejects are never stepped.  Each is a
+        read-only view of a bytes object (_screen_bytes), which one point's
+        screen indexes as Python ints.
         """
         side = SCREEN_SIDE
         mid = (np.arange(side) + 0.5) / side
@@ -413,7 +422,7 @@ class DeformedSystem:
             for table, f in zip(tables, (slice(0, 2), slice(2, 4))):
                 coords = torus_displacement(centres, cube.chart.center[f]) @ cube.chart.axes[f, f]
                 table[:, :side][(np.abs(coords) <= reach).all(axis=-1).T] |= bit
-        return tuple(t.ravel() for t in tables)
+        return tuple(np.frombuffer(t.tobytes(), np.uint8) for t in tables)
 
     def screen(self, pts):
         """Cube bits of reduced points pts (N, 4): bit i (CUBE_BITS) is set on
@@ -435,16 +444,12 @@ class DeformedSystem:
         to rows and columns lo..3 (lo = 0 the 4x4, lo = 2 the (u, s) block),
         with row j of each point in a cube that of Df at the forward input
         point (pts forward, its image backward): grad F, or its implicit row
-        at q, at the field point z, from the same bump values.  A one-row pts
-        takes _point_loop, the same arithmetic in Python floats.
+        at q, at the field point z, from the same bump values.
         """
         jac = None
         if lo is not None:
             jac = np.empty((pts.shape[0], 4 - lo, 4 - lo))
             jac[...] = self._diag[lo]
-        if pts.shape[0] == 1:
-            self._point_loop(pts, forward, jac, lo)
-            return jac
         bits = self.screen(pts)
         cand = bits.nonzero()[0]
         if not cand.size:
@@ -481,6 +486,11 @@ class DeformedSystem:
             pts[at] = reduce_torus(pts[at] + shift)
         return jac
 
+    @cached_property
+    def _screen_bytes(self):
+        """The bytes objects under screen_tables."""
+        return tuple(t.base for t in self.screen_tables)
+
     def _point_bits(self, x):
         """screen on one reduced point x, four floats: the same cells (a NaN
         in the last one, as screen_cells), read by Python ints."""
@@ -488,18 +498,21 @@ class DeformedSystem:
         for v in x:
             v *= SCREEN_SIDE
             cells.append(int(v) if v < SCREEN_SIDE - 1 else SCREEN_SIDE - 1)
-        uu_ss, u_s = self.screen_tables
-        return int(uu_ss[cells[0] + 256 * cells[1]] & u_s[cells[2] + 256 * cells[3]])
+        uu_ss, u_s = self._screen_bytes
+        return uu_ss[cells[0] + 256 * cells[1]] & u_s[cells[2] + 256 * cells[3]]
 
-    def _point_loop(self, pts, forward, jac, lo):
-        """_cube_loop on a one-row pts, in Python floats: each operation of the
-        batch code in its order, so the bits of its row in any batch, the
-        chart lookup included (point_to_chart).  Only the exponentials of the
-        bump band and the root solve (on one-element arrays) stay numpy.
-        Fills row j of jac[0] at the field point, as _cube_loop does.
+    def _point_cubes(self, x, forward, lo=None):
+        """_cube_loop on one reduced point x, a list of four floats, in Python
+        floats: each operation of the batch code in its order, so the bits of
+        its row in any batch, the chart lookup included (point_to_chart).
+        Only the exponentials of the bump band and the root solve (on
+        one-element arrays) stay numpy.  Moves x in place; with ``lo``
+        returns _cube_loop's jac for the point as lists of floats (rows).
         """
-        x = pts[0].tolist()
+        rows = None if lo is None else list(self._diag_rows[lo])  # rows are replaced, not changed
         bits = self._point_bits(x)
+        if not bits:
+            return rows
         k = self.params.k
         for bit, cube in zip(CUBE_BITS, self.cubes):
             if not bits & bit:
@@ -518,7 +531,7 @@ class DeformedSystem:
             else:
                 new, sky, dsky = (v.item() for v in self._solve(cube, np.array([y]), np.array([sr])))
                 z = new
-            if jac is not None:  # _gradient at the field point z
+            if rows is not None:  # _gradient at the field point z
                 common = sky * z * cube.coef * dsr / r if r > 0 else 0.0
                 row = [common * v for v in c]
                 row[j] = self._field_dy(cube, k * z, sky, dsky, sr)
@@ -526,20 +539,40 @@ class DeformedSystem:
                     rate, dj = -self.rates[j].item(), row[j]
                     row = [rate * v / dj for v in row]
                     row[j] = 1.0 / dj
-                jac[0, j - lo] = row[lo:]
+                rows[j - lo] = row[lo:]
             d = new - y
             for i, a in enumerate(cube.column):  # reduce_torus(x + d * axis j)
                 v = x[i] + d * a
                 v -= math.floor(v)
                 x[i] = 0.0 if v >= 1.0 else v
-            pts[0] = x
+        return rows
+
+    def advance_point(self, x, forward=True, lo=None):
+        """The one-row kernel: advance on one point x, a sequence of four
+        floats, returning the image as a list of four floats and, with
+        ``lo``, Df's rows and columns lo..3 as lists (lo = 2 the (u, s)
+        block, lo = 0 the 4x4), else None.  Everything but A's one-row
+        matmul (ToralAutomorphism.apply_point) runs on Python floats:
+        reduce_torus as reduce_point, then the cube pass _point_cubes.  So
+        the point gets the bits of a (1, 4) batch through advance.
+        """
+        if forward:
+            x = reduce_point(x)
+            rows = self._point_cubes(x, True, lo)
+            return self.auto.apply_point(x), rows
+        x = self.auto.apply_point(x, inverse=True)
+        return x, self._point_cubes(x, False, lo)
 
     def _deform(self, x, forward):
         """I_eps (forward) or its inverse: the cube loop without Jacobian rows."""
         x = np.asarray(x, dtype=float)
-        pts = reduce_torus(np.atleast_2d(x))
+        if x.ndim == 1:
+            pt = reduce_point(x.tolist())
+            self._point_cubes(pt, forward)
+            return np.array(pt)
+        pts = reduce_torus(x)
         self._cube_loop(pts, forward)
-        return pts[0] if x.ndim == 1 else pts
+        return pts
 
     def deform(self, x):
         """I_eps: changes c inside the p-cube, d inside the q-cube, else identity."""
@@ -552,10 +585,16 @@ class DeformedSystem:
 
     def step(self, x):
         """f = A o I_eps."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return np.array(self.advance_point(x.tolist())[0])
         return self.auto.apply(self.deform(x))
 
     def step_inverse(self, x):
         """f^{-1} = I_eps^{-1} o A^{-1}."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return np.array(self.advance_point(x.tolist(), False)[0])
         return self.deform_inverse(self.auto.apply_inverse(x))
 
     def advance(self, x, forward=True, full=False):
@@ -566,21 +605,21 @@ class DeformedSystem:
         4x4 chart Jacobian.  All is bit for bit step / step_inverse and
         jacobian_chart, except backward Df's in-cube rows: taken at the field
         point in hand, they differ from jacobian_chart at the preimage, which
-        looks it up again, by up to 1e-9 relative on the shipped system and
-        more at large k (module docstring).
+        looks it up again, by the rounding of the field point times the row's
+        slope in it (module docstring).  A single point takes advance_point.
         """
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
         lo = 0 if full else 2
+        if x.ndim == 1:
+            out, rows = self.advance_point(x.tolist(), forward, lo)
+            return np.array(out), np.array(rows)
         if forward:
-            pts = reduce_torus(np.atleast_2d(x))
+            pts = reduce_torus(x)
             jac = self._cube_loop(pts, True, lo)
-            out = self.auto.apply(pts[0] if single else pts)
-        else:
-            # apply_inverse already reduces; atleast_2d views its fresh output
-            out = self.auto.apply_inverse(x)
-            jac = self._cube_loop(np.atleast_2d(out), False, lo)
-        return out, (jac[0] if single else jac)
+            return self.auto.apply(pts), jac
+        # apply_inverse already reduces into a fresh array
+        out = self.auto.apply_inverse(x)
+        return out, self._cube_loop(out, False, lo)
 
     def jacobian_chart(self, x):
         """Analytic Df in the global eigenbasis, shape (..., 4, 4).
@@ -590,8 +629,9 @@ class DeformedSystem:
         In a cube only row j differs: grad P at p, the implicit row at q.
         """
         x = np.asarray(x, dtype=float)
-        jac = self._cube_loop(reduce_torus(np.atleast_2d(x)), True, 0)
-        return jac[0] if x.ndim == 1 else jac
+        if x.ndim == 1:
+            return np.array(self._point_cubes(reduce_point(x.tolist()), True, 0))
+        return self._cube_loop(reduce_torus(x), True, 0)
 
     def jacobian(self, x):
         """Analytic Df in ambient coordinates (conjugated by the eigenbasis)."""

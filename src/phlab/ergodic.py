@@ -9,8 +9,15 @@ closed-form 2x2 QR: with w = B v, g = |w| and v renormalized to w / g each
 step, the log R diagonals are log g, whose average is the cu exponent, and
 log|det B| - log g, whose average is the derived cs exponent, the top rate of
 the contracting plane cs + ss.  The seed starts on the u axis; a transient
-prefix is discarded; a single orbit is a batch of one.  Any other system (a
-ProductSystem, a map of T^2) takes the QR (Benettin) scheme on the full Df.
+prefix is discarded.  Any other system (a ProductSystem, a map of T^2)
+takes the QR (Benettin) scheme on the full Df.
+
+A single orbit (bundle_exponent, a one-row bundle_exponent_batch, and the
+2x2 path of lyapunov_spectrum) runs on the system's one-row kernel
+advance_point: the QR (_point_cocycle) and the last-quarter tally
+(_PointTally) are the batch code's operations in its order on Python floats,
+so the same bits; only the two logs stay np.log, since math.log rounds
+differently.  Two or more rows take _center_cocycle and _Tally.
 
 Every orbit average carries a convergence flag: the mean of the last quarter
 of its per-step series (log|det B_t| - log g_t for the derived cs) must sit
@@ -72,14 +79,14 @@ class LyapunovSpectrum:
 
 
 def _benettin(system, x, frame):
-    """The QR steps of Df along the orbit of x: yields the log R diagonals and
-    log|det Df| of each step."""
+    """The QR steps of Df along the orbit of x: yields the log R diagonals (a
+    list of floats) and log|det Df| of each step."""
     while True:
         jac = system.jacobian(x)
         q, r = np.linalg.qr(jac @ frame)
         diag = np.diagonal(r)
         frame = q * np.where(diag < 0, -1.0, 1.0)
-        yield np.log(np.abs(diag)), np.log(np.abs(np.linalg.det(jac)))
+        yield np.log(np.abs(diag)).tolist(), np.log(np.abs(np.linalg.det(jac)))
         x = system.step(x)
 
 
@@ -105,10 +112,28 @@ def _center_cocycle(system, x, v):
         yield logs, log_det
 
 
+def _point_cocycle(system, x, v):
+    """_center_cocycle on one orbit, from the point x and the first frame
+    column v (each a sequence of floats), on system.advance_point: the same
+    operations in the same order on Python floats, so the same bits; only
+    the two logs stay np.log, which rounds apart from math.log.  Yields per
+    step the log R diagonals as a pair of floats and log|det B|."""
+    v0, v1 = v
+    while True:
+        x, ((b00, b01), (b10, b11)) = system.advance_point(x, True, 2)
+        w0 = b00 * v0 + b01 * v1
+        w1 = b10 * v0 + b11 * v1
+        g = math.sqrt(w0 * w0 + w1 * w1)
+        v0, v1 = w0 / g, w1 / g
+        log_g = float(np.log(g))
+        log_det = float(np.log(abs(b00 * b11 - b01 * b10)))
+        yield (log_g, log_det - log_g), log_det
+
+
 def lyapunov_spectrum(system, orbit: OrbitSpec, frame0=None) -> LyapunovSpectrum:
     """Full spectrum along one orbit, by QR with re-orthonormalization every step.
 
-    On T^4 with an ``advance``: log luu, log lss and _center_cocycle's 2x2 QR,
+    On T^4 with an ``advance``: log luu, log lss and _point_cocycle's 2x2 QR,
     with log_det = log luu + log lss + the average of log|det B|; otherwise
     the Benettin QR of Df, with the average of log|det Df|.  A frame warm-up of
     min(200, half the kept steps) spins the frame onto the Oseledets flag
@@ -116,7 +141,8 @@ def lyapunov_spectrum(system, orbit: OrbitSpec, frame0=None) -> LyapunovSpectrum
     seed-dependent O(1/n) offset even for constant Jacobians.  The history
     keeps the running estimates (luu, lss, cu, cs on the 2x2 path) every
     max(1, steps // 200) steps and at the last.  ``frame0`` replaces the
-    identity as the initial orthonormal frame, 2x2 on the 2x2 path.
+    identity as the initial orthonormal frame, 2x2 on the 2x2 path.  The
+    sums are Python floats, added as numpy would add them.
     """
     x = orbit.resolve_start(system.dim)
     for _ in range(orbit.transient):
@@ -125,28 +151,28 @@ def lyapunov_spectrum(system, orbit: OrbitSpec, frame0=None) -> LyapunovSpectrum
     frame = np.eye(2 if block else system.dim) if frame0 is None else np.asarray(frame0, float)
     if block:
         fixed = np.log(system.rates[:2])
-        logs = ((r[:, 0], det[0]) for r, det in _center_cocycle(system, x[None], frame[None, :, 0]))
+        logs = _point_cocycle(system, x.tolist(), frame[:, 0].tolist())
     else:
         fixed = np.zeros(0)
         logs = _benettin(system, x, frame)
     warmup = min(200, (orbit.length - orbit.transient) // 2)
     for _ in range(warmup):
         next(logs)
-    sums = np.zeros(len(frame))
+    sums = [0.0] * len(frame)
     log_det = 0.0
     steps = orbit.length - orbit.transient - warmup  # >= 1 as length > transient
     stride = max(1, steps // 200)
     history = []
     for t in range(1, steps + 1):
         growth, det = next(logs)
-        sums += growth
+        sums = [s + g for s, g in zip(sums, growth)]
         log_det += det
         if t % stride == 0 or t == steps:
-            history.append((t, *fixed, *(sums / t)))
+            history.append((t, *fixed, *(s / t for s in sums)))
     if not np.all(np.isfinite(sums)):
         raise OrbitDivergedError("non-finite Lyapunov sums; the map left the torus?")
     return LyapunovSpectrum(
-        exponents=np.sort(np.concatenate((fixed, sums / steps)))[::-1],
+        exponents=np.sort(np.concatenate((fixed, np.array(sums) / steps)))[::-1],
         history=np.array(history),
         log_det=np.sum(fixed) + log_det / steps,
     )
@@ -197,6 +223,34 @@ class _Tally:
         return mean, np.abs(q_mean - mean) <= 3.0 * se + floor
 
 
+class _PointTally(_Tally):
+    """_Tally on one orbit's pair of series, shape (2, 1): the sums are Python
+    floats, added in _Tally.add's order, so result() has the same bits."""
+
+    def __init__(self, length, transient):
+        super().__init__((2, 1), length, transient)
+        self.sums = [0.0] * 6  # total, q_sum, q_sq for each series
+
+    def add(self, t, vals):
+        if t < self.transient:
+            return
+        a, b = vals
+        s = self.sums
+        s[0] += a
+        s[1] += b
+        self.kept += 1
+        if t >= self.q_start:
+            s[2] += a
+            s[3] += b
+            s[4] += a * a
+            s[5] += b * b
+            self.q_kept += 1
+
+    def result(self):
+        self.total, self.q_sum, self.q_sq = np.array(self.sums).reshape(3, 2, 1)
+        return super().result()
+
+
 def birkhoff_average(system, orbit: OrbitSpec, observable) -> RunningAverage:
     """Cesaro average of a bounded observable along the orbit, after burn-in."""
     tally = _Tally(1, orbit.length, orbit.transient)
@@ -216,13 +270,19 @@ def bundle_exponent_batch(system, starts, length: int, transient: int):
     """The cu and cs exponents of many orbits at once, from one forward pass:
     the averages over steps t >= transient of _center_cocycle's log R
     diagonals, from the u axis.  Returns (values, converged flags), each of
-    shape (2, N): row 0 cu, row 1 cs, one column per row of ``starts``.
+    shape (2, N): row 0 cu, row 1 cs, one column per row of ``starts``.  A
+    single row runs on Python floats (_point_cocycle, _PointTally), with the
+    bits of the batch code.
     """
     x = np.atleast_2d(np.asarray(starts, dtype=float))
-    tally = _Tally((2, x.shape[0]), length, transient)
-    seed = np.tile((1.0, 0.0), (x.shape[0], 1))
-    for t, (logs, _) in zip(range(length), _center_cocycle(system, x, seed)):
-        tally.add(t, logs)
+    if x.shape[0] == 1:
+        tally = _PointTally(length, transient)
+        logs = _point_cocycle(system, x[0].tolist(), (1.0, 0.0))
+    else:
+        tally = _Tally((2, x.shape[0]), length, transient)
+        logs = _center_cocycle(system, x, np.tile((1.0, 0.0), (x.shape[0], 1)))
+    for t, (vals, _) in zip(range(length), logs):
+        tally.add(t, vals)
     return tally.result()
 
 

@@ -56,6 +56,7 @@ class LinearSystem:
         # the chart Jacobian: the rates, signed as A acts on each axis
         self._jac_chart = np.diag(self.rates * np.sign(
             np.diag(self.axes.T @ self._jac @ self.axes)))
+        self._jac_chart_rows = self._jac_chart.tolist()
 
     def step(self, x):
         return self.auto.apply(x)
@@ -78,6 +79,13 @@ class LinearSystem:
         out = self.step(x) if forward else self.step_inverse(x)
         jac = self.jacobian_chart(out)
         return out, (jac if full else jac[..., 2:4, 2:4])
+
+    def advance_point(self, x, forward=True, lo=None):
+        """The one-row kernel, as DeformedSystem.advance_point: A x (A^-1 x)
+        for one point x of floats as a list of floats, and with ``lo`` the
+        constant chart Jacobian's rows and columns lo.. as lists."""
+        out = self.auto.apply_point(x, inverse=not forward)
+        return out, (None if lo is None else [r[lo:] for r in self._jac_chart_rows[lo:]])
 
     @property
     def chart_p(self):

@@ -38,6 +38,23 @@ def reduce_torus(x):
     return out
 
 
+def reduce_point(x):
+    """reduce_torus on one point, a sequence of Python floats, as a list of
+    floats: the same x - floor(x) and 1.0 -> 0.0, so the same bits.  A zero
+    difference is +0.0 there, also from x = -0.0, where the int floor would
+    leave -0.0.  A NaN or an infinity, which math.floor refuses, goes through
+    reduce_torus itself, so it gives NaN (or raises) as numpy's error state
+    says."""
+    out = []
+    try:
+        for v in x:
+            v -= math.floor(v)
+            out.append(v if 0.0 < v < 1.0 else 0.0)
+    except (ValueError, OverflowError):
+        return reduce_torus(np.array(x, dtype=float)).tolist()
+    return out
+
+
 def torus_displacement(x, y):
     """Shortest displacement vector from y to x on the torus, in [-1/2, 1/2]."""
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
@@ -244,6 +261,12 @@ class ToralAutomorphism:
     def apply_inverse(self, x):
         x = np.asarray(x, dtype=float)
         return reduce_torus(x @ self._m_inv.T)
+
+    def apply_point(self, x, inverse=False):
+        """apply (or apply_inverse) on one point, a sequence of floats, as a
+        list of floats: the same one-row matmul, reduced by reduce_point."""
+        m = self._m_inv if inverse else self._m
+        return reduce_point((np.array(x) @ m.T).tolist())
 
     def inverse(self):
         return ToralAutomorphism(self.matrix.inverse())

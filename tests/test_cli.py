@@ -84,24 +84,58 @@ def test_lyapunov_small(tmp_path):
     assert (tmp_path / "lyapunov_history.gp").exists()
 
 
-def test_lyapunov_negative_control_pins_the_checks_that_see_the_deformation(system, tmp_path):
-    """lyapunov on f and on its twin with both cube coefs 0, where I_eps is the
-    identity and f = A.  Only the two checks at the fixed point p move, and
-    both fail on A: the other checks cannot tell f from A at this size (no
-    orbit meets a band), and the one forward pass still sees I_eps at p."""
+def _checks_on_f_and_twin(run, system, tmp_path, **task):
+    """{"f": checks, "A": checks} of the subcommand ``run`` on system and on its
+    twin with both cube coefs 0, where I_eps is the identity and f = A; each
+    check maps to (passed, value).  Both reports name the same checks."""
     twin = copy.copy(system)
     twin.cubes = tuple(replace(cube, coef=0.0) for cube in system.cubes)
     cfg = small()
     checks = {}
     for name, sys_ in (("f", system), ("A", twin)):
-        report = RunReport(task="lyapunov", seed=cfg.seed)
-        cli.run_lyapunov(cfg, report, str(tmp_path / name), sys_, n_orbits=20, orbit_length=400)
+        report = RunReport(task=run.__name__, seed=cfg.seed)
+        run(cfg, report, str(tmp_path / name), sys_, **task)
         checks[name] = {c.name: (c.passed, c.value) for c in report.checks}
     assert checks["f"].keys() == checks["A"].keys()
-    moved = {k for k in checks["f"] if checks["f"][k][1] != checks["A"][k][1]}
+    return checks
+
+
+def _moved(checks):
+    return {k for k in checks["f"] if checks["f"][k][1] != checks["A"][k][1]}
+
+
+def test_lyapunov_negative_control_pins_the_checks_that_see_the_deformation(system, tmp_path):
+    """lyapunov on f and on its twin with both cube coefs 0, where I_eps is the
+    identity and f = A.  Only the two checks at the fixed point p move, and
+    both fail on A: the other checks cannot tell f from A at this size (no
+    orbit meets a band), and the one forward pass still sees I_eps at p."""
+    checks = _checks_on_f_and_twin(cli.run_lyapunov, system, tmp_path,
+                                   n_orbits=20, orbit_length=400)
+    moved = _moved(checks)
     assert moved == {"cu-exponent-at-p", "pesin-excluded-at-p"}
     assert all(passed for passed, _ in checks["f"].values())
     assert {k for k, (passed, _) in checks["A"].items() if not passed} == moved
+
+
+def test_gibbs_negative_control_pins_that_no_check_sees_the_deformation(system, tmp_path):
+    """gibbs on f and on its coef = 0 twin (f = A): every check value is the
+    same and passes on both.  The plaque, the Cesaro push and the integral
+    orbit never meet a band at this size, so none of these checks can tell f
+    from A; a check that learns to see I_eps must be added here."""
+    checks = _checks_on_f_and_twin(cli.run_gibbs, system, tmp_path, plaque_samples=1000,
+                                   cesaro_steps=120, integral_orbit=400)
+    assert _moved(checks) == set()
+    assert all(passed for c in checks.values() for passed, _ in c.values())
+
+
+def test_verify_cones_negative_control_pins_that_no_check_sees_the_deformation(system, tmp_path):
+    """verify-cones on f and on its coef = 0 twin (f = A): every check value
+    is the same and passes on both.  The cone points are uniform on the torus
+    and none lands in a band, so the verdicts are about A's Jacobian; a check
+    that learns to see I_eps must be added here."""
+    checks = _checks_on_f_and_twin(cli.run_verify_cones, system, tmp_path, n_points=300)
+    assert _moved(checks) == set()
+    assert all(passed for c in checks.values() for passed, _ in c.values())
 
 
 def test_gibbs_small(tmp_path):

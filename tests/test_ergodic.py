@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+from phlab.deformation import DeformationParams, build_deformed_system
 from phlab.ergodic import (
     OrbitSpec,
     PesinBlockQuery,
@@ -15,9 +18,13 @@ from phlab.ergodic import (
     pesin_block_membership,
     push_forward,
 )
-from phlab.ergodic import _Tally, _center_cocycle
+from phlab.ergodic import _PointTally, _Tally, _center_cocycle, _point_cocycle
+from phlab.errors import ParameterTooLargeError
 from phlab.product import LinearSystem, build_product
 from phlab.torus import CAT_MAP, IntegerMatrix, ToralAutomorphism, cat_power_product
+
+from conftest import eps1_for
+from test_deformation import _advance_points, _rate_feasible_pairs
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +178,9 @@ class _RandomCocycle:
         sigma = self.rng.uniform(0.5, 2.0, (self.n, 2))
         return x, rot[0] * sigma[:, None, :] @ rot[1]
 
+    def advance_point(self, x, forward, lo):
+        return x, self.advance(None, forward, lo == 0)[1][0].tolist()
+
 
 def test_center_cocycle_on_full_blocks():
     """On arbitrary 2x2 blocks the forward pass keeps the bits of the einsum
@@ -191,6 +201,34 @@ def test_center_cocycle_on_full_blocks():
         assert np.max(np.abs(got[1] - np.log(np.abs(r22)))) < 1e-14
         assert np.max(np.abs(log_det - np.log(np.abs(np.linalg.det(b))))) < 1e-14
         v = w / g[:, None]
+
+
+def test_point_cocycle_is_the_one_row_cocycle_bitwise():
+    """On arbitrary 2x2 blocks, whose logs spread widely, the Python-float
+    cocycle of one orbit gives the bits of the array cocycle on one row, both
+    log R diagonals and log|det B|, step by step."""
+    rows = _center_cocycle(_RandomCocycle(1), np.zeros((1, 4)), np.array([[0.6, 0.8]]))
+    point = _point_cocycle(_RandomCocycle(1), [0.0] * 4, (0.6, 0.8))
+    for _ in range(5000):
+        (logs, log_det), (vals, det) = next(rows), next(point)
+        assert np.array(vals).tobytes() == logs[:, 0].tobytes()
+        assert det.hex() == float(log_det[0]).hex()
+
+
+def test_point_tally_is_the_one_row_tally_bitwise():
+    """_PointTally keeps _Tally's sums on one row bit for bit, so its means,
+    flags and last-quarter moments are the same."""
+    rng = make_rng(44)
+    for length, transient in ((1000, 0), (1000, 250), (7, 3)):
+        series = rng.standard_normal((length, 2)) * rng.uniform(0.1, 10.0, 2)
+        array, point = _Tally((2, 1), length, transient), _PointTally(length, transient)
+        for t, vals in enumerate(series):
+            array.add(t, vals[:, None])
+            point.add(t, tuple(vals.tolist()))
+        got, want = point.result(), array.result()
+        assert got[0].tobytes() == want[0].tobytes() and np.array_equal(got[1], want[1])
+        for name in ("total", "q_sum", "q_sq"):
+            assert getattr(point, name).tobytes() == getattr(array, name).tobytes(), name
 
 
 def _backward_cs_oracle(system, starts, length, transient):
@@ -376,3 +414,144 @@ def test_push_forward_matches_linalg_norm_loop_bitwise(system, rng):
             got, want = push_forward(sys_, x, v, n), _push_forward_oracle(sys_, x, v, n)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
+
+
+# The single-orbit path as it was before its Python-float kernel: the array
+# cocycle on a (1, 4) batch, which steps through the batch cube loop, with the
+# array tally and the array sums of the spectrum.
+
+
+def _center_cocycle_oracle(system, x, v):
+    v0, v1 = v[:, 0], v[:, 1]
+    logs = np.empty((2, len(v)))
+    log_g, log_cs = logs
+    while True:
+        x, b = system.advance(x, True, False)
+        b00, b01, b10, b11 = b[:, 0, 0], b[:, 0, 1], b[:, 1, 0], b[:, 1, 1]
+        w0 = b00 * v0 + b01 * v1
+        w1 = b10 * v0 + b11 * v1
+        g = np.sqrt(w0 * w0 + w1 * w1)
+        v0, v1 = w0 / g, w1 / g
+        np.log(g, out=log_g)
+        log_det = np.log(np.abs(b00 * b11 - b01 * b10))
+        np.subtract(log_det, log_g, out=log_cs)
+        yield logs, log_det
+
+
+def _bundle_exponent_oracle(system, orbit):
+    """(cu, cs) means and flags, each of shape (2, 1)."""
+    x = orbit.resolve_start(system.dim)[None, :]
+    tally = _Tally((2, 1), orbit.length, orbit.transient)
+    logs = _center_cocycle_oracle(system, x, np.array([[1.0, 0.0]]))
+    for t, (vals, _) in zip(range(orbit.length), logs):
+        tally.add(t, vals)
+    return tally.result()
+
+
+def _spectrum_oracle(system, orbit):
+    """lyapunov_spectrum's 2x2 path: (exponents, history, log_det)."""
+    x = orbit.resolve_start(system.dim)[None, :]
+    for _ in range(orbit.transient):
+        x = system.step(x)
+    fixed = np.log(system.rates[:2])
+    logs = ((r[:, 0], det[0]) for r, det in _center_cocycle_oracle(system, x, np.array([[1.0, 0.0]])))
+    warmup = min(200, (orbit.length - orbit.transient) // 2)
+    for _ in range(warmup):
+        next(logs)
+    sums, log_det = np.zeros(2), 0.0
+    steps = orbit.length - orbit.transient - warmup
+    stride = max(1, steps // 200)
+    history = []
+    for t in range(1, steps + 1):
+        growth, det = next(logs)
+        sums += growth
+        log_det += det
+        if t % stride == 0 or t == steps:
+            history.append((t, *fixed, *(sums / t)))
+    exponents = np.sort(np.concatenate((fixed, sums / steps)))[::-1]
+    return exponents, np.array(history), np.sum(fixed) + log_det / steps
+
+
+def _assert_orbit_matches_oracle(system, orbit):
+    """One-orbit bundle_exponent and lyapunov_spectrum against the oracles,
+    bit for bit, or the same exception."""
+    try:
+        got = bundle_exponent(system, orbit)
+    except Exception as exc:  # the exception is the outcome
+        with pytest.raises(type(exc)):
+            _bundle_exponent_oracle(system, orbit)
+        with pytest.raises(type(exc)):
+            lyapunov_spectrum(system, orbit)
+        with pytest.raises(type(exc)):
+            _spectrum_oracle(system, orbit)
+        return type(exc)
+    mean, converged = _bundle_exponent_oracle(system, orbit)
+    assert np.array([a.value for a in got]).tobytes() == mean[:, 0].tobytes()
+    assert [a.converged for a in got] == converged[:, 0].tolist()
+    spec, (exponents, history, log_det) = lyapunov_spectrum(system, orbit), _spectrum_oracle(system, orbit)
+    assert spec.exponents.tobytes() == exponents.tobytes()
+    assert spec.history.tobytes() == history.tobytes()
+    assert float(spec.log_det).hex() == float(log_det).hex()
+    return None
+
+
+def _row_outcome(fn, x):
+    """The bytes of each array fn returns, or the type of what it raises."""
+    try:
+        out = fn(x)
+    except Exception as exc:  # the exception is the outcome
+        return type(exc)
+    return [a.tobytes() for a in (out if isinstance(out, tuple) else (out,))]
+
+
+#: a NaN, infinities, and a -0.0, 1.0 and -1e-17 that reduce to 0.0
+_ODD_POINTS = np.array([[np.nan, 0.1, 0.2, 0.3], [0.1, np.inf, 0.2, 0.3],
+                        [0.1, 0.2, -np.inf, 0.3], [-0.0, 0.5, 1.0, -1e-17]])
+
+
+@settings(max_examples=10)
+@given(data=st.data())
+def test_one_row_kernel_is_the_batch_row_bitwise(bump, bump_bound, data):
+    """Across ParamCaps, tilde systems and k up to 1e4 included: a single
+    point through the one-row kernel gives the bytes of its (1, 4) batch,
+    which takes the batch cube loop, in advance (both directions, with and
+    without full), step, step_inverse, deform, deform_inverse and
+    jacobian_chart, or raises the same
+    exception: on random points, band and off-band points of both cubes, p
+    and q, and _ODD_POINTS.  One-orbit bundle_exponent and lyapunov_spectrum
+    from a band point of either cube, and from a NaN start, give the bits of
+    the array oracle on a (1, 4) batch; from an infinite start both raise,
+    as numpy's error state says (here: raise)."""
+    n, m = data.draw(st.sampled_from(_rate_feasible_pairs(bump_bound)), label="n, m")
+    k = 10.0 ** data.draw(st.floats(np.log10(2.0), 4.0), label="log10 k")
+    eps_tilde = data.draw(st.floats(0.0, 0.9), label="eps_tilde")
+    system = build_deformed_system(
+        DeformationParams(n=n, m=m, delta=1.0 / 40.0, k=k, eps1=eps1_for(n, m)),
+        bump=bump, bound=bump_bound)
+    try:
+        system = system.make_tilde(eps_tilde)
+    except ParameterTooLargeError:
+        reject()
+    pts = _advance_points(system, make_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")), 4)
+    maps = [system.step, system.step_inverse, system.deform, system.deform_inverse,
+            system.jacobian_chart]
+    maps += [lambda x, f=f, full=full: system.advance(x, f, full)
+             for f in (True, False) for full in (False, True)]
+    for x in np.concatenate([pts, _ODD_POINTS]):
+        for fn in maps:
+            assert _row_outcome(fn, x) == _row_outcome(fn, x[None]), x
+    length = data.draw(st.integers(20, 300), label="length")
+    transient = data.draw(st.integers(0, length - 1), label="transient")
+    band = data.draw(st.sampled_from([4, 8, 20, 24]), label="band start")  # p, then q cube
+    for start, raises in ((pts[band], None), (pts[-2], None), (pts[-1], None),
+                          (_ODD_POINTS[0], None), (_ODD_POINTS[1], FloatingPointError)):
+        orbit = OrbitSpec(start=start, length=length, transient=transient)
+        assert _assert_orbit_matches_oracle(system, orbit) is raises
+
+
+def test_linear_one_row_kernel_matches_oracle(pure_A, rng):
+    """LinearSystem's one-row kernel gives one orbit the bits of the array
+    oracle, as the deformed map's does."""
+    for length, transient in ((50, 0), (900, 100)):
+        assert _assert_orbit_matches_oracle(
+            pure_A, OrbitSpec(start=rng.random(4), length=length, transient=transient)) is None
