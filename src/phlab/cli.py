@@ -52,6 +52,7 @@ from .report import (
 )
 from .torus import (
     CAT_MAP,
+    ENUMERATION_CAP,
     IntegerMatrix,
     ToralAutomorphism,
     enumerate_periodic,
@@ -426,15 +427,22 @@ def run_gibbs(config: ExperimentConfig, report: RunReport, out_dir: str, system,
 @task("skeleton", DEFORMED_KINDS + ("linear", "product"))
 def run_skeleton(config: ExperimentConfig, report: RunReport, out_dir: str, system,
                  *, census_max_period=5, arc_length=3.0, arc_resolution=1e-3, tol=1e-4):
-    cat = LinearSystem(ToralAutomorphism(CAT_MAP))
     d_mat = IntegerMatrix(CAT_MAP)
+    count = fixed_point_count(d_mat, census_max_period)
+    if count > ENUMERATION_CAP:
+        raise ConfigError(f"task.census_max_period: the cat map has {count} period-"
+                          f"{census_max_period} points, above the enumeration cap "
+                          f"{ENUMERATION_CAP}")
+    cat = LinearSystem(ToralAutomorphism(CAT_MAP))
     rng = make_rng(config.seed, 5)
     rows = [("period", "expected", "found")]
     census_ok = True
     for n in range(1, census_max_period + 1):
-        recs = skel_mod.distinct_records([
-            skel_mod.newton_periodic(cat, g + 1e-3 * rng.standard_normal(2), n)
-            for g in enumerate_periodic(d_mat, n)])
+        # the (N, 2) noise fills row by row, so seed i gets the draws it would
+        # get from N draws of 2: the census seeds do not depend on batching
+        guesses = np.array(enumerate_periodic(d_mat, n))
+        recs = skel_mod.distinct_records(skel_mod.newton_periodic(
+            cat, guesses + 1e-3 * rng.standard_normal(guesses.shape), n))
         expected = fixed_point_count(d_mat, n)
         rows.append((n, expected, len(recs)))
         census_ok = census_ok and (len(recs) == expected)

@@ -40,7 +40,8 @@ class OrbitDivergedError(PhlabError):
 
 @dataclass(frozen=True)
 class OrbitSpec:
-    """Start point (None draws uniformly from the seed), length, burn-in."""
+    """Start point (None draws uniformly from the seed; a NaN or infinite
+    coordinate raises OrbitDivergedError), length, burn-in."""
 
     start: object = None
     length: int = 10_000
@@ -53,8 +54,19 @@ class OrbitSpec:
 
     def resolve_start(self, dim):
         if self.start is not None:
-            return np.asarray(self.start, dtype=float)
+            return _finite_starts(np.asarray(self.start, dtype=float))
         return make_rng(self.seed).random(dim)
+
+
+def _finite_starts(x):
+    """x, one start (d,) or rows of starts (N, d), refused if a coordinate is
+    NaN or infinite: such a row screens into no cube, so its orbit would
+    report the exponents of A, flagged converged."""
+    rows = np.atleast_2d(x)
+    bad = np.nonzero(~np.isfinite(rows).all(axis=1))[0]
+    if bad.size:
+        raise OrbitDivergedError(f"orbit start {rows[bad[0]]} (row {bad[0]}) is not finite")
+    return x
 
 
 def make_rng(seed, worker: int = 0):
@@ -272,9 +284,10 @@ def bundle_exponent_batch(system, starts, length: int, transient: int):
     diagonals, from the u axis.  Returns (values, converged flags), each of
     shape (2, N): row 0 cu, row 1 cs, one column per row of ``starts``.  A
     single row runs on Python floats (_point_cocycle, _PointTally), with the
-    bits of the batch code.
+    bits of the batch code.  A row with a NaN or infinite coordinate raises
+    OrbitDivergedError.
     """
-    x = np.atleast_2d(np.asarray(starts, dtype=float))
+    x = _finite_starts(np.atleast_2d(np.asarray(starts, dtype=float)))
     if x.shape[0] == 1:
         tally = _PointTally(length, transient)
         logs = _point_cocycle(system, x[0].tolist(), (1.0, 0.0))
@@ -335,13 +348,16 @@ def orbit_jacobian(system, x, n: int, forward: bool):
 
     Forward it is Df^n(x) = Df(f^{n-1} x) ... Df(x) with f^n(x), from
     jacobian and step; backward Df^{-n}(x) with f^{-n}(x), from
-    jacobian_inverse and step_inverse.
+    jacobian_inverse and step_inverse.  x is one point (d,) or a stack of
+    points (N, d), whose products start from eye(d) broadcast to (N, d, d);
+    one point takes the system's one-point path.
     """
     if forward:
         jacobian, step = system.jacobian, system.step
     else:
         jacobian, step = system.jacobian_inverse, system.step_inverse
-    m, y = np.eye(np.size(x)), x
+    d = np.shape(x)[-1]
+    m, y = np.broadcast_to(np.eye(d), np.shape(x)[:-1] + (d, d)), x
     for _ in range(n):
         m = jacobian(y) @ m
         y = step(y)

@@ -2,7 +2,11 @@
 
 Periodic points come from Newton iteration on the lift of f^period - id with
 the analytic Jacobian; candidates whose linearization has an eigenvalue
-within 1e-8 of 1 are rejected as non-hyperbolic.  Manifold arcs grow by
+within 1e-8 of 1 are rejected as non-hyperbolic.  A census runs in batches:
+newton_periodic takes all seeds of one period as one stack, each iteration one
+stacked orbit_jacobian, eigvals and solve over the rows still iterating, and
+distinct_records keeps the first of each cluster in one pass that compares a
+record with all kept points at once.  Manifold arcs grow by
 fundamental-domain continuation: a tiny eigen-segment is iterated, with
 midpoint re-insertion wherever image spacing exceeds the resolution.
 
@@ -63,62 +67,94 @@ class PeriodicPointRecord:
         return (self.period, tuple(np.round(self.point, 10)))
 
 
-def newton_periodic(system, guess, period: int, max_iter: int = 50) -> PeriodicPointRecord:
-    """Newton iteration for a period-``period`` point near ``guess``.
+def newton_periodic(system, guess, period: int, max_iter: int = 50):
+    """Newton iteration for period-``period`` points near one guess (d,), which
+    gives its PeriodicPointRecord, or near a stack of guesses (N, d), which
+    gives a list of N records in row order.
 
     Solves f^period(x) = x on the lift using the analytic Jacobian minus the
-    identity, until the residual is below NEWTON_TOL or the rounding floor
-    NEWTON_ROUNDING_ULPS * eps * ||Df^period||_inf; converged roots are
-    reduced mod 1 and classified by the multipliers of Df^period.
+    identity.  Each iteration takes, over the rows still iterating, one
+    orbit_jacobian (a single guess on the system's one-point path), the
+    residual |f^period(x) - x| as np.linalg.norm forms it for one vector, one
+    eigvals and one solve.  A row stops at the first iterate whose residual is
+    below NEWTON_TOL or the rounding floor NEWTON_ROUNDING_ULPS * eps *
+    ||Df^period||_inf; that iterate, in [0, 1)^d, is its root, classified by
+    the multipliers of Df^period there.  A row whose Df^period has a
+    multiplier within 1e-8 of 1, on the way or at the root, raises
+    NotHyperbolicError; one still iterating after max_iter steps raises
+    NewtonDidNotConverge.  Both name the row's point.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
     x = reduce_torus(np.asarray(guess, dtype=float))
-    d = x.size
-    residual = np.inf
+    single = x.ndim == 1
+    x = np.atleast_2d(x)
+    n, d = x.shape
+    roots, eigs, residuals = np.empty_like(x), [None] * n, np.full(n, np.inf)
+    rows = np.arange(n)  # the rows still iterating, in order
     for _ in range(max_iter):
-        m, y = orbit_jacobian(system, x, period, True)
+        if single:
+            m, y = orbit_jacobian(system, x[0], period, True)
+            m, y = m[None], y[None]
+        else:
+            m, y = orbit_jacobian(system, x, period, True)
         g = torus_displacement(y, x)
-        residual = float(np.linalg.norm(g))
-        if residual < NEWTON_TOL or residual < _rounding_floor(m):
+        residual = residuals[rows] = np.sqrt(np.vecdot(g, g))
+        stop = (residual < NEWTON_TOL) | (residual < _rounding_floor(m))
+        lams = np.linalg.eigvals(m)
+        near_one = np.min(np.abs(lams - 1.0), axis=1) < 1e-8
+        if np.any(near_one):
+            i = np.argmax(near_one)
+            where = "converged point" if stop[i] else "linearization at"
+            raise NotHyperbolicError(f"{where} {x[i]} has a multiplier within 1e-8 of 1")
+        roots[rows[stop]] = x[stop]
+        for i, lam in zip(rows[stop], lams[stop]):
+            eigs[i] = lam
+        go = ~stop
+        rows = rows[go]
+        if rows.size == 0:
             break
-        eigs = np.linalg.eigvals(m)
-        if np.min(np.abs(eigs - 1.0)) < 1e-8:
-            raise NotHyperbolicError(
-                f"linearization at {x} has a multiplier within 1e-8 of 1"
-            )
-        x = reduce_torus(x + np.linalg.solve(m - np.eye(d), -g))
-    else:
+        step = np.linalg.solve(m[go] - np.eye(d), -g[go][..., None])[..., 0]
+        x = reduce_torus(x[go] + step)
+    if rows.size:
         raise NewtonDidNotConverge(
-            f"no convergence after {max_iter} steps (residual {residual:.3e})",
-            residual,
+            f"no convergence from {np.atleast_2d(guess)[rows[0]]} after {max_iter} steps "
+            f"(residual {residuals[rows[0]]:.3e})",
+            float(residuals[rows[0]]),
         )
-    m, y = orbit_jacobian(system, x, period, True)
-    residual = float(np.linalg.norm(torus_displacement(y, x)))
-    eigs = np.linalg.eigvals(m)
-    if np.min(np.abs(eigs - 1.0)) < 1e-8:
-        raise NotHyperbolicError(f"converged point {x} is non-hyperbolic")
-    moduli = np.sort(np.abs(eigs))[::-1]
-    return PeriodicPointRecord(
-        point=x,
-        period=period,
-        multipliers=moduli,
-        eigenvalues=eigs[np.argsort(-np.abs(eigs))],
-        stable_index=int(np.sum(moduli < 1.0)),
-        residual=residual,
-    )
+    records = []
+    for point, lam, residual in zip(roots, eigs, residuals.tolist()):
+        moduli = np.sort(np.abs(lam))[::-1]
+        records.append(PeriodicPointRecord(
+            point=point,
+            period=period,
+            multipliers=moduli,
+            eigenvalues=lam[np.argsort(-np.abs(lam))],
+            stable_index=int(np.sum(moduli < 1.0)),
+            residual=residual,
+        ))
+    return records[0] if single else records
 
 
 def _rounding_floor(m):
-    """The residual that rounding alone leaves in f^period(x) - x, Df^period = m."""
-    return NEWTON_ROUNDING_ULPS * np.finfo(float).eps * float(np.abs(m).sum(axis=1).max())
+    """The residual that rounding alone leaves in f^period(x) - x, Df^period =
+    m, one floor per matrix of a stack (..., d, d)."""
+    return NEWTON_ROUNDING_ULPS * np.finfo(float).eps * np.abs(m).sum(axis=-1).max(axis=-1)
 
 
 def distinct_records(records):
-    """Deduplicate by torus distance; deterministic keep-first order."""
-    kept = []
-    for rec in sorted(records, key=lambda r: r.sort_key()):
-        if all(torus_distance(rec.point, k.point) > DISTINCT_TOL for k in kept):
+    """Deduplicate by torus distance: one keep-first pass in sort_key order.
+
+    Each record is kept when its torus distance to every point kept so far,
+    taken in one torus_distance call, exceeds DISTINCT_TOL, so a NaN distance
+    drops it.  Work memory grows with the number of records, not its square.
+    """
+    ordered = sorted(records, key=lambda r: r.sort_key())
+    points = np.array([rec.point for rec in ordered], dtype=float)
+    kept = []  # their points fill points[: len(kept)], rows already passed
+    for i, rec in enumerate(ordered):
+        if np.all(torus_distance(points[i], points[: len(kept)]) > DISTINCT_TOL):
+            points[len(kept)] = points[i]
             kept.append(rec)
     return kept
 

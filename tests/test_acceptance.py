@@ -277,10 +277,9 @@ def test_10_periodic_census(capfd):
         rng = make_rng(110)
         expected = [1, 5, 16, 45, 121]
         for n in range(1, 6):
-            guesses = enumerate_periodic(d_mat, n)
-            recs = [newton_periodic(cat, g + 1e-3 * rng.standard_normal(2), n)
-                    for g in guesses]
-            recs = distinct_records(recs)
+            guesses = np.array(enumerate_periodic(d_mat, n))
+            recs = distinct_records(newton_periodic(
+                cat, guesses + 1e-3 * rng.standard_normal(guesses.shape), n))
             assert len(recs) == fixed_point_count(d_mat, n) == expected[n - 1]
 
 

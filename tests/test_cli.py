@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -193,6 +194,34 @@ def test_skeleton_small(tmp_path):
                  "tol": 0.002})
     report = run_task("skeleton", cfg, str(tmp_path))
     assert report.all_passed
+
+
+class _Censused(Exception):
+    """Raised in place of enumerate_periodic: the run reached the census."""
+
+
+def _refuse_census(*args):
+    raise _Censused
+
+
+@pytest.mark.parametrize("period", [14, 15, 40])
+def test_skeleton_refuses_an_unreachable_census(tmp_path, capsys, monkeypatch, period):
+    """The cat map has 710645 period-14 points and 1860496 of period 15, above
+    torus.ENUMERATION_CAP: from period 15 on the run exits 2, naming the key,
+    before any period is searched (a period-40 census once ran for minutes
+    and then raised).  Period 14 reaches the census."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**DEFORMED, "task": {"census_max_period": period}}))
+    monkeypatch.setattr(cli, "enumerate_periodic", _refuse_census)
+    argv = ["skeleton", str(path), "--out", str(tmp_path / "out")]
+    if period == 14:
+        with pytest.raises(_Censused):
+            main(argv)
+        return
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "config error: task.census_max_period" in capsys.readouterr().err
 
 
 def test_product_checks_small(tmp_path):

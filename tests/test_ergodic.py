@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from phlab.deformation import DeformationParams, build_deformed_system
 from phlab.ergodic import (
+    OrbitDivergedError,
     OrbitSpec,
     PesinBlockQuery,
     birkhoff_average,
@@ -519,9 +520,9 @@ def test_one_row_kernel_is_the_batch_row_bitwise(bump, bump_bound, data):
     jacobian_chart, or raises the same
     exception: on random points, band and off-band points of both cubes, p
     and q, and _ODD_POINTS.  One-orbit bundle_exponent and lyapunov_spectrum
-    from a band point of either cube, and from a NaN start, give the bits of
-    the array oracle on a (1, 4) batch; from an infinite start both raise,
-    as numpy's error state says (here: raise)."""
+    from a band point of either cube give the bits of the array oracle on a
+    (1, 4) batch; from a NaN or an infinite start both raise
+    OrbitDivergedError."""
     n, m = data.draw(st.sampled_from(_rate_feasible_pairs(bump_bound)), label="n, m")
     k = 10.0 ** data.draw(st.floats(np.log10(2.0), 4.0), label="log10 k")
     eps_tilde = data.draw(st.floats(0.0, 0.9), label="eps_tilde")
@@ -544,7 +545,8 @@ def test_one_row_kernel_is_the_batch_row_bitwise(bump, bump_bound, data):
     transient = data.draw(st.integers(0, length - 1), label="transient")
     band = data.draw(st.sampled_from([4, 8, 20, 24]), label="band start")  # p, then q cube
     for start, raises in ((pts[band], None), (pts[-2], None), (pts[-1], None),
-                          (_ODD_POINTS[0], None), (_ODD_POINTS[1], FloatingPointError)):
+                          (_ODD_POINTS[0], OrbitDivergedError),
+                          (_ODD_POINTS[1], OrbitDivergedError)):
         orbit = OrbitSpec(start=start, length=length, transient=transient)
         assert _assert_orbit_matches_oracle(system, orbit) is raises
 
@@ -555,3 +557,26 @@ def test_linear_one_row_kernel_matches_oracle(pure_A, rng):
     for length, transient in ((50, 0), (900, 100)):
         assert _assert_orbit_matches_oracle(
             pure_A, OrbitSpec(start=rng.random(4), length=length, transient=transient)) is None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_start_raises(system, bad):
+    """A NaN or infinite coordinate screens into no cube, so its orbit would
+    report A's exponents, flagged converged: one orbit, a batch row and the
+    spectrum refuse it and name the start."""
+    start = [0.4, bad, 0.2, 0.3]
+    orbit = OrbitSpec(start=start, length=300, transient=10)
+    with pytest.raises(OrbitDivergedError, match="orbit start"):
+        bundle_exponent(system, orbit)
+    with pytest.raises(OrbitDivergedError, match="orbit start"):
+        lyapunov_spectrum(system, orbit)
+    starts = np.array([[0.1, 0.2, 0.3, 0.4], start, [0.5, 0.6, 0.7, 0.8]])
+    with pytest.raises(OrbitDivergedError, match=r"\(row 1\)"):
+        bundle_exponent_batch(system, starts, 300, 10)
+
+
+def test_finite_start_keeps_its_bits(system):
+    """The finiteness check passes a finite start through unchanged, as the
+    same array object."""
+    start = np.array([0.4, 0.1, 0.2, 0.3])
+    assert OrbitSpec(start=start, length=300, transient=10).resolve_start(4) is start

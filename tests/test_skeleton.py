@@ -19,6 +19,7 @@ from phlab.skeleton import (
     grow_manifold,
     heteroclinic_test,
     newton_periodic,
+    NEWTON_TOL,
 )
 from phlab.torus import (
     CAT_MAP,
@@ -133,6 +134,164 @@ def test_tilde_satellite_fixed_points(tilde):
     rec = newton_periodic(tilde, guess, 1)
     assert torus_distance(rec.point, tilde.chart_q.center) > 1e-8
     assert rec.stable_index == 2
+
+
+def _census_seeds(period, seed):
+    """The period's cat-map points plus 1e-3 noise, as `skeleton` seeds them."""
+    guesses = np.array(enumerate_periodic(IntegerMatrix(CAT_MAP), period))
+    return guesses + 1e-3 * make_rng(seed, 5).standard_normal(guesses.shape)
+
+
+def _assert_same_record(got, want, tol=1e-12):
+    assert torus_distance(got.point, want.point) < tol
+    assert got.period == want.period
+    assert got.stable_index == want.stable_index
+    np.testing.assert_allclose(got.multipliers, want.multipliers, rtol=1e-12)
+    np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=1e-12)
+    assert got.residual < NEWTON_TOL  # the rounding floor is below it up to period 6
+
+
+@pytest.mark.parametrize("period", range(1, 7))
+def test_stacked_newton_matches_single_guesses(cat, period):
+    """One stacked call on a period's census seeds gives, row by row, the
+    records of one call per seed, and the same census after deduplication."""
+    seeds = _census_seeds(period, 1)
+    stacked = newton_periodic(cat, seeds, period)
+    single = [newton_periodic(cat, g, period) for g in seeds]
+    assert len(stacked) == len(single) == len(seeds)
+    for got, want in zip(stacked, single):
+        _assert_same_record(got, want)
+    assert len(distinct_records(stacked)) == len(distinct_records(single))
+
+
+def test_stacked_newton_on_tilde_matches_single_guesses(tilde):
+    """p's and q's chart centres as one stack give the records of the two
+    single calls that `skeleton` makes for its tilde indices."""
+    centres = np.array([tilde.chart_p.center, tilde.chart_q.center])
+    rec_p, rec_q = newton_periodic(tilde, centres, 1)
+    _assert_same_record(rec_p, newton_periodic(tilde, tilde.chart_p.center, 1))
+    _assert_same_record(rec_q, newton_periodic(tilde, tilde.chart_q.center, 1))
+    assert (rec_p.stable_index, rec_q.stable_index) == (3, 1)
+
+
+def test_stacked_newton_rows_that_stop_apart_keep_their_roots(cat, tilde):
+    """Rows stopping at different iterations (exact points at the first, noisy
+    seeds and the tilde satellite later) each keep their own record."""
+    exact = np.array(enumerate_periodic(IntegerMatrix(CAT_MAP), 2))
+    seeds = np.concatenate([exact[:2], _census_seeds(2, 3)[2:]])  # late rows last
+    d, k = tilde.params.delta, tilde.params.k
+    satellite = tilde.chart_q.from_chart(np.array([0.0, 0.0, 0.0, 0.8 * d / k * tilde.ls]))
+    for system, stack, period in ((cat, seeds, 2),
+                                  (tilde, np.array([tilde.chart_p.center, satellite]), 1)):
+        for got, guess in zip(newton_periodic(system, stack, period), stack):
+            _assert_same_record(got, newton_periodic(system, guess, period))
+
+
+def test_stacked_newton_one_row_is_the_single_guess_bitwise(cat):
+    """On the cat map, whose batch and one-point steps round alike, a one-row
+    stack gives the single guess's record bit for bit."""
+    (got,) = newton_periodic(cat, np.array([[0.3, 0.6]]), 3)
+    want = newton_periodic(cat, np.array([0.3, 0.6]), 3)
+    assert got.point.tobytes() == want.point.tobytes()
+    assert got.residual == want.residual
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+
+
+def test_stacked_newton_errors_name_the_row(cat, system):
+    """A failing row raises for the whole stack and names its point."""
+    seeds = np.array([[0.01, 0.02], [0.123, 0.456]])
+    with pytest.raises(NewtonDidNotConverge, match=r"0\.123") as err:
+        newton_periodic(cat, seeds[::-1], 1, max_iter=0)
+    assert err.value.residual == np.inf
+    stack = np.array([system.chart_q.center + 1e-3, system.chart_p.center])
+    with pytest.raises(NotHyperbolicError, match="multiplier within 1e-8 of 1"):
+        newton_periodic(system, stack, 1)
+
+
+def test_stacked_newton_empty_stack(cat):
+    assert newton_periodic(cat, np.empty((0, 2)), 2) == []
+
+
+def _distinct_records_pairwise(records):
+    """The former deduplication, one torus_distance call per pair: the
+    reference the one-pass distinct_records must equal."""
+    kept = []
+    for rec in sorted(records, key=lambda r: r.sort_key()):
+        if all(torus_distance(rec.point, k.point) > skeleton.DISTINCT_TOL for k in kept):
+            kept.append(rec)
+    return kept
+
+
+def _records(points, period=1):
+    eye = np.ones(2)
+    return [skeleton.PeriodicPointRecord(point=np.asarray(p, dtype=float), period=period,
+                                         multipliers=eye, eigenvalues=eye, stable_index=1,
+                                         residual=0.0)
+            for p in points]
+
+
+def _planted_cloud(rng, n):
+    """n base points and planted neighbours: just inside and just outside
+    DISTINCT_TOL, across the torus wrap, exact copies and NaN points."""
+    tol = skeleton.DISTINCT_TOL
+    base = rng.random((n, 2))
+    base[: n // 4] = np.where(rng.random((n // 4, 2)) < 0.5, 1e-9, 1.0 - 1e-9)
+    direction = rng.standard_normal((n, 2))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    planted = [base]
+    for scale in (1.0 - 1e-6, 1.0 + 1e-6, 0.5, 0.0):
+        planted.append(reduce_torus(base + scale * tol * direction))
+    cloud = np.concatenate(planted)
+    cloud[rng.choice(len(cloud), 3, replace=False)] = np.nan
+    cloud[rng.choice(len(cloud), 2, replace=False), 1] = np.nan
+    return cloud[rng.permutation(len(cloud))]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_distinct_records_matches_pairwise_reference(seed):
+    """On planted clouds the one-pass deduplication keeps the same records,
+    in the same order, as the pairwise loop."""
+    rng = make_rng(seed, 23)
+    records = _records(_planted_cloud(rng, 40))
+    got = distinct_records(records)
+    want = _distinct_records_pairwise(records)
+    assert [id(r) for r in got] == [id(r) for r in want]
+    # clean clouds too: NaN points make the pairwise loop drop whatever follows them
+    clean = [r for r in records if np.all(np.isfinite(r.point))]
+    want = _distinct_records_pairwise(clean)
+    assert [id(r) for r in distinct_records(clean)] == [id(r) for r in want]
+    assert 40 < len(want) < len(clean)
+
+
+def test_distinct_records_tolerance_edges():
+    tol = skeleton.DISTINCT_TOL
+    a = np.array([0.25 * tol, 0.5])  # first in sort order; its neighbours lie across the wrap
+    inside = reduce_torus(a - [tol * (1 - 1e-6), 0.0])
+    outside = reduce_torus(a - [tol * (1 + 1e-6), 0.0])
+    for order in ([a, inside, outside], [outside, inside, a]):
+        records = _records(order)
+        kept = [r.point.tolist() for r in distinct_records(records)]
+        assert kept == [a.tolist(), outside.tolist()]
+        assert kept == [r.point.tolist() for r in _distinct_records_pairwise(records)]
+    nan = _records([[np.nan, 0.5]])
+    assert len(distinct_records(nan)) == len(_distinct_records_pairwise(nan)) == 1
+    assert distinct_records([]) == []
+
+
+def test_distinct_records_builds_no_square_array():
+    """At n = 5000 an n x n float array would take 200 MB; the pass stays
+    within a few MB."""
+    import tracemalloc
+
+    records = _records(make_rng(5, 23).random((5000, 2)))
+    tracemalloc.start()
+    try:
+        kept = distinct_records(records)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 5000
+    assert peak < 4_000_000
 
 
 def test_manifold_straight_on_linear(cat):
