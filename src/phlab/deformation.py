@@ -639,6 +639,13 @@ class DeformedSystem:
         jc = self.jacobian_chart(x)
         return axes @ jc @ axes.T
 
+    def jacobians(self, x):
+        """jacobian along the forward orbit of one point x, one advance_point a step."""
+        axes, x = self.chart_p.axes, np.asarray(x, dtype=float).tolist()
+        while True:
+            x, rows = self.advance_point(x, True, 0)
+            yield axes @ np.array(rows) @ axes.T
+
     def jacobian_inverse(self, x):
         """Analytic Jacobian of f^{-1} at x, i.e. inv(Df) at the preimage, from
         one backward advance."""

@@ -10,7 +10,9 @@ step, the log R diagonals are log g, whose average is the cu exponent, and
 log|det B| - log g, whose average is the derived cs exponent, the top rate of
 the contracting plane cs + ss.  The seed starts on the u axis; a transient
 prefix is discarded.  Any other system (a ProductSystem, a map of T^2)
-takes the QR (Benettin) scheme on the full Df.
+takes the QR (Benettin) scheme on the full Df from system.jacobians(x), as
+push_forward does: a linear map's is one read-only Df, repeated, on which a
+step whose frame has the last QR's input bytes reuses that QR's outputs.
 
 A single orbit (bundle_exponent, a one-row bundle_exponent_batch, and the
 2x2 path of lyapunov_spectrum) runs on the system's one-row kernel
@@ -90,16 +92,19 @@ class LyapunovSpectrum:
         return float(np.sum(self.exponents))
 
 
-def _benettin(system, x, frame):
-    """The QR steps of Df along the orbit of x: yields the log R diagonals (a
-    list of floats) and log|det Df| of each step."""
-    while True:
-        jac = system.jacobian(x)
-        q, r = np.linalg.qr(jac @ frame)
-        diag = np.diagonal(r)
-        frame = q * np.where(diag < 0, -1.0, 1.0)
-        yield np.log(np.abs(diag)).tolist(), np.log(np.abs(np.linalg.det(jac)))
-        x = system.step(x)
+def _benettin(jacs, frame):
+    """QR steps of the Df of jacs from frame: yields the log R diagonals (a list
+    of floats) and log|det Df| of each step, reused where Df is the last QR's
+    read-only object and the frame has that QR's input bytes (the same bits)."""
+    last = key = out = None
+    for jac in jacs:
+        if (new := frame.tobytes()) != key or jac is not last or jac.flags.writeable:
+            q, r = np.linalg.qr(jac @ frame)
+            diag = np.diagonal(r)
+            frame = q * np.where(diag < 0, -1.0, 1.0)
+            out = np.log(np.abs(diag)).tolist(), np.log(np.abs(np.linalg.det(jac)))
+            last, key = jac, new
+        yield out
 
 
 def _center_cocycle(system, x, v):
@@ -166,7 +171,7 @@ def lyapunov_spectrum(system, orbit: OrbitSpec, frame0=None) -> LyapunovSpectrum
         logs = _point_cocycle(system, x.tolist(), frame[:, 0].tolist())
     else:
         fixed = np.zeros(0)
-        logs = _benettin(system, x, frame)
+        logs = _benettin(system.jacobians(x), frame)
     warmup = min(200, (orbit.length - orbit.transient) // 2)
     for _ in range(warmup):
         next(logs)
@@ -308,20 +313,18 @@ def bundle_exponent(system, orbit: OrbitSpec):
 
 
 def push_forward(system, x, v, n: int):
-    """Propagate the direction of v for n steps from x along Df, renormalizing.
-
-    Returns (unit image direction, per-step log growths); the log growths add
-    up to log ||Df^n u|| for the unit vector u = v / ||v||.
+    """Propagate the direction of v for n steps from x along system.jacobians(x),
+    renormalizing.  Returns (unit image direction, per-step log growths); the
+    log growths add up to log ||Df^n u|| for the unit vector u = v / ||v||.
     """
     v = np.asarray(v, dtype=float)
     v = v / np.linalg.norm(v)
     logs = np.empty(n)
-    for t in range(n):
-        w = system.jacobian(x) @ v
+    for t, jac in zip(range(n), system.jacobians(x)):
+        w = jac @ v
         g = math.sqrt(w.dot(w))  # np.linalg.norm(w), undispatched
         logs[t] = math.log(g)
         v = w / g
-        x = system.step(x)
     return v, logs
 
 

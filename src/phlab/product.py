@@ -18,6 +18,7 @@ independent factor maps, must then detect a nonzero residual (negative control).
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 
 import numpy as np
@@ -69,6 +70,12 @@ class LinearSystem:
 
     def jacobian_inverse(self, x):
         return _broadcast(x, self._jac_inv)
+
+    def jacobians(self, x):
+        """Df along the orbit of x, never stepped: one read-only jacobian(x), repeated."""
+        jac = self.jacobian(x)
+        jac.flags.writeable = False
+        return itertools.repeat(jac)
 
     def jacobian_chart(self, x):
         return _broadcast(x, self._jac_chart)
@@ -154,6 +161,8 @@ class ProductSystem:
 
     def jacobian_inverse(self, z):
         return _broadcast(z, self._jac_inv)
+
+    jacobians = LinearSystem.jacobians
 
     def skew_unstable_bundle(self):
         axis, rate = self.base.skew_unstable_bundle()

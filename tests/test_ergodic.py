@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -49,11 +50,15 @@ def test_batch_rejects_length_within_transient(system):
 
 def test_pure_A_spectrum_exact(pure_A, rng):
     """On T^4 (the 2x2 center path) and on the cat map of T^2 (Benettin)."""
-    for sys_ in (pure_A, LinearSystem(ToralAutomorphism(CAT_MAP))):
+    for sys_ in (pure_A, _cat_map()):
         spec = lyapunov_spectrum(sys_, OrbitSpec(start=rng.random(sys_.dim), length=3000,
                                                  transient=10))
         assert np.max(np.abs(spec.exponents - expected_logs(sys_))) < 1e-10
         assert abs(spec.total) < 1e-10  # volume preserving
+
+
+def _cat_map():
+    return LinearSystem(ToralAutomorphism(CAT_MAP))
 
 
 def _cat_product():
@@ -113,11 +118,12 @@ def test_spectrum_sum_matches_log_det(system, rng):
 
 
 class _Benettin:
-    """A system seen through step and jacobian only, which lyapunov_spectrum
-    runs on the 4x4 Benettin path."""
+    """A system seen through step, jacobian and jacobians only, which
+    lyapunov_spectrum runs on the 4x4 Benettin path."""
 
     def __init__(self, system):
         self.dim, self.step, self.jacobian = system.dim, system.step, system.jacobian
+        self.jacobians = system.jacobians
 
 
 def _band_starts(sys_, rng, n):
@@ -409,12 +415,94 @@ def test_push_forward_matches_linalg_norm_loop_bitwise(system, rng):
     product = _cat_product()
     for sys_, starts, n in ((system, [rng.random(4), system.chart_p.center,
                                       system.chart_q.center], 300),
-                            (product, [rng.random(4), rng.random(4)], 2000)):
+                            (product, [rng.random(4), rng.random(4)], 2000),
+                            (_cat_map(), [make_rng(29).random(2)], 2000)):
         for x in starts:
-            v = rng.standard_normal(4)
+            v = rng.standard_normal(sys_.dim)
             got, want = push_forward(sys_, x, v, n), _push_forward_oracle(sys_, x, v, n)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("which", ["system", "tilde"])
+def test_deformed_jacobians_follow_step_bitwise(which, request):
+    """jacobians(x) yields the bytes of jacobian(x_t), x_{t+1} = step(x_t),
+    from band starts of both cubes, p, q and random points."""
+    sys_ = request.getfixturevalue(which)
+    starts = np.concatenate([_band_starts(sys_, make_rng(53), 3),
+                             [sys_.chart_p.center, sys_.chart_q.center],
+                             make_rng(53).random((3, 4))])
+    for x in starts:
+        for t, jac in zip(range(50), sys_.jacobians(x)):
+            assert jac.tobytes() == sys_.jacobian(x).tobytes(), t
+            x = sys_.step(x)
+
+
+def test_constant_jacobians_repeat_one_read_only_object(pure_A, rng):
+    for sys_ in (pure_A, _cat_map(), _cat_product()):
+        x = rng.random(sys_.dim)
+        jacs = sys_.jacobians(x)
+        first = next(jacs)
+        assert not first.flags.writeable
+        assert first.tobytes() == sys_.jacobian(x).tobytes()
+        assert all(jac is first for jac in itertools.islice(jacs, 20))
+
+
+def _benettin_oracle(system, x, frame):
+    """_benettin as it was: jacobian, QR, det and step on every step."""
+    while True:
+        jac = system.jacobian(x)
+        q, r = np.linalg.qr(jac @ frame)
+        diag = np.diagonal(r)
+        frame = q * np.where(diag < 0, -1.0, 1.0)
+        yield np.log(np.abs(diag)).tolist(), np.log(np.abs(np.linalg.det(jac)))
+        x = system.step(x)
+
+
+def _benettin_spectrum_oracle(system, orbit):
+    """lyapunov_spectrum's Benettin path on _benettin_oracle: (exponents,
+    history, log_det)."""
+    x = orbit.resolve_start(system.dim)
+    for _ in range(orbit.transient):
+        x = system.step(x)
+    logs = _benettin_oracle(system, x, np.eye(system.dim))
+    warmup = min(200, (orbit.length - orbit.transient) // 2)
+    for _ in range(warmup):
+        next(logs)
+    sums, log_det = [0.0] * system.dim, 0.0
+    steps = orbit.length - orbit.transient - warmup
+    stride = max(1, steps // 200)
+    history = []
+    for t in range(1, steps + 1):
+        growth, det = next(logs)
+        sums = [s + g for s, g in zip(sums, growth)]
+        log_det += det
+        if t % stride == 0 or t == steps:
+            history.append((t, *(s / t for s in sums)))
+    return np.sort(np.array(sums) / steps)[::-1], np.array(history), log_det / steps
+
+
+class _FreshJacobians(_Benettin):
+    """The system with jacobians yielding a fresh writable copy each step, so
+    no QR step is reused."""
+
+    def __init__(self, system):
+        super().__init__(system)
+        self.jacobians = lambda x: (jac.copy() for jac in system.jacobians(x))
+
+
+def test_benettin_matches_step_by_step_oracle_bitwise():
+    """Past the frame's bitwise fixed point (lengths 300 and 3000) the reused
+    QR steps give the oracle's bytes, as does a fresh Df on every step."""
+    for sys_ in (_cat_product(), _cat_map()):
+        for length in (10, 300, 3000):
+            orbit = OrbitSpec(start=make_rng(61).random(sys_.dim), length=length, transient=5)
+            exponents, history, log_det = _benettin_spectrum_oracle(sys_, orbit)
+            for view in (sys_, _FreshJacobians(sys_)):
+                spec = lyapunov_spectrum(view, orbit)
+                assert spec.exponents.tobytes() == exponents.tobytes()
+                assert spec.history.tobytes() == history.tobytes()
+                assert float(spec.log_det).hex() == float(log_det).hex()
 
 
 # The single-orbit path as it was before its Python-float kernel: the array
