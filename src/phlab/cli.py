@@ -412,16 +412,15 @@ def run_gibbs(config: ExperimentConfig, report: RunReport, out_dir: str, system,
                occupancy.value, "<= 0.03",
                "orbit time in the p-cube vs the Lebesgue budget")
 
-    write_csv(os.path.join(out_dir, "base_marginal.csv"),
-              chain([("i", "j", "mass")], base.to_rows()), line="%d,%d,%.17g\n")
+    write_csv(os.path.join(out_dir, "base_marginal.csv"), [("i", "j", "mass")],
+              base.csv_lines())
     write_gnuplot(os.path.join(out_dir, "base_marginal.gp"),
                   heatmap_plot_script("base_marginal.csv",
                                       "base marginal of the Cesaro estimate",
                                       "base_marginal.png"))
     # streamed: a 16^4-bin row list would raise the peak memory of the run
-    write_csv(os.path.join(out_dir, "cesaro_measure.csv"),
-              chain([("i", "j", "k", "l", "mass")], state.accumulated.to_rows()),
-              line="%d,%d,%d,%d,%.17g\n")
+    write_csv(os.path.join(out_dir, "cesaro_measure.csv"), [("i", "j", "k", "l", "mass")],
+              state.accumulated.csv_lines())
 
 
 @task("skeleton", DEFORMED_KINDS + ("linear", "product"))

@@ -32,7 +32,10 @@ plus half a cell diagonal), and two gathers and an & give every row its
 candidate cubes; most steps have none and return at once.  Only candidate
 rows are looked up in a chart (ChartBox.to_chart, elementwise on the 2x2
 blocks, so a row rounds the same alone and in any batch; a matmul would not),
-and moved and filled through index arrays.
+and moved and filled through index arrays.  step_record(x) screens a batch
+once, runs the loop on its candidate rows alone and hands back f(x) with a
+StepRecord of the screen (cells and candidate rows), so a caller that needs
+the screen of the same cloud (the Cesaro trackers in gibbs) takes no other.
 
 A single point, shape (4,), never builds a batch: advance, step,
 step_inverse, deform, deform_inverse and jacobian_chart hand it to the
@@ -78,6 +81,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,6 +174,14 @@ class ChartBox:
 
     def from_chart(self, coords):
         return reduce_torus(self.center + coords @ self.axes.T)
+
+
+class StepRecord(NamedTuple):
+    """What a batch step saw of its input: ``cells``, the screen_cells of the
+    reduced rows, and ``rows``, the candidate rows (screen bits != 0)."""
+
+    cells: np.ndarray
+    rows: np.ndarray
 
 
 def screen_cells(pts):
@@ -589,6 +601,23 @@ class DeformedSystem:
         if x.ndim == 1:
             return np.array(self.advance_point(x.tolist())[0])
         return self.auto.apply(self.deform(x))
+
+    def step_record(self, x):
+        """f on a batch x (N, 4), and the StepRecord of its input.
+
+        One reduce_torus, one screen_cells and the two table gathers serve the
+        whole batch; the cube pass runs on the candidate rows alone.  Its rows
+        are independent, so f(x) has the bytes of step(x).
+        """
+        pts = reduce_torus(x)
+        cells = screen_cells(pts)
+        uu_ss, u_s = self.screen_tables
+        rows = (uu_ss[cells[:, 0]] & u_s[cells[:, 1]]).nonzero()[0]
+        if rows.size:
+            cand = pts[rows]
+            self._cube_loop(cand, True)
+            pts[rows] = cand
+        return self.auto.apply(pts), StepRecord(cells, rows)
 
     def step_inverse(self, x):
         """f^{-1} = I_eps^{-1} o A^{-1}."""

@@ -11,24 +11,29 @@ spatial resolution, which the grid tolerance absorbs.  Each step is binned by
 one pass (_bin_counts: the cloud reduced once, the flat cell index built
 column by column, one ``np.bincount``, exact integer counts), and
 cesaro_push divides each step's counts into one reused mass buffer.
-``EmpiricalMeasure.to_rows`` yields the occupied bins lazily, so the 16^4-bin
-measure CSV streams to disk without a row list.
+``EmpiricalMeasure.csv_lines`` yields the CSV lines of the occupied bins one
+slab of the first axis at a time, so the 16^4-bin measure CSV streams to disk
+without a row list; the masses are few distinct values (small counts over
+N steps), and each is formatted once.
 
 The trackers use the exact structure of f on the batch: outside the two cubes
-Df is diag(rates), so only rows that DeformedSystem.screen flags are charted.
-SlabMassTracker computes only the (uu, ss) chart pair of those rows, and
-CenterGrowthTracker carries every other row's center direction by
-diag(lu, ls); both need a system with the cube screen (a DeformedSystem).
+Df is diag(rates), so only screened rows are charted.  With trackers,
+cesaro_push steps through DeformedSystem.step_record, and each tracker reads
+that step's one screen of the cloud from its StepRecord: SlabMassTracker the
+(uu, ss) cells, whose p-cube rows it checks on the (uu, ss) chart pair alone,
+and CenterGrowthTracker the candidate rows, which it charts, carrying every
+other row's center direction by diag(lu, ls).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .deformation import CUBE_BITS, screen_cells
+from .deformation import CUBE_BITS
 from .torus import reduce_torus, torus_displacement
 
 
@@ -71,10 +76,25 @@ class EmpiricalMeasure:
         mass = np.sum(self.mass, axis=drop) if drop else self.mass.copy()
         return EmpiricalMeasure(tuple(self.grid[i] for i in dims), mass)
 
-    def to_rows(self):
-        """Lazy (index..., mass) rows for occupied bins, in C order."""
+    def csv_lines(self):
+        """Lazy CSV lines "i,...,mass\n" of the occupied bins, in C order.
+
+        Each distinct mass is formatted once by %.17g and each index comes
+        from a table of "%d," strings: the bytes of "%d,...,%.17g\n" % row.
+        One slab of the first axis is indexed at a time.
+        """
         occupied = self.mass > 0
-        return zip(*(i.tolist() for i in np.nonzero(occupied)), self.mass[occupied].tolist())
+        values, inverse = np.unique(self.mass[occupied], return_inverse=True)
+        masses = ["%.17g\n" % v for v in values.tolist()]
+        heads = ["%d," % i for i in range(max(self.grid))]
+        slabs, prefixes = (occupied, heads) if occupied.ndim > 1 else ((occupied,), ("",))
+        end = 0
+        for prefix, slab in zip(prefixes, slabs):
+            index = slab.nonzero()
+            start, end = end, end + len(index[0])
+            columns = (map(heads.__getitem__, i.tolist()) for i in index)
+            yield from map("".join, zip(repeat(prefix), *columns,
+                                        map(masses.__getitem__, inverse[start:end].tolist())))
 
 
 def _bin_counts(points, grid):
@@ -85,8 +105,12 @@ def _bin_counts(points, grid):
     exact, so count / N is bitwise the mass of one np.add.at per point.  A
     reduced coordinate is at most 1 - 2^-53, so x * g <= g - g 2^-53 lies
     below the midpoint of g and the double under it, and floor(x * g) is
-    always a cell.  A NaN has no cell and raises.
+    always a cell.  A NaN has no cell and raises, and so does an empty cloud or
+    one whose width is not len(grid).
     """
+    if points.ndim != 2 or not len(points) or points.shape[1] != len(grid):
+        raise ValueError(f"points of shape {points.shape} cannot be binned on grid {grid}: "
+                         f"need (N, {len(grid)}) with N >= 1")
     cells = reduce_torus(points)
     if np.isnan(cells).any():
         raise ValueError("points must be finite to be binned")
@@ -121,9 +145,10 @@ class UnstablePlaque:
     sample_count: int
 
     def points(self):
-        """Equally spaced midpoint samples of the uniform segment measure."""
+        """Equally spaced midpoint samples of the uniform segment measure
+        (none for sample_count 0)."""
         n = self.sample_count
-        if self.half_length == 0.0 or n == 1:
+        if self.half_length == 0.0 or n <= 1:
             return np.broadcast_to(self.anchor, (n, self.anchor.size)).copy()
         t = -self.half_length + (np.arange(n) + 0.5) * (2.0 * self.half_length / n)
         return reduce_torus(self.anchor[None, :] + t[:, None] * self.direction[None, :])
@@ -179,8 +204,12 @@ def cesaro_push(system, plaque: UnstablePlaque, n_steps: int, grid,
                 trackers=()) -> CesaroState:
     """(1/n) sum of binned forward pushes of the plaque samples.
 
-    Trackers receive (step_index, points) before each push and can stream
-    observables against the Cesaro measure without re-running the orbit.
+    Trackers receive (step_index, points, record) before each push, record
+    the StepRecord of the step that pushes the points (system.step_record),
+    and can stream observables against the Cesaro measure without re-running
+    the orbit or screening the cloud again.  Without trackers the push takes
+    system.step.  Either way the loop makes n_steps steps, the last one to
+    the cloud of last_step; ``samples`` is the cloud before it.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -194,16 +223,19 @@ def cesaro_push(system, plaque: UnstablePlaque, n_steps: int, grid,
         acc += step_mass
         if j == 0:
             first = EmpiricalMeasure(grid, step_mass.copy())
-        for tracker in trackers:
-            tracker.observe(j, pts)
-        if j < n_steps - 1:
-            pts = system.step(pts)
+        if trackers:
+            image, record = system.step_record(pts)
+            for tracker in trackers:
+                tracker.observe(j, pts, record)
+        else:
+            image = system.step(pts)
+        samples, pts = pts, image
     return CesaroState(
         accumulated=EmpiricalMeasure(grid, acc / n_steps),
         steps=n_steps,
-        samples=pts,
+        samples=samples,
         first_step=first,
-        last_step=EmpiricalMeasure.from_points(system.step(pts), grid),
+        last_step=EmpiricalMeasure.from_points(pts, grid),
     )
 
 
@@ -218,16 +250,16 @@ class SlabMassTracker:
         self.hits = 0.0
         self.total = 0
 
-    def observe(self, _step, pts):
-        """Counts the reduced points pts (N, 4) in the slab.
+    def observe(self, _step, pts, record):
+        """Counts the points pts (N, 4) in the slab.
 
-        Only rows whose (uu, ss) screen cell carries the p bit can lie in the
-        slab, and only the (uu, ss) chart coordinates bound it: each is
+        Only rows whose (uu, ss) screen cell (record.cells[:, 0], the
+        StepRecord of pts) carries the p bit can lie in the slab, and only
+        the (uu, ss) chart coordinates bound it: each is
         d[0] a[0, i] + d[1] a[1, i], ChartBox.to_chart's two products and one
         sum, on the rows' (uu, ss) displacement d alone.
         """
-        cells = screen_cells(pts)[:, 0]  # contiguous: a strided (N, 2) view costs more
-        rows = (self.table[cells] & CUBE_BITS[0]).nonzero()[0]
+        rows = (self.table[record.cells[:, 0]] & CUBE_BITS[0]).nonzero()[0]
         d = torus_displacement(pts[rows, :2], self.center)
         coords = d[:, :1] * self.axes[0]
         coords += d[:, 1:] * self.axes[1]
@@ -247,10 +279,10 @@ class CenterGrowthTracker:
     direction rides the center-unstable bundle, so the running mean estimates
     the volume integral of the limit measure along that bundle.  The (u, s)
     center plane is invariant and Df on it is diag(lu, ls) outside both
-    cubes, so only the rows system.screen flags go through jacobian_chart;
-    the rest are scaled by (lu, ls), the bits of the full-batch product with
-    the diagonal block but for the sign of a zero.  The system needs screen
-    and rates.
+    cubes, so only the candidate rows of the step's screen (record.rows, the
+    StepRecord of pts) go through jacobian_chart; the rest are scaled by
+    (lu, ls), the bits of the full-batch product with the diagonal block but
+    for the sign of a zero.  The system needs jacobian_chart and rates.
     """
 
     def __init__(self, system, sample_count, warmup: int = 50):
@@ -263,9 +295,9 @@ class CenterGrowthTracker:
         self.log_sum = 0.0
         self.count = 0
 
-    def observe(self, step, pts):
+    def observe(self, step, pts, record):
         w = self.dirs * self.center_rates
-        rows = self.system.screen(pts).nonzero()[0]
+        rows = record.rows
         jac = self.system.jacobian_chart(pts[rows])[:, 2:4, 2:4]
         w[rows] = np.einsum("nij,nj->ni", jac, self.dirs[rows])
         g = np.sqrt(w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1])  # bitwise np.linalg.norm(w, axis=1)

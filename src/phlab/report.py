@@ -106,21 +106,16 @@ def _jsonable(value):
     return value
 
 
-def write_csv(path, rows, line=None):
+def write_csv(path, rows, lines=()):
     """Minimal deterministic CSV writer; rows are any iterable, so tables stream.
 
-    Each cell goes through fmt.  With ``line``, a %-format such as
-    "%d,%.17g\n" whose %d and %.17g give fmt's digits, the first row is the
-    header and each later row is rendered by one ``line % row``.
+    Each cell goes through fmt.  ``lines``, CSV lines already rendered with
+    their newline (EmpiricalMeasure.csv_lines), follow the rows as they are.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        if line is None:
-            fh.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
-        else:
-            rows = iter(rows)
-            fh.write(",".join(next(rows)) + "\n")
-            fh.writelines(line % row for row in rows)
+        fh.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
+        fh.writelines(lines)
 
 
 def write_gnuplot(path, script: str):

@@ -226,7 +226,7 @@ class _CloudSampler:
         self.keep = keep
         self.points = []
 
-    def observe(self, step, pts):
+    def observe(self, step, pts, _record):
         if step % self.stride == 0:
             self.points.append(pts[: self.keep].copy())
 

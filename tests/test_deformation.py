@@ -22,6 +22,7 @@ from phlab.deformation import (
     _fine_axis_on,
     _slab_grid,
     build_deformed_system,
+    screen_cells,
     center_gap_condition,
     eigenvalue_rates,
     rate_inequalities,
@@ -543,6 +544,37 @@ def test_advance_matches_step_and_jacobian_chart_bitwise(system, rng, eps_tilde)
     # random; per cube in band, in band at r < delta/2, r >= delta, out of band; p, q
     singles = [0, 200, 400, 600, 800, 1000, 1200, 1400, 1600, n - 2, n - 1]
     _assert_advance_is_step_and_jacobian_chart(sys_, pts, singles)
+
+
+@pytest.mark.parametrize("eps_tilde", [0.0, 0.05])
+def test_step_record_is_step_and_its_screen_bitwise(system, rng, eps_tilde):
+    """step_record's image has the bytes of step, its rows are the nonzero rows
+    of screen and its cells screen_cells of the reduced batch: on band and
+    off-band rows of both cubes, p, q and a NaN row, each alone among far rows
+    in batches of 2 and 100, all together, and among 1e4 random rows."""
+    sys_ = system if eps_tilde == 0.0 else system.make_tilde(eps_tilde)
+    special = np.concatenate([_advance_points(sys_, rng, 20), np.full((1, 4), np.nan)])
+    far = rng.random((2000, 4))
+    far = far[sys_.screen(far) == 0]
+    big = rng.random((10_000, 4))
+    big[rng.choice(len(big), len(special), replace=False)] = special
+    batches = [special, big]
+    for n in (2, 100):
+        for i, x in enumerate(np.concatenate([special[20::9], special[-3:]])):
+            batch = far[rng.choice(len(far), n, replace=False)]
+            batch[i % n] = x
+            batches.append(batch)
+    moved = 0
+    for pts in batches:
+        img, record = sys_.step_record(pts)
+        want = sys_.step(pts)
+        assert _same_bits(img, want)
+        assert np.array_equal(record.rows, sys_.screen(pts).nonzero()[0])
+        cells = screen_cells(reduce_torus(pts))
+        assert record.cells.dtype == cells.dtype and np.array_equal(record.cells, cells)
+        moved += np.count_nonzero((want.view(np.int64) != sys_.auto.apply(pts).view(np.int64))
+                                  .any(axis=1))
+    assert moved > 20  # the cube pass moved band rows of both cubes
 
 
 @settings(max_examples=8)

@@ -1,7 +1,11 @@
+import os
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from phlab.deformation import screen_cells
+from phlab.deformation import CUBE_BITS, screen_cells
 from phlab.gibbs import (
     CenterGrowthTracker,
     EmpiricalMeasure,
@@ -170,8 +174,34 @@ def test_cesaro_rejects_zero_steps(cat):
 
 def test_measure_rows_roundtrip(rng):
     m = EmpiricalMeasure.from_points(rng.random((100, 2)), (4, 4))
-    rows = m.to_rows()
-    assert abs(sum(r[-1] for r in rows) - 1.0) < 1e-12
+    lines = list(m.csv_lines())
+    assert abs(sum(float(line.split(",")[-1]) for line in lines) - 1.0) < 1e-12
+    assert all(line.endswith("\n") and line.count(",") == 2 for line in lines)
+
+
+@pytest.mark.parametrize("shape, grid", [((0, 2), (4, 4)), ((0, 4), (8,) * 4), ((5, 3), (4, 4)),
+                                         ((5, 1), (4, 4)), ((5, 4), (8,)), ((5,), (4, 4))])
+def test_binning_refuses_empty_and_misshaped_clouds(rng, shape, grid):
+    """An empty cloud, or one whose width is not len(grid), raises naming its
+    shape: neither an all-NaN measure nor a bin of the first columns."""
+    pts = rng.random(shape)
+    named = re.escape(str(pts.shape))
+    with pytest.raises(ValueError, match=named):
+        _bin_counts(pts, grid)
+    if pts.ndim == 2:
+        with pytest.raises(ValueError, match=named):
+            EmpiricalMeasure.from_points(pts, grid)
+
+
+def test_cesaro_push_refuses_empty_and_misshaped_plaques(cat):
+    empty = UnstablePlaque(anchor=np.zeros(2), direction=cat.axes[:, 0],
+                           half_length=0.1, sample_count=0)
+    with pytest.raises(ValueError, match=re.escape("(0, 2)")):
+        cesaro_push(cat, empty, 3, (8, 8))
+    plq = UnstablePlaque(anchor=np.zeros(2), direction=cat.axes[:, 0],
+                         half_length=0.1, sample_count=10)
+    with pytest.raises(ValueError, match=re.escape("(10, 2)")):
+        cesaro_push(cat, plq, 3, (8, 8, 8, 8))
 
 
 # --- oracles: the former per-point kernels, kept to pin the fast ones bitwise ---
@@ -267,12 +297,77 @@ def _former_rows(measure):
     return rows
 
 
-def test_to_rows_matches_argwhere_loop(rng):
+def _printf_lines(measure, rows):
+    """The CSV lines of rows as the former writer rendered them."""
+    line = "%d," * len(measure.grid) + "%.17g\n"
+    return "".join(line % row for row in rows)
+
+
+def test_csv_lines_match_argwhere_loop(rng):
     m = EmpiricalMeasure.from_points(_edge_cloud(rng, 500, (6,) * 4), (6, 6, 6, 6))
-    got = list(m.to_rows())
-    want = _former_rows(m)
-    assert got == want
-    assert all(type(a) is type(b) for g, w in zip(got, want) for a, b in zip(g, w))
+    assert "".join(m.csv_lines()) == _printf_lines(m, _former_rows(m))
+
+
+def _ulp_apart(grid):
+    """Masses 1/64 and one ulp either side of it, with empty bins between."""
+    mass = np.full(grid, 1.0 / 64.0)
+    flat = mass.reshape(-1)
+    flat[::3] = np.nextafter(1.0 / 64.0, 1.0)
+    flat[1::5] = np.nextafter(1.0 / 64.0, 0.0)
+    flat[2::7] = 0.0
+    return mass
+
+
+def _measures(rng):
+    out = []
+    for grid in ((16,), (4, 4), (3, 4, 5, 2)):
+        distinct = rng.random(grid)
+        out += [EmpiricalMeasure.uniform(grid), EmpiricalMeasure(grid, distinct / distinct.sum()),
+                EmpiricalMeasure(grid, _ulp_apart(grid)), EmpiricalMeasure(grid, np.zeros(grid))]
+        gaps = distinct.copy()
+        gaps[0] = gaps[-1] = 0.0  # empty first and last slabs of the first axis
+        out.append(EmpiricalMeasure(grid, gaps))
+        out.append(EmpiricalMeasure.atom(rng.random(len(grid)), grid))
+    counts = rng.integers(0, 5, (6,) * 4)  # few distinct masses, as a Cesaro sum has
+    out.append(EmpiricalMeasure((6,) * 4, counts / counts.sum()))
+    return out
+
+
+def test_csv_lines_are_the_printf_lines_bytewise(rng):
+    """csv_lines has the bytes of "%d,...,%.17g\n" % row on every occupied bin:
+    uniform and all-distinct masses, masses one ulp apart, empty slabs, no
+    mass at all and atoms, on 1-D, 2-D and 4-D grids."""
+    for m in _measures(rng):
+        occupied = m.mass > 0
+        rows = zip(*(i.tolist() for i in np.nonzero(occupied)), m.mass[occupied].tolist())
+        got = list(m.csv_lines())
+        assert "".join(got) == _printf_lines(m, rows)
+        assert len(got) == np.count_nonzero(occupied)
+
+
+def _write_peak(lines):
+    """tracemalloc's peak while lines are written to the null device."""
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as fh:
+            fh.writelines(lines)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_lines_peak_below_former_writer(rng):
+    """Writing the 16^4-bin measure peaks no higher than the former writer,
+    which held every index and mass as lists (to_rows) for one line % row."""
+    counts = rng.integers(0, 6, (16,) * 4)
+    m = EmpiricalMeasure((16,) * 4, counts / counts.sum())
+
+    def former():  # a generator function: nothing is built before the write
+        occupied = m.mass > 0
+        rows = zip(*(i.tolist() for i in np.nonzero(occupied)), m.mass[occupied].tolist())
+        yield from ("%d,%d,%d,%d,%.17g\n" % row for row in rows)
+
+    assert _write_peak(m.csv_lines()) <= _write_peak(former())
 
 
 def test_marginal_rejects_bad_dims_before_summing():
@@ -296,8 +391,8 @@ def test_slab_tracker_matches_chart_lookup(system, rng):
     coords = np.concatenate([(rng.random((4000, 4)) - 0.5) * 4 * w, edge])
     pts = np.concatenate([system.chart_p.from_chart(coords), rng.random((4000, 4))])
     slab = SlabMassTracker(system)
-    slab.observe(0, pts)
-    slab.observe(1, pts[:10])
+    slab.observe(0, pts, system.step_record(pts)[1])
+    slab.observe(1, pts[:10], system.step_record(pts[:10])[1])
     assert slab.hits == _former_slab_hits(system, pts) + _former_slab_hits(system, pts[:10])
     assert slab.total == len(pts) + 10
 
@@ -333,7 +428,7 @@ def test_slab_tracker_matches_full_batch_formula(system, rng):
             batches.append(batch)
     tracker, want = SlabMassTracker(system), 0.0
     for pts in batches:
-        tracker.observe(0, pts)
+        tracker.observe(0, pts, system.step_record(pts)[1])
         want += _full_batch_slab_hits(system, pts)
     assert tracker.hits == want and want > len(slab)
     assert tracker.total == sum(len(b) for b in batches)
@@ -377,11 +472,95 @@ def test_center_tracker_norm_matches_linalg_norm(system, rng, monkeypatch):
         want_sum, want_dirs = _full_batch_center_step(system, pts, dirs)
         tracker = CenterGrowthTracker(system, len(pts), warmup=0)
         tracker.dirs = dirs.copy()
+        record = system.step_record(pts)[1]
         with monkeypatch.context() as m:
             m.setattr(system, "jacobian_chart", screened_only)
-            tracker.observe(0, pts)
+            tracker.observe(0, pts, record)
         assert tracker.log_sum == want_sum
         assert tracker.dirs.tobytes() == want_dirs.tobytes()
     # one call per observe, empty on the batch with no screened row
     assert len(seen) == len(batches) and seen[0] == 0 and seen[1] == seen[2] == 1
     assert max(seen) < 1000
+
+
+# --- the Cesaro loop before the step record: every screen taken again ---
+
+class _FormerSlab(SlabMassTracker):
+    def observe(self, _step, pts):
+        cells = screen_cells(pts)[:, 0]
+        rows = (self.table[cells] & CUBE_BITS[0]).nonzero()[0]
+        d = torus_displacement(pts[rows, :2], self.center)
+        coords = d[:, :1] * self.axes[0]
+        coords += d[:, 1:] * self.axes[1]
+        near = np.abs(coords) <= self.half_width
+        self.hits += float(np.count_nonzero(near[:, 0] & near[:, 1]))
+        self.total += len(pts)
+
+
+class _FormerCenter(CenterGrowthTracker):
+    def observe(self, step, pts):
+        w = self.dirs * self.center_rates
+        rows = self.system.screen(pts).nonzero()[0]
+        jac = self.system.jacobian_chart(pts[rows])[:, 2:4, 2:4]
+        w[rows] = np.einsum("nij,nj->ni", jac, self.dirs[rows])
+        g = np.sqrt(w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1])
+        if step >= self.warmup:
+            self.log_sum += float(np.sum(np.log(g)))
+            self.count += len(pts)
+        for column in w.T:
+            column /= g
+        self.dirs = w
+
+
+def _former_tracked_push(system, plaque, n_steps, grid, trackers):
+    """cesaro_push before step_record: step, and observe(step, pts) with the
+    trackers' own screens, and the last step taken after the loop."""
+    pts = plaque.points()
+    acc, step_mass = np.zeros(grid), np.empty(grid)
+    for j in range(n_steps):
+        np.divide(_bin_counts(pts, grid), len(pts), out=step_mass)
+        acc += step_mass
+        if j == 0:
+            first = step_mass.copy()
+        for tracker in trackers:
+            tracker.observe(j, pts)
+        if j < n_steps - 1:
+            pts = system.step(pts)
+    last = EmpiricalMeasure.from_points(system.step(pts), grid).mass
+    return acc / n_steps, first, last, pts
+
+
+@pytest.mark.parametrize("eps_tilde, n_steps", [(0.0, 1), (0.0, 40), (0.05, 40)])
+def test_tracked_cesaro_push_matches_former_loop_bitwise(system, monkeypatch, eps_tilde, n_steps):
+    """Trackers fed by step_record against the former loop: the measures, the
+    samples and both trackers bitwise, on a plaque through the p cube's band,
+    so that the chart pass runs."""
+    sys_ = system.make_tilde(eps_tilde) if eps_tilde else system
+    d, k = sys_.params.delta, sys_.params.k
+    anchor = sys_.chart_p.from_chart(np.array([0.001, 0.001, 0.2 * d / k, 0.001]))
+    plq = UnstablePlaque(anchor=anchor, direction=sys_.chart_p.axes[:, 0], half_length=0.1,
+                         sample_count=2000)
+    grid = (16,) * 4
+    charted = []
+    jacobian_chart = sys_.jacobian_chart
+
+    def counting(x):
+        charted.append(len(x))
+        return jacobian_chart(x)
+
+    slab, center = SlabMassTracker(sys_), CenterGrowthTracker(sys_, 2000, warmup=0)
+    with monkeypatch.context() as m:
+        m.setattr(sys_, "jacobian_chart", counting)
+        state = cesaro_push(sys_, plq, n_steps, grid, trackers=(slab, center))
+    former_slab, former_center = _FormerSlab(sys_), _FormerCenter(sys_, 2000, warmup=0)
+    acc, first, last, pts = _former_tracked_push(sys_, plq, n_steps, grid,
+                                                 (former_slab, former_center))
+    assert len(charted) == n_steps and sum(charted) > 100
+    assert state.steps == n_steps
+    assert state.accumulated.mass.tobytes() == acc.tobytes()
+    assert state.first_step.mass.tobytes() == first.tobytes()
+    assert state.last_step.mass.tobytes() == last.tobytes()
+    assert state.samples.tobytes() == pts.tobytes()
+    assert slab.value == former_slab.value and slab.hits > 0
+    assert center.value == former_center.value
+    assert center.dirs.tobytes() == former_center.dirs.tobytes()
