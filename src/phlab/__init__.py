@@ -42,7 +42,6 @@ from .gibbs import (
     EmpiricalMeasure,
     UnstablePlaque,
     cesaro_push,
-    pushforward_base,
     seed_plaque,
     total_variation,
 )
@@ -51,7 +50,6 @@ from .product import (
     ProductSystem,
     build_product,
     commuting_diagram_check,
-    fiber_pushforward_statistics,
 )
 from .skeleton import (
     ManifoldArc,

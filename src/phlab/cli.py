@@ -38,11 +38,7 @@ from .ergodic import (
     push_forward,
 )
 from .errors import ConfigError, ParameterTooLargeError, PhlabError
-from .product import (
-    LinearSystem,
-    commuting_diagram_check,
-    fiber_pushforward_statistics,
-)
+from .product import LinearSystem, commuting_diagram_check
 from .report import (
     RunReport,
     heatmap_plot_script,
@@ -263,6 +259,11 @@ def run_verify_construction(config: ExperimentConfig, report: RunReport, out_dir
 @task("verify-cones", DEFORMED_KINDS)
 def run_verify_cones(config: ExperimentConfig, report: RunReport, out_dir: str, system,
                      *, n_points=2000, n_vectors=5, sandwich_steps=20):
+    # the sandwich's lower bound luu ** sandwich_steps must stay a finite float
+    max_steps = int(np.log(np.finfo(float).max) / np.log(system.luu))
+    if sandwich_steps > max_steps:
+        raise ConfigError(f"task.sandwich_steps: luu ** {sandwich_steps} overflows a float; "
+                          f"at most {max_steps} steps at luu = {system.luu:.6g}")
     cones = cones_mod.standard_cones(system)
     plan = [
         ("uu-forward", "forward", True),
@@ -387,7 +388,7 @@ def run_gibbs(config: ExperimentConfig, report: RunReport, out_dir: str, system,
     state = gibbs_mod.cesaro_push(system, plaque, cesaro_steps, grid, trackers=(slab, center))
     report.add("cesaro-mass", abs(state.accumulated.total - 1.0) < 1e-12,
                abs(state.accumulated.total - 1.0), "< 1e-12")
-    base = gibbs_mod.pushforward_base(state.accumulated, 2)
+    base = state.accumulated.marginal((0, 1))
     tv = gibbs_mod.total_variation(
         base, gibbs_mod.EmpiricalMeasure.uniform(base.grid))
     report.add("base-marginal-uniform", tv < 0.05, tv, "< 0.05")
@@ -535,7 +536,8 @@ def run_product_checks(config: ExperimentConfig, report: RunReport, out_dir: str
         plq = gibbs_mod.UnstablePlaque(anchor=anchor, direction=direction,
                                        half_length=0.2, sample_count=plaque_samples)
         state = gibbs_mod.cesaro_push(system, plq, cesaro_steps, grid)
-        marg[tag] = fiber_pushforward_statistics(system, state.accumulated)
+        acc = state.accumulated
+        marg[tag] = (acc.marginal(range(system.d1)), acc.marginal(range(system.d1, system.dim)))
     tv_base = gibbs_mod.total_variation(marg["w1"][0], marg["w2"][0])
     tv_fiber = gibbs_mod.total_variation(marg["w1"][1], marg["w2"][1])
     report.add("fiber-seed-separation", tv_fiber > tv_base, tv_fiber,

@@ -23,7 +23,6 @@ import numpy as np
 
 from .ergodic import push_forward
 
-BUNDLE_ORDER = ("uu", "cu", "cs", "ss")
 #: angular gap between extraction depths n and n-1 below which a bundle counts
 #: as converged
 SPLITTING_TOL = 1e-8
@@ -110,14 +109,6 @@ class InvarianceReport:
     worst_violation: float
     witness_point: np.ndarray
     witness_ratio: float
-
-    @property
-    def forward_invariant(self) -> bool:
-        return self.theta < 1.0
-
-    @property
-    def unstable(self) -> bool:
-        return self.forward_invariant and self.growth_gamma > 1.0
 
 
 def verify_invariance(system, cone: ConeField, direction: str = "forward",
@@ -208,9 +199,6 @@ class SplittingEstimate:
     n_iter: int
     converged: bool
     tolerance: float = SPLITTING_TOL
-
-    def direction_matrix(self):
-        return np.column_stack([self.directions[b] for b in BUNDLE_ORDER])
 
 
 def _push(mats, seed):

@@ -17,6 +17,10 @@ class MeasureConstraintError(PhlabError):
     """Bump half-width violates the Lebesgue-measure budget (delta > 1/40)."""
 
 
+class SplittingNotConvergedError(PhlabError):
+    """An extracted bundle direction did not converge where one is required."""
+
+
 class RootFindError(PhlabError):
     """A bracketed scalar solve failed to converge."""
 

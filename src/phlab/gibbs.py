@@ -34,6 +34,7 @@ from itertools import repeat
 import numpy as np
 
 from .deformation import CUBE_BITS
+from .errors import SplittingNotConvergedError
 from .torus import reduce_torus, torus_displacement
 
 
@@ -58,10 +59,6 @@ class EmpiricalMeasure:
         grid = tuple(int(g) for g in grid)
         n = int(np.prod(grid))
         return cls(grid, np.full(grid, 1.0 / n))
-
-    @classmethod
-    def atom(cls, point, grid):
-        return cls.from_points(np.atleast_2d(point), grid)
 
     @property
     def total(self) -> float:
@@ -128,13 +125,6 @@ def total_variation(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> float:
     return 0.5 * float(np.sum(np.abs(m1.mass - m2.mass)))
 
 
-def pushforward_base(measure: EmpiricalMeasure, base_dims: int) -> EmpiricalMeasure:
-    """Marginal on the first ``base_dims`` torus dimensions."""
-    if not 1 <= base_dims <= len(measure.grid):
-        raise ValueError("base_dims must be a prefix of the torus dimensions")
-    return measure.marginal(tuple(range(base_dims)))
-
-
 @dataclass(frozen=True)
 class UnstablePlaque:
     """Uniform samples on a segment tangent to the strong-unstable direction."""
@@ -168,7 +158,7 @@ def seed_plaque(system, anchor, half_length: float, sample_count: int,
     anchor = np.asarray(anchor, dtype=float)
     est = extract_splitting(system, anchor, n_iter=n_iter)
     if est.residuals["uu"] >= est.tolerance:
-        raise RuntimeError(
+        raise SplittingNotConvergedError(
             f"strong-unstable direction not converged at {anchor}: "
             f"residual {est.residuals['uu']:.2e}"
         )

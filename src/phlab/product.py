@@ -221,14 +221,3 @@ def commuting_diagram_check(ps: ProductSystem, n_points: int = 1000, rng=None):
     base_res = torus_distance(gz[:, :d1], ps.base.step(z[:, :d1]))
     fiber_res = torus_distance(gz[:, d1:], ps.fiber.apply(z[:, d1:]))
     return {"base": float(np.max(base_res)), "fiber": float(np.max(fiber_res))}
-
-
-def fiber_pushforward_statistics(ps: ProductSystem, measure):
-    """Base and fiber marginals of a measure on the product grid."""
-    if len(measure.grid) != ps.dim:
-        raise ValueError(
-            f"measure grid has {len(measure.grid)} dims, product has {ps.dim}"
-        )
-    base = measure.marginal(tuple(range(ps.d1)))
-    fiber = measure.marginal(tuple(range(ps.d1, ps.dim)))
-    return base, fiber

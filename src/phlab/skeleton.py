@@ -168,11 +168,6 @@ class ManifoldArc:
     seed_direction: np.ndarray
     complete: bool = True
 
-    def tangent_at_root(self):
-        t = torus_displacement(self.polyline[min(1, len(self.polyline) - 1)], self.polyline[0])
-        n = np.linalg.norm(t)
-        return t / n if n > 0 else t
-
 
 def _eigenspace(system, record: PeriodicPointRecord, kind: str):
     m, _ = orbit_jacobian(system, record.point, record.period, True)

@@ -168,17 +168,6 @@ class SpectralSplitting:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def residual(self, matrix: IntegerMatrix) -> float:
-        m = matrix.to_float()
-        return float(
-            np.max(
-                np.linalg.norm(
-                    m @ self.eigenvectors - self.eigenvectors * self.eigenvalues,
-                    axis=0,
-                )
-            )
-        )
-
 
 #: eigen-index, in a 4x4 splitting's modulus order (uu, u, s, ss), of each
 #: chart axis (uu, ss, u, s)
@@ -268,9 +257,6 @@ class ToralAutomorphism:
         m = self._m_inv if inverse else self._m
         return reduce_point((np.array(x) @ m.T).tolist())
 
-    def inverse(self):
-        return ToralAutomorphism(self.matrix.inverse())
-
     def __repr__(self):
         return f"ToralAutomorphism({list(map(list, self.matrix.entries))})"
 
@@ -288,16 +274,18 @@ def cat_power_product(n, m):
     return ToralAutomorphism(block)
 
 
+def _power_minus_identity(matrix: IntegerMatrix, n: int):
+    """The integer rows of A^n - I."""
+    p = matrix.power(n).entries
+    return [[p[i][j] - (1 if i == j else 0) for j in range(matrix.dim)]
+            for i in range(matrix.dim)]
+
+
 def fixed_point_count(matrix: IntegerMatrix, n: int) -> int:
     """|det(A^n - I)| in exact integer arithmetic (Lefschetz fixed-point count)."""
     if n < 1:
         raise ValueError("period n must be >= 1")
-    p = matrix.power(n)
-    b = [
-        [p.entries[i][j] - (1 if i == j else 0) for j in range(matrix.dim)]
-        for i in range(matrix.dim)
-    ]
-    det = _int_det(b)
+    det = _int_det(_power_minus_identity(matrix, n))
     if det == 0:
         raise NotHyperbolicError(f"A^{n} has eigenvalue 1; count undefined")
     return abs(det)
@@ -372,12 +360,7 @@ def _periodic_lattice(matrix: IntegerMatrix, n: int):
     """Smith data (v, diag, lcm) of A^n - I: the period-n points are
     v (combo * lcm / diag) / lcm mod 1 for combo in the box range(diag)."""
     d = matrix.dim
-    p = matrix.power(n)
-    b = [
-        [p.entries[i][j] - (1 if i == j else 0) for j in range(d)]
-        for i in range(d)
-    ]
-    _, s, v = smith_normal_form(b)
+    _, s, v = smith_normal_form(_power_minus_identity(matrix, n))
     diag = [abs(s[i][i]) for i in range(d)]
     return v, diag, math.lcm(*diag)
 

@@ -34,7 +34,6 @@ from phlab.gibbs import (
     EmpiricalMeasure,
     SlabMassTracker,
     cesaro_push,
-    pushforward_base,
     seed_plaque,
     total_variation,
 )
@@ -265,7 +264,7 @@ def test_08_gibbs_integral_positivity(system, capfd):
 def test_09_base_pushforward(system, capfd):
     with criterion(9, 120.0, "TV(base marginal, uniform) < 0.05 on 16^2", capfd):
         state, *_ = _cesaro_session(system)
-        base = pushforward_base(state.accumulated, 2)
+        base = state.accumulated.marginal((0, 1))
         tv = total_variation(base, EmpiricalMeasure.uniform((16, 16)))
         assert tv < 0.05
 

@@ -2,6 +2,7 @@ import ast
 import copy
 import filecmp
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phlab import cli
+from phlab import cones as cones_mod
 from phlab import config as config_mod
 from phlab.cli import _fd_jacobian, main, run_task
 from phlab.config import ExperimentConfig, build_system
@@ -135,6 +137,35 @@ def test_verify_cones_negative_control_pins_that_no_check_sees_the_deformation(s
     and none lands in a band, so the verdicts are about A's Jacobian; a check
     that learns to see I_eps must be added here."""
     checks = _checks_on_f_and_twin(cli.run_verify_cones, system, tmp_path, n_points=300)
+    assert _moved(checks) == set()
+    assert all(passed for c in checks.values() for passed, _ in c.values())
+
+
+def test_verify_construction_negative_control_pins_the_checks_that_see_the_deformation(
+        system, tmp_path):
+    """verify-construction on f and on its coef = 0 twin (f = A).  The cube
+    field checks and the two fixed-point Jacobians move; only the Jacobians
+    fail on A, since A's dP/dc = dQ/dd = lu lies inside the splitting bounds.
+    The round trips, jacobian-fd, the gluing and the inverse chain keep their
+    bits: their cube points are uniform over the chart cube and miss the band.
+    The tilde checks keep theirs because make_tilde rebuilds the cubes."""
+    checks = _checks_on_f_and_twin(cli.run_verify_construction, system, tmp_path,
+                                   **SMALL_CONSTRUCTION)
+    moved = _moved(checks)
+    assert moved == {"cross-partials-sup", "splitting-dPdc-lower", "splitting-dPdc-upper",
+                     "splitting-dQdd-lower", "splitting-dQdd-upper", "jacobian-at-p",
+                     "jacobian-at-q"}
+    assert all(passed for passed, _ in checks["f"].values())
+    assert {k for k, (passed, _) in checks["A"].items() if not passed} == {"jacobian-at-p",
+                                                                            "jacobian-at-q"}
+
+
+def test_skeleton_negative_control_pins_that_no_check_sees_the_deformation(system, tmp_path):
+    """skeleton on f and on its coef = 0 twin (f = A): every check value is the
+    same and passes on both.  The census and the arcs run on the cat map, and
+    the tilde checks on make_tilde, which rebuilds the cubes from the params."""
+    checks = _checks_on_f_and_twin(cli.run_skeleton, system, tmp_path, census_max_period=3,
+                                   arc_length=2.0, arc_resolution=0.02, tol=0.02)
     assert _moved(checks) == set()
     assert all(passed for c in checks.values() for passed, _ in c.values())
 
@@ -426,8 +457,14 @@ def test_main_rejects_bool_for_int(tmp_path, capsys, override, field):
 ])
 def test_main_bad_values_exit_2_naming_the_field(tmp_path, capsys, monkeypatch, subcommand,
                                                  system, task, field):
-    """Each bad value exits 2 naming its field, before any check is recorded
-    and before any spectrum orbit runs."""
+    _assert_exits_2_before_any_check(tmp_path, capsys, monkeypatch, subcommand, system, task,
+                                     field)
+
+
+def _assert_exits_2_before_any_check(tmp_path, capsys, monkeypatch, subcommand, system, task,
+                                     field):
+    """The config exits 2 naming field, before any check is recorded and
+    before any spectrum orbit runs."""
 
     def no_orbit(*args, **kwargs):
         raise AssertionError("a spectrum orbit ran before the config was checked")
@@ -586,6 +623,102 @@ def test_readme_task_tables_match_task_keys():
         elif row and current is not None:
             current[row.group(1)] = ast.literal_eval(row.group(2))
     assert tables == cli.TASK_KEYS
+
+
+def _readme_bounds():
+    """{(subcommand, key): bound cell} of the README's task tables."""
+    bounds, current = {}, None
+    for line in _readme().splitlines():
+        heading = re.fullmatch(r"#### `([\w-]+)`", line)
+        row = re.fullmatch(r"\| `(\w+)` \| [^|]+ \| (.+) \|", line)
+        if heading:
+            current = heading.group(1)
+        elif row and current is not None:
+            bounds[current, row.group(1)] = row.group(2)
+    return bounds
+
+
+#: the README bounds that involve another key or the system, which the task
+#: checks: (subcommand, key) -> (system, task with the first bad value)
+README_TASK_RULES = {
+    ("verify-construction", "eps_tilde_check"): ({}, {**SMALL_CONSTRUCTION,
+                                                      "eps_tilde_check": 1.0}),
+    # luu ** 246 overflows on the shipped system
+    ("verify-cones", "sandwich_steps"): ({}, {"sandwich_steps": 246}),
+    ("lyapunov", "orbit_length"): ({}, {"orbit_length": 200}),
+    ("lyapunov", "transient"): ({}, {"n_orbits": 2, "orbit_length": 20_001,
+                                     "transient": 20_000}),
+    ("lyapunov", "min_good_orbits"): ({}, {**TINY, "min_good_orbits": 3}),
+    ("gibbs", "grid_side"): ({}, {"grid_side": 33}),
+    ("gibbs", "integral_orbit"): ({}, {"integral_orbit": 200}),
+    ("gibbs", "tracker_warmup"): ({}, {"cesaro_steps": 50}),
+    ("skeleton", "census_max_period"): ({}, {"census_max_period": 15}),
+    ("product-checks", "grid_side"): (PRODUCT, {"grid_side": 33}),
+}
+
+
+def test_readme_task_bounds_match_the_config_tables():
+    """Each README bound cell of the form "integer ≥ N", "integer in [a, b]" or
+    "number > 0" is config's table entry for the key; every other cell, and
+    every upper bound that is not config's, is a rule the task checks."""
+    bounds = _readme_bounds()
+    assert bounds.keys() == {(name, key) for name, keys in cli.TASK_KEYS.items() for key in keys}
+    assert README_TASK_RULES.keys() <= bounds.keys()
+    minimum, maximum, positive = {}, {}, set()
+    for (name, key), cell in bounds.items():
+        low = re.match(r"integer (?:≥ |in \[)(\d+)", cell)
+        high = re.match(r"integer in \[\d+, (\d+)\]", cell)
+        if low:
+            assert minimum.setdefault(key, int(low.group(1))) == int(low.group(1))
+        if high and (name, key) not in README_TASK_RULES:
+            maximum[key] = int(high.group(1))
+        if cell.startswith("number > 0"):
+            positive.add(key)
+        elif not low:
+            assert (name, key) in README_TASK_RULES, cell
+    assert {key: low for key, low in minimum.items() if low != 1} == config_mod._TASK_MINIMUM
+    assert maximum == config_mod._TASK_MAXIMUM
+    assert positive == config_mod._TASK_POSITIVE
+
+
+@pytest.mark.parametrize("rule", sorted(README_TASK_RULES), ids="-".join)
+def test_readme_task_rules_refuse_their_first_bad_value(tmp_path, capsys, monkeypatch, rule):
+    system, task = README_TASK_RULES[rule]
+    _assert_exits_2_before_any_check(tmp_path, capsys, monkeypatch, rule[0], system, task,
+                                     f"task.{rule[1]}")
+
+
+def test_sandwich_steps_stop_where_the_lower_bound_overflows(system, tmp_path):
+    """luu ** 245 is a float on the shipped system and luu ** 246 overflows:
+    245 steps give a finite growth-sandwich, and README_TASK_RULES has 246
+    exit 2 naming the key."""
+    assert math.isfinite(system.luu ** 245)
+    with pytest.raises(OverflowError):
+        system.luu ** 246
+    cfg = small({"n_points": 1, "n_vectors": 1, "sandwich_steps": 245})
+    report = run_task("verify-cones", cfg, str(tmp_path))
+    (check,) = (c for c in report.checks if c.name == "growth-sandwich")
+    assert check.passed and math.isfinite(check.value)
+
+
+def test_main_unconverged_plaque_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
+    """A plaque whose uu direction does not converge ends the gibbs run with
+    exit 1 and one error line, not a traceback."""
+    extract = cones_mod.extract_splitting
+
+    def unconverged(*args, **kwargs):
+        est = extract(*args, **kwargs)
+        est.residuals["uu"] = est.tolerance
+        return est
+
+    monkeypatch.setattr(cones_mod, "extract_splitting", unconverged)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**DEFORMED, "task": {"plaque_samples": 100, "cesaro_steps": 60,
+                                                     "integral_orbit": 300}}))
+    assert main(["gibbs", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: strong-unstable direction not converged")
+    assert "Traceback" not in err
 
 
 def test_skeleton_takes_a_product_with_a_4x4_fiber(tmp_path):

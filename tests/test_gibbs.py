@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from phlab.deformation import CUBE_BITS, screen_cells
+from phlab.errors import SplittingNotConvergedError
 from phlab.gibbs import (
     CenterGrowthTracker,
     EmpiricalMeasure,
@@ -13,7 +14,6 @@ from phlab.gibbs import (
     UnstablePlaque,
     _bin_counts,
     cesaro_push,
-    pushforward_base,
     seed_plaque,
     total_variation,
 )
@@ -44,8 +44,8 @@ def test_total_variation_cases():
     grid = (4, 4)
     m = EmpiricalMeasure.uniform(grid)
     assert total_variation(m, m) == 0.0
-    a = EmpiricalMeasure.atom([0.1, 0.1], grid)
-    b = EmpiricalMeasure.atom([0.9, 0.9], grid)
+    a = EmpiricalMeasure.from_points(np.atleast_2d([0.1, 0.1]), grid)
+    b = EmpiricalMeasure.from_points(np.atleast_2d([0.9, 0.9]), grid)
     assert total_variation(a, b) == 1.0
     # uniform vs mass concentrated on half the bins: closed form 1/2
     half = np.zeros(grid)
@@ -59,18 +59,19 @@ def test_total_variation_grid_mismatch():
 
 
 def test_pushforward_base_cases():
+    """The base pushforward is the marginal on the first two axes."""
     grid = (4, 4, 4, 4)
     mass = np.ones(grid) / 4**4
     m = EmpiricalMeasure(grid, mass)
-    base = pushforward_base(m, 2)
+    base = m.marginal((0, 1))
     assert base.grid == (4, 4)
     assert abs(base.total - 1.0) < 1e-12
     assert np.allclose(base.mass, 1.0 / 16.0)
-    atom = EmpiricalMeasure.atom([0.1, 0.2, 0.3, 0.4], grid)
-    proj = pushforward_base(atom, 2)
+    atom = EmpiricalMeasure.from_points(np.atleast_2d([0.1, 0.2, 0.3, 0.4]), grid)
+    proj = atom.marginal((0, 1))
     assert proj.mass[0, 0] == 1.0
     with pytest.raises(ValueError):
-        pushforward_base(m, 5)
+        m.marginal(range(5))
 
 
 def test_plaque_atom_case(system):
@@ -104,7 +105,7 @@ def test_seed_plaque_unconverged_raises(system):
     # a single iteration cannot converge where the Jacobian has a gradient row
     d, k = system.params.delta, system.params.k
     anchor = system.chart_p.from_chart(np.array([0.001, 0.001, 0.2 * d / k, 0.001]))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(SplittingNotConvergedError, match="not converged"):
         seed_plaque(system, anchor, 0.1, 10, n_iter=1)
 
 
@@ -160,7 +161,7 @@ def test_deformed_slab_mass_and_base_marginal(system):
     state = cesaro_push(system, plq, 600, (16,) * 4, trackers=(slab, center))
     assert abs(state.accumulated.total - 1.0) < 1e-12
     assert slab.value <= 0.01 + 0.02
-    base = pushforward_base(state.accumulated, 2)
+    base = state.accumulated.marginal((0, 1))
     assert total_variation(base, EmpiricalMeasure.uniform((16, 16))) < 0.05
     assert center.value > 0.0
 
@@ -286,7 +287,7 @@ def test_cesaro_push_matches_per_step_from_points(system, n_steps, grid):
 
 def test_from_points_single_point_matches_add_at():
     for pt in ([0.0, 0.25, np.nextafter(1.0, 0.0), -0.0], [-0.0, -0.0, 1.0, 0.999]):
-        got = EmpiricalMeasure.atom(pt, (8, 8, 8, 8)).mass
+        got = EmpiricalMeasure.from_points(np.atleast_2d(pt), (8, 8, 8, 8)).mass
         assert got.tobytes() == _add_at_mass(pt, (8, 8, 8, 8)).tobytes()
 
 
@@ -327,7 +328,7 @@ def _measures(rng):
         gaps = distinct.copy()
         gaps[0] = gaps[-1] = 0.0  # empty first and last slabs of the first axis
         out.append(EmpiricalMeasure(grid, gaps))
-        out.append(EmpiricalMeasure.atom(rng.random(len(grid)), grid))
+        out.append(EmpiricalMeasure.from_points(np.atleast_2d(rng.random(len(grid))), grid))
     counts = rng.integers(0, 5, (6,) * 4)  # few distinct masses, as a Cesaro sum has
     out.append(EmpiricalMeasure((6,) * 4, counts / counts.sum()))
     return out

@@ -9,13 +9,7 @@ from phlab.cones import SANDWICH_RTOL, ConeField, growth_sandwich_check
 from phlab.ergodic import OrbitSpec, entropy_volume_identity, lyapunov_spectrum, make_rng
 from phlab.errors import IncompatibleFiberError, NotHyperbolicError
 from phlab.gibbs import EmpiricalMeasure, UnstablePlaque, cesaro_push, total_variation
-from phlab.product import (
-    LinearSystem,
-    ProductSystem,
-    build_product,
-    commuting_diagram_check,
-    fiber_pushforward_statistics,
-)
+from phlab.product import LinearSystem, ProductSystem, build_product, commuting_diagram_check
 from phlab.torus import (
     CAT_MAP,
     IntegerMatrix,
@@ -279,14 +273,11 @@ def test_fiber_pushforward_product_measure(product):
     base_mass[1, 2] = 1.0
     fiber_mass = np.full((4, 4), 1.0 / 16.0)
     mass = base_mass[:, :, None, None] * fiber_mass[None, None, :, :]
-    base, fiber = fiber_pushforward_statistics(product, EmpiricalMeasure(grid, mass))
+    measure = EmpiricalMeasure(grid, mass)
+    base = measure.marginal(range(product.d1))
+    fiber = measure.marginal(range(product.d1, product.dim))
     assert np.allclose(base.mass, base_mass)
     assert np.allclose(fiber.mass, fiber_mass)
-
-
-def test_fiber_pushforward_grid_mismatch(product):
-    with pytest.raises(ValueError):
-        fiber_pushforward_statistics(product, EmpiricalMeasure.uniform((4, 4)))
 
 
 def test_distinct_fiber_seeds_separate(product):
@@ -296,7 +287,8 @@ def test_distinct_fiber_seeds_separate(product):
         plq = UnstablePlaque(anchor=np.array([0.3, 0.7, w, w]), direction=axis,
                              half_length=0.2, sample_count=2000)
         state = cesaro_push(product, plq, 300, (8, 8, 8, 8))
-        marg[tag] = fiber_pushforward_statistics(product, state.accumulated)
+        acc = state.accumulated
+        marg[tag] = (acc.marginal(range(product.d1)), acc.marginal(range(product.d1, product.dim)))
     tv_base = total_variation(marg["w1"][0], marg["w2"][0])
     tv_fiber = total_variation(marg["w1"][1], marg["w2"][1])
     assert tv_fiber > tv_base

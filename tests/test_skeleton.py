@@ -28,6 +28,7 @@ from phlab.torus import (
     enumerate_periodic,
     fixed_point_count,
     reduce_torus,
+    torus_displacement,
     torus_distance,
 )
 
@@ -294,18 +295,23 @@ def test_distinct_records_builds_no_square_array():
     assert peak < 4_000_000
 
 
+def _tangent_at_root(arc):
+    """Unit direction from an arc's root to its next vertex (0 for a one-point arc)."""
+    t = torus_displacement(arc.polyline[min(1, len(arc.polyline) - 1)], arc.polyline[0])
+    n = np.linalg.norm(t)
+    return t / n if n > 0 else t
+
+
 def test_manifold_straight_on_linear(cat):
     rec = newton_periodic(cat, np.zeros(2), 1)
     arc = grow_manifold(cat, rec, "unstable", 2.0, 1e-3)
     assert arc.arc_length >= 2.0
     assert np.allclose(arc.polyline[0], rec.point)
     u = cat.axes[:, 0]
-    from phlab.torus import torus_displacement
-
     gaps = torus_displacement(arc.polyline[1:], arc.polyline[:-1])
     cross = gaps[:, 0] * u[1] - gaps[:, 1] * u[0]
     assert np.max(np.abs(cross)) < 1e-9
-    assert np.linalg.norm(np.abs(arc.tangent_at_root()) - np.abs(u)) < 1e-6
+    assert np.linalg.norm(np.abs(_tangent_at_root(arc)) - np.abs(u)) < 1e-6
 
 
 def test_manifold_zero_target(cat):
@@ -359,7 +365,7 @@ def test_two_dimensional_fan_on_product(cat):
     plane[:2, 0] = base_u
     plane[2:, 1] = fiber_u
     for arc in fan:
-        t = arc.tangent_at_root()
+        t = _tangent_at_root(arc)
         proj = plane @ (plane.T @ t)
         assert np.linalg.norm(proj - t) < 1e-6
 
