@@ -14,7 +14,7 @@ import argparse
 import inspect
 import os
 import sys
-from itertools import chain
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -436,23 +436,20 @@ def run_skeleton(config: ExperimentConfig, report: RunReport, out_dir: str, syst
     cat = LinearSystem(ToralAutomorphism(CAT_MAP))
     rng = make_rng(config.seed, 5)
     rows = [("period", "expected", "found")]
-    census_ok = True
     for n in range(1, census_max_period + 1):
-        # the (N, 2) noise fills row by row, so seed i gets the draws it would
-        # get from N draws of 2: the census seeds do not depend on batching
+        # (N, 2) noise fills row by row, as N draws of 2: the seeds do not depend
+        # on batching; D^n - I stretches it by lambda^n, so it is scaled by lambda^-n
         guesses = np.array(enumerate_periodic(d_mat, n))
-        recs = skel_mod.distinct_records(skel_mod.newton_periodic(
-            cat, guesses + 1e-3 * rng.standard_normal(guesses.shape), n))
-        expected = fixed_point_count(d_mat, n)
-        rows.append((n, expected, len(recs)))
-        census_ok = census_ok and (len(recs) == expected)
+        noise = 1e-3 * cat.rates[0] ** -n * rng.standard_normal(guesses.shape)
+        recs = skel_mod.distinct_records(skel_mod.newton_periodic(cat, guesses + noise, n))
+        rows.append((n, fixed_point_count(d_mat, n), len(recs)))
     write_csv(os.path.join(out_dir, "census.csv"), rows)
+    census_ok = all(expected == found for _, expected, found in rows[1:])
     report.add("periodic-census", census_ok, rows[-1][2], f"counts match |det(D^n - I)|")
 
     # mutual homoclinic relations collapse same-index fixed points to one
-    fixed3 = enumerate_periodic(d_mat, 3)
-    others = [p for p in fixed3 if np.linalg.norm(p) > 1e-9]
-    second = max(others, key=lambda p: float(torus_distance(p, np.zeros(2))))
+    second = max(enumerate_periodic(d_mat, 3),  # the period-3 point farthest from 0
+                 key=lambda p: float(torus_distance(p, np.zeros(2))))
     recs = [
         skel_mod.newton_periodic(cat, np.zeros(2), 1),
         skel_mod.newton_periodic(cat, second, 3),
@@ -470,13 +467,9 @@ def run_skeleton(config: ExperimentConfig, report: RunReport, out_dir: str, syst
                "fully connected pair keeps the lower-period member")
     for w in cand.warnings:
         report.warn(w)
-    ev_rows = [("i", "j", "min_distance", "connected")]
-    n = len(recs)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                ev_rows.append((i, j, cand.distance_matrix[i, j],
-                                bool(cand.connection_matrix[i, j])))
+    ev_rows = [("i", "j", "min_distance", "connected")] + [
+        (i, j, cand.distance_matrix[i, j], bool(cand.connection_matrix[i, j]))
+        for i, j in permutations(range(len(recs)), 2)]
     write_csv(os.path.join(out_dir, "heteroclinic_evidence.csv"), ev_rows)
 
     if config.system["kind"] in DEFORMED_KINDS:

@@ -5,14 +5,14 @@ the analytic Jacobian; candidates whose linearization has an eigenvalue
 within 1e-8 of 1 are rejected as non-hyperbolic.  A census runs in batches:
 newton_periodic takes all seeds of one period as one stack, each iteration one
 stacked orbit_jacobian, eigvals and solve over the rows still iterating, and
-distinct_records keeps the first of each cluster in one pass that compares a
-record with all kept points at once.  Manifold arcs grow by
+distinct_records keeps the first of each cluster, comparing only the close
+pairs that a cell-grid self-join finds.  Manifold arcs grow by
 fundamental-domain continuation: a tiny eigen-segment is iterated, with
 midpoint re-insertion wherever image spacing exceeds the resolution.
 
 Heteroclinic evidence is the exact minimal torus distance between arc
-vertices, found by a block search that skips block pairs whose lower bound
-exceeds the best distance so far.
+vertices, found by a neighbour query on a torus cell grid: only pairs in equal
+or adjacent cells are measured, on a grid whose cells reach the answer.
 
 A skeleton keeps a maximal subset of periodic records such that no pair is
 connected by heteroclinic intersections in both directions; the survivor of a
@@ -23,6 +23,7 @@ convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -39,9 +40,9 @@ NEWTON_ROUNDING_ULPS = 8
 DISTINCT_TOL = 1e-8  # records closer than this on the torus are one point
 
 MAX_ARC_POINTS = 200_000  # vertex budget of one arc; a capped arc is flagged incomplete
-_BLOCK = 16  # polyline vertices per block in the heteroclinic distance search
-_PAIR_BATCH = 2048  # block pairs per vectorised batch of that search
-_BOUND_SLACK = 1e-12  # covers rounding in the block lower bounds
+_PAIR_CAP = 1 << 15  # vertex pairs (and query slots) per batch of the cell-grid search
+_KEY_BITS = 62  # g^d cells stay near 2**_KEY_BITS, so flat cell keys fit in an int64
+_CELL_SLACK = 1e-5  # covers rounding in the cell keys, 3 eps g < 2e-6 at g <= 2**31
 
 
 class NewtonDidNotConverge(PhlabError):
@@ -143,20 +144,28 @@ def _rounding_floor(m):
 
 
 def distinct_records(records):
-    """Deduplicate by torus distance: one keep-first pass in sort_key order.
+    """Deduplicate by torus distance: keep-first in sort_key order.
 
-    Each record is kept when its torus distance to every point kept so far,
-    taken in one torus_distance call, exceeds DISTINCT_TOL, so a NaN distance
-    drops it.  Work memory grows with the number of records, not its square.
+    A record is kept when its torus distance to every record kept before it
+    exceeds DISTINCT_TOL, so a NaN distance drops it.  Only the close pairs of
+    one cell-grid self-join are compared: memory is O(records + close pairs).
     """
     ordered = sorted(records, key=lambda r: r.sort_key())
+    if not ordered or not np.isfinite(ordered[0].point).all():
+        return ordered[:1]  # a non-finite first point is at NaN distance from all
     points = np.array([rec.point for rec in ordered], dtype=float)
-    kept = []  # their points fill points[: len(kept)], rows already passed
-    for i, rec in enumerate(ordered):
-        if np.all(torus_distance(points[i], points[: len(kept)]) > DISTINCT_TOL):
-            points[len(kept)] = points[i]
-            kept.append(rec)
-    return kept
+    kept = np.isfinite(points).all(axis=1)
+    rows = np.flatnonzero(kept)
+    close = []
+    for i, k in _cell_pairs(points[rows], points[rows],
+                            _grid((1.0 - _CELL_SLACK) / DISTINCT_TOL, points.shape[1])):
+        i, k = rows[i], rows[k]
+        near = (i < k) & (torus_distance(points[k], points[i]) <= DISTINCT_TOL)
+        close += zip(k[near].tolist(), i[near].tolist())
+    for k, i in sorted(close):  # by the later record, whose earlier ones are settled
+        if kept[i]:
+            kept[k] = False
+    return [rec for rec, keep in zip(ordered, kept) if keep]
 
 
 @dataclass
@@ -185,8 +194,6 @@ def _eigenspace(system, record: PeriodicPointRecord, kind: str):
 
 
 def _polyline_length(pts):
-    if len(pts) < 2:
-        return 0.0
     gaps = np.linalg.norm(torus_displacement(pts[1:], pts[:-1]), axis=1)
     return float(np.sum(gaps))
 
@@ -294,37 +301,61 @@ class HeteroclinicEvidence:
         return self.tol <= self.min_distance < 10.0 * self.tol
 
 
-def _blocks(poly):
-    """Cut a polyline into ``_BLOCK``-vertex blocks.
+def _grid(cells, d):
+    """Cells per axis: ``cells`` floored, at least 1, at most 2**(_KEY_BITS / d)."""
+    return max(1, int(min(cells, 2.0 ** (_KEY_BITS / d))))
 
-    Returns the vertices as (blocks, _BLOCK, dim), the last block padded with
-    copies of the final vertex, and per block a centroid and a radius that
-    bounds the torus distance from the centroid to each of its vertices.
+
+def _cell_pairs(a, b, g):
+    """Index pairs (i, j) with a[i], b[j] in equal or adjacent cells (mod g) of a
+    g^d torus grid, each once, in batches of at most _PAIR_CAP: every pair at
+    torus distance <= (1 - _CELL_SLACK) / g is among them.  The larger set is
+    sorted by flat cell key; the other's vertices, _PAIR_CAP // 3^d at a time,
+    find their range per neighbour offset (at most 3^d, unique mod g) by searchsorted.
     """
-    n, dim = poly.shape
-    pad = np.minimum(np.arange(-(-n // _BLOCK) * _BLOCK), n - 1)
-    verts = poly[pad].reshape(-1, _BLOCK, dim)
-    lifted = verts - verts[:, :1]
-    lifted -= np.round(lifted)  # each block unwrapped around its first vertex
-    centre = lifted.mean(axis=1)
-    radius = np.linalg.norm(lifted - centre[:, None], axis=2).max(axis=1)
-    return verts, centre + verts[:, 0], radius
+    if len(a) > len(b):
+        for j, i in _cell_pairs(b, a, g):
+            yield i, j
+        return
+    d = a.shape[1]
+    steps = np.arange(-1, 2) if g > 2 else np.arange(g)  # offsets per axis, unique mod g
+
+    def keys(x, shifts):
+        """Flat cell keys of x moved by each d-tuple of shifts: (len(shifts)^d, len(x))."""
+        cells = np.floor(x * g).astype(np.int64)
+        key = np.zeros((1, len(x)), dtype=np.int64)
+        for k in reversed(range(d)):
+            key = (key[:, None] * g + (cells[:, k] + shifts[:, None]) % g).reshape(-1, len(x))
+        return key
+
+    keys_b = keys(b, np.zeros(1, dtype=np.int64))[0]
+    order = np.argsort(keys_b, kind="stable")
+    keys_b = keys_b[order]
+    first = np.flatnonzero(np.diff(keys_b, prepend=-1))  # each occupied cell's first vertex
+    cell, count = keys_b[first], np.diff(first, append=len(b))
+    rows = max(1, _PAIR_CAP // len(steps) ** d)
+    for lo in range(0, len(a), rows):
+        q = keys(a[lo : lo + rows], steps)
+        at = np.minimum(np.searchsorted(cell, q), len(cell) - 1)
+        hit = np.nonzero(cell[at] == q)
+        i, start, size = lo + hit[1], first[at[hit]], count[at[hit]]
+        ends = np.cumsum(size)
+        for k0 in range(0, int(ends[-1]) if ends.size else 0, _PAIR_CAP):
+            k = np.arange(k0, min(k0 + _PAIR_CAP, int(ends[-1])))
+            r = np.searchsorted(ends, k, "right")
+            yield i[r], order[start[r] + k - (ends[r] - size[r])]
 
 
-def _closest_in_blocks(va, vb, ia, ib, n_a, n_b):
-    """Closest vertex pair over the block pairs (ia, ib).
-
-    Returns (distance, i, j) with the smallest (i, j) among exact ties.
-    """
-    d = va[ia][:, :, None, :] - vb[ib][:, None, :, :]
-    d -= np.round(d)
-    dist = np.linalg.norm(d, axis=-1)
-    best = dist.min()
-    p, s, t = np.nonzero(dist == best)
-    i = np.minimum(ia[p] * _BLOCK + s, n_a - 1)
-    j = np.minimum(ib[p] * _BLOCK + t, n_b - 1)
-    k = np.argmin(i * n_b + j)
-    return float(best), int(i[k]), int(j[k])
+def _closest_on_grid(a, b, g):
+    """(distance, i, j) of the closest of _cell_pairs(a, b, g), the smallest
+    (i, j) among exact ties; (inf, 0, 0) when there is none."""
+    best = (np.inf, 0, 0)
+    for i, j in _cell_pairs(a, b, g):
+        dist = torus_distance(a[i], b[j])
+        tie = np.flatnonzero(dist == dist.min())
+        k = tie[np.argmin(i[tie] * len(b) + j[tie])]
+        best = min(best, (float(dist[k]), int(i[k]), int(j[k])))
+    return best
 
 
 def heteroclinic_test(unstable_arc: ManifoldArc, stable_arc: ManifoldArc,
@@ -333,12 +364,13 @@ def heteroclinic_test(unstable_arc: ManifoldArc, stable_arc: ManifoldArc,
 
     The result is exact: it equals, bit for bit, the minimum over all vertex
     pairs of ``norm(a - b - round(a - b))``, and among exact ties the witnesses
-    are the pair with the smallest (unstable index, stable index).  Both arcs
-    are cut into ``_BLOCK``-vertex blocks; a block pair is scanned only if its
-    centroid distance minus both radii does not exceed the best distance found
-    so far, starting from the block pair with the smallest such bound.  Work
-    arrays hold at most ``_PAIR_BATCH`` block pairs, so memory is bounded
-    independently of the product of the arc sizes.
+    are the pair with the smallest (unstable index, stable index).  Only pairs
+    in equal or adjacent cells of a g^d torus grid are measured, g =
+    floor(4 (NM / (N + M))^(1/d)) for N and M vertices; a best distance within
+    (1 - _CELL_SLACK) / g is exact.  Otherwise one more pass runs on the grid
+    whose cells reach the smaller of that best and the distance of the pair
+    (0, 0), and so every pair at least as close.  Cost is O((N + M) 3^d) plus
+    the pairs within the final cell radius; memory is O(N + M + _PAIR_CAP).
     """
     if unstable_arc.kind != "unstable" or stable_arc.kind != "stable":
         raise ValueError("expected (unstable, stable) arcs in that order")
@@ -346,31 +378,12 @@ def heteroclinic_test(unstable_arc: ManifoldArc, stable_arc: ManifoldArc,
     b = stable_arc.polyline
     if len(a) == 0 or len(b) == 0:
         raise ValueError("both polylines need at least one vertex")
-    va, ca, ra = _blocks(a)
-    vb, cb, rb = _blocks(b)
-    rows = max(1, _PAIR_BATCH // len(cb))  # blocks of A per bound batch
-    starts = range(0, len(ca), rows)
-
-    def bounds(lo):
-        """Lower bounds on the vertex distances of blocks lo.. of A to all of B."""
-        d = ca[lo : lo + rows, None, :] - cb[None, :, :]
-        d -= np.round(d)
-        return np.linalg.norm(d, axis=2) - ra[lo : lo + rows, None] - rb[None, :]
-
-    lowest = (np.inf, 0, 0)  # (bound, block of A, block of B)
-    for lo in starts:
-        lb = bounds(lo)
-        r, c = np.unravel_index(np.argmin(lb), lb.shape)
-        lowest = min(lowest, (lb[r, c], lo + r, c))
-    best = _closest_in_blocks(va, vb, np.array([lowest[1]]), np.array([lowest[2]]),
-                              len(a), len(b))
-    for lo in starts:
-        ia, ib = np.nonzero(bounds(lo) <= best[0] + _BOUND_SLACK)
-        ia += lo
-        for k in range(0, len(ia), _PAIR_BATCH):
-            cand = _closest_in_blocks(va, vb, ia[k : k + _PAIR_BATCH],
-                                      ib[k : k + _PAIR_BATCH], len(a), len(b))
-            best = min(best, cand)
+    d = a.shape[1]
+    g = _grid(4.0 * (len(a) * len(b) / (len(a) + len(b))) ** (1.0 / d), d)
+    best = _closest_on_grid(a, b, g)
+    if best[0] > (1.0 - _CELL_SLACK) / g:
+        bound = min(best[0], float(torus_distance(a[0], b[0])))
+        best = _closest_on_grid(a, b, _grid((1.0 - _CELL_SLACK) / bound, d))
     dist, i, j = best
     return HeteroclinicEvidence(min_distance=dist, witness_a=a[i], witness_b=b[j], tol=tol)
 
@@ -410,25 +423,19 @@ def extract_skeleton(records, arcs, tol: float = 1e-4) -> SkeletonCandidate:
     dist = np.full((n, n), np.inf)
     conn = np.zeros((n, n), dtype=bool)
     warnings = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            best = None
-            for ua in arcs[i]["unstable"]:
-                for sa in arcs[j]["stable"]:
-                    ev = heteroclinic_test(ua, sa, tol)
-                    if best is None or ev.min_distance < best.min_distance:
-                        best = ev
-            if best is None:
-                continue
-            dist[i, j] = best.min_distance
-            conn[i, j] = best.intersects
-            if best.inconclusive:
-                warnings.append(
-                    f"pair ({i}, {j}): distance {best.min_distance:.3e} within "
-                    f"10x of tol {tol:.1e}; refine arcs to decide"
-                )
+    for i, j in permutations(range(n), 2):
+        evidence = [heteroclinic_test(ua, sa, tol)
+                    for ua in arcs[i]["unstable"] for sa in arcs[j]["stable"]]
+        if not evidence:
+            continue
+        best = min(evidence, key=lambda ev: ev.min_distance)  # the first of the closest
+        dist[i, j] = best.min_distance
+        conn[i, j] = best.intersects
+        if best.inconclusive:
+            warnings.append(
+                f"pair ({i}, {j}): distance {best.min_distance:.3e} within "
+                f"10x of tol {tol:.1e}; refine arcs to decide"
+            )
 
     kept = []
     for i in indexes:

@@ -227,6 +227,19 @@ def test_skeleton_small(tmp_path):
     assert report.all_passed
 
 
+def test_skeleton_census_to_period_8(tmp_path):
+    """The census seed noise shrinks as lambda^-n, so Newton lands on every
+    period-n point through period 8; at a fixed 1e-3 it found 298, 590 and
+    1421 of the 320, 841 and 2205 points of periods 6, 7 and 8 (seed 20240601)."""
+    cfg = small({"census_max_period": 8, "arc_length": 0.2, "arc_resolution": 0.05,
+                 "tol": 0.05})
+    report = run_task("skeleton", cfg, str(tmp_path))
+    census = next(c for c in report.checks if c.name == "periodic-census")
+    assert census.passed and census.value == 2205
+    assert (tmp_path / "census.csv").read_text().splitlines()[-3:] == [
+        "6,320,320", "7,841,841", "8,2205,2205"]
+
+
 class _Censused(Exception):
     """Raised in place of enumerate_periodic: the run reached the census."""
 

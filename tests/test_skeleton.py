@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phlab.errors import NotHyperbolicError
@@ -408,12 +408,23 @@ def test_short_arc_distance_is_separation(cat):
 
 
 def _all_pairs_closest(a, b):
-    """Oracle: every vertex pair at once, first (i, j) in row-major order on ties."""
-    d = a[:, None, :] - b[None, :, :]
-    d -= np.round(d)
-    dist = np.linalg.norm(d, axis=2)
-    i, j = np.unravel_index(np.argmin(dist), dist.shape)
-    return float(dist[i, j]), a[i], b[j]
+    """Oracle: every vertex pair, first (i, j) in row-major order on ties; rows
+    of a go 256 at a time, so arcs of thousands of vertices fit in memory."""
+    best = (np.inf, 0, 0)
+    for lo in range(0, len(a), 256):
+        d = a[lo : lo + 256, None, :] - b[None, :, :]
+        d -= np.round(d)
+        dist = np.linalg.norm(d, axis=2)
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        if dist[i, j] < best[0]:
+            best = (float(dist[i, j]), lo + i, j)
+    return best[0], a[best[1]], b[best[2]]
+
+
+def _closest_vertices(a, b):
+    """heteroclinic_test on the polylines a (unstable) and b (stable)."""
+    return heteroclinic_test(ManifoldArc(None, "unstable", a, 0.0, None),
+                             ManifoldArc(None, "stable", b, 0.0, None))
 
 
 @settings(max_examples=300)
@@ -424,15 +435,24 @@ def _all_pairs_closest(a, b):
     step=st.sampled_from([1e-3, 0.05, 0.4]),
     far=st.booleans(),
     snap=st.booleans(),
-    batch=st.sampled_from([1, 3, skeleton._PAIR_BATCH]),
+    batch=st.sampled_from([1, 3, skeleton._PAIR_CAP]),
+    key_bits=st.sampled_from([8, skeleton._KEY_BITS]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_heteroclinic_matches_all_pairs(dim, n_a, n_b, step, far, snap, batch, seed):
+@example(dim=2, n_a=70, n_b=70, step=1e-3, far=True, snap=False,
+         batch=skeleton._PAIR_CAP, key_bits=skeleton._KEY_BITS, seed=1)
+@example(dim=4, n_a=70, n_b=60, step=0.05, far=False, snap=False,
+         batch=skeleton._PAIR_CAP, key_bits=8, seed=2)
+@example(dim=4, n_a=50, n_b=70, step=1e-3, far=True, snap=True, batch=3, key_bits=8, seed=3)
+def test_heteroclinic_matches_all_pairs(dim, n_a, n_b, step, far, snap, batch, key_bits, seed):
     """Exact agreement with the all-pairs scan on wrapping random polylines.
 
-    ``far`` puts the arcs half a period apart, where pruning removes little;
-    ``snap`` puts the vertices on a 1/8 grid, which makes exact ties; a small
-    ``batch`` splits the search into many batches.
+    ``far`` puts the arcs half a period apart: with a small ``step`` no pair
+    lies within a first-pass cell, which forces the second pass; ``snap`` puts
+    the vertices on a 1/8 grid, which makes exact ties; a small ``batch``
+    splits the search into many batches of pairs and of query slots;
+    ``key_bits`` 8 caps the grid at 4 cells per axis in 4-D (16 in 2-D), below
+    the first-pass rule from 5 vertices per 4-D arc on.
     """
     rng = np.random.default_rng(seed)
 
@@ -444,21 +464,66 @@ def test_heteroclinic_matches_all_pairs(dim, n_a, n_b, step, far, snap, batch, s
 
     a = walk(n_a, rng.random(dim))
     b = walk(n_b, a[0] + 0.5 if far else rng.random(dim))
-    with mock.patch.object(skeleton, "_PAIR_BATCH", batch):
-        ev = heteroclinic_test(ManifoldArc(None, "unstable", a, 0.0, None),
-                               ManifoldArc(None, "stable", b, 0.0, None))
+    with mock.patch.object(skeleton, "_PAIR_CAP", batch), \
+            mock.patch.object(skeleton, "_KEY_BITS", key_bits), \
+            mock.patch.object(skeleton, "_closest_on_grid",
+                              wraps=skeleton._closest_on_grid) as passes:
+        ev = _closest_vertices(a, b)
     dist, wa, wb = _all_pairs_closest(a, b)
     assert ev.min_distance == dist
     assert np.array_equal(ev.witness_a, wa)
     assert np.array_equal(ev.witness_b, wb)
+    if far and step == 1e-3:
+        assert passes.call_count == 2
+    if key_bits == 8 and dim == 4 and min(n_a, n_b) >= 5:
+        assert passes.call_args_list[0].args[2] == 4
+
+
+@pytest.mark.parametrize("arc_length, resolution", [(3.0, 0.006), (2.0, 0.02)])
+def test_heteroclinic_matches_all_pairs_on_cat_arcs(cat, arc_length, resolution):
+    """The skeleton task's arc pairs at the benchmark's full and smoke sizes
+    (1793 x 3585 and 225 x 1793 vertices): the origin and the period-3 point
+    farthest from it, each unstable arc of one against each stable arc of the
+    other, bitwise equal to the all-pairs scan."""
+    far = max(enumerate_periodic(IntegerMatrix(CAT_MAP), 3),
+              key=lambda p: float(torus_distance(p, np.zeros(2))))
+    recs = [newton_periodic(cat, np.zeros(2), 1), newton_periodic(cat, far, 3)]
+    for ru, rs in (recs, recs[::-1]):
+        for ua in grow_fan(cat, ru, "unstable", arc_length, resolution):
+            for sa in grow_fan(cat, rs, "stable", arc_length, resolution):
+                ev = heteroclinic_test(ua, sa)
+                dist, wa, wb = _all_pairs_closest(ua.polyline, sa.polyline)
+                assert ev.min_distance == dist
+                assert np.array_equal(ev.witness_a, wa)
+                assert np.array_equal(ev.witness_b, wb)
+
+
+def test_heteroclinic_memory_is_bounded():
+    """Two arcs of 2000 vertices half a period apart leave no pair within a
+    first-pass cell, and the second pass, on a single cell, measures all 4e6
+    pairs: the peak stays within 32 words per pair of a batch of _PAIR_CAP
+    (8 MB), below the 32 MB of one N x M float array."""
+    import tracemalloc
+
+    rng = make_rng(7, 23)
+    a = reduce_torus(0.1 + np.cumsum(1e-4 * rng.standard_normal((2000, 2)), axis=0))
+    b = reduce_torus(0.6 + np.cumsum(1e-4 * rng.standard_normal((2000, 2)), axis=0))
+    tracemalloc.start()
+    try:
+        ev = _closest_vertices(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ev.min_distance == _all_pairs_closest(a, b)[0]
+    assert peak < 32 * 8 * skeleton._PAIR_CAP < 2000 * 2000 * 8
 
 
 def test_heteroclinic_tie_on_a_tight_block_bound():
-    """A tie in a block pair whose lower bound equals the minimum exactly.
+    """A tie at exactly the bound of the second pass.
 
-    Block pair (0, 0) has the smallest bound and a pair at distance 0.125;
-    block pair (0, 1) is bounded by exactly 0.125 and holds the tie (0, 16),
-    which comes first and must still be found.
+    The first pass (11 cells per axis) finds only pairs at 0.125, beyond its
+    reach of 1/11, so the second pass covers every pair within 0.125, the
+    answer itself.  Of the tied pairs, (0, 16) comes first and must be found.
     """
     a = np.array([[0.25, 0.3]] + [[0.5, 0.3]] * 15)
     b = np.array([[0.625, 0.3]] * 16 + [[0.125, 0.3]])
