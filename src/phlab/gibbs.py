@@ -7,10 +7,10 @@ Lebesgue on the factor torus and (ii) mass of the deformation slab stays at
 the Lebesgue budget of the chart cross-section.
 
 Samples, not curve segments, are pushed: stretching opens gaps that only cost
-spatial resolution, which the grid tolerance absorbs.  Each step is binned by
-one pass (_bin_counts: the cloud reduced once, the flat cell index built
-column by column, one ``np.bincount``, exact integer counts), and
-cesaro_push divides each step's counts into one reused mass buffer.
+spatial resolution, which the grid tolerance absorbs.  from_points counts a
+cloud's cell indices (_cell_index) with one ``np.bincount``; cesaro_push adds
+each step's into one int64 array of exact counts, so the accumulated measure
+is one rounding of an exact count ratio.
 ``EmpiricalMeasure.csv_lines`` yields the CSV lines of the occupied bins one
 slab of the first axis at a time, so the 16^4-bin measure CSV streams to disk
 without a row list; the masses are few distinct values (small counts over
@@ -94,16 +94,15 @@ class EmpiricalMeasure:
                                         map(masses.__getitem__, inverse[start:end].tolist())))
 
 
-def _bin_counts(points, grid):
-    """Points (N, d) per cell of the grid over [0, 1)^d, as integers of shape grid.
+def _cell_index(points, grid):
+    """Flat C-order cell index (N,) of points (N, d) on the grid over [0, 1)^d.
 
-    The cloud is reduced once and the flat C-order cell index is built column
-    by column in one intp array, for one ``np.bincount``.  Integer counts are
-    exact, so count / N is bitwise the mass of one np.add.at per point.  A
-    reduced coordinate is at most 1 - 2^-53, so x * g <= g - g 2^-53 lies
-    below the midpoint of g and the double under it, and floor(x * g) is
-    always a cell.  A NaN has no cell and raises, and so does an empty cloud or
-    one whose width is not len(grid).
+    The cloud is reduced once, scaled by the grid and floored in place; the
+    matvec by the C-order strides sums integers below prod(grid) < 2^53, so
+    it is exact.  A reduced coordinate is at most 1 - 2^-53, so x * g <=
+    g - g 2^-53 lies below the midpoint of g and the double under it, and
+    floor(x * g) is always a cell.  A NaN has no cell and raises, and so does
+    an empty cloud or one whose width is not len(grid).
     """
     if points.ndim != 2 or not len(points) or points.shape[1] != len(grid):
         raise ValueError(f"points of shape {points.shape} cannot be binned on grid {grid}: "
@@ -111,11 +110,15 @@ def _bin_counts(points, grid):
     cells = reduce_torus(points)
     if np.isnan(cells).any():
         raise ValueError("points must be finite to be binned")
-    flat = np.zeros(len(cells), np.intp)
-    for j, g in enumerate(grid):
-        flat *= g
-        flat += (cells[:, j] * g).astype(np.intp)
-    return np.bincount(flat, minlength=math.prod(grid)).reshape(grid)
+    cells *= grid
+    np.floor(cells, out=cells)
+    strides = np.cumprod((1,) + grid[:0:-1])[::-1]
+    return (cells @ strides).astype(np.intp)
+
+
+def _bin_counts(points, grid):
+    """Points (N, d) per cell of the grid, as exact integers of shape grid."""
+    return np.bincount(_cell_index(points, grid), minlength=math.prod(grid)).reshape(grid)
 
 
 def total_variation(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> float:
@@ -199,20 +202,18 @@ def cesaro_push(system, plaque: UnstablePlaque, n_steps: int, grid,
     and can stream observables against the Cesaro measure without re-running
     the orbit or screening the cloud again.  Without trackers the push takes
     system.step.  Either way the loop makes n_steps steps, the last one to
-    the cloud of last_step; ``samples`` is the cloud before it.
+    the cloud of last_step; ``samples`` is the cloud before it.  Each
+    accumulated mass is an exact count over N n_steps, rounded once.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     pts = plaque.points()
     grid = tuple(int(g) for g in grid)
-    acc, step_mass = np.zeros(grid), np.empty(grid)
-    first = None
+    counts = np.zeros(math.prod(grid), np.int64)
     for j in range(n_steps):
-        # the division from_points makes, into one buffer for every step
-        np.divide(_bin_counts(pts, grid), len(pts), out=step_mass)
-        acc += step_mass
+        np.add.at(counts, _cell_index(pts, grid), 1)
         if j == 0:
-            first = EmpiricalMeasure(grid, step_mass.copy())
+            first = EmpiricalMeasure(grid, counts.reshape(grid) / len(pts))
         if trackers:
             image, record = system.step_record(pts)
             for tracker in trackers:
@@ -221,7 +222,7 @@ def cesaro_push(system, plaque: UnstablePlaque, n_steps: int, grid,
             image = system.step(pts)
         samples, pts = pts, image
     return CesaroState(
-        accumulated=EmpiricalMeasure(grid, acc / n_steps),
+        accumulated=EmpiricalMeasure(grid, counts.reshape(grid) / (len(pts) * n_steps)),
         steps=n_steps,
         samples=samples,
         first_step=first,

@@ -143,6 +143,15 @@ def _rounding_floor(m):
     return NEWTON_ROUNDING_ULPS * np.finfo(float).eps * np.abs(m).sum(axis=-1).max(axis=-1)
 
 
+def sort_order(records):
+    """Indexes of records in sort_key order, ties in input order, by one np.lexsort;
+    with a NaN, which compares with nothing, by Python's sort as before."""
+    points = np.round(np.array([r.point for r in records], dtype=float), 10)
+    if np.isnan(points).any():
+        return sorted(range(len(records)), key=lambda i: records[i].sort_key())
+    return np.lexsort((*points.T[::-1], [r.period for r in records])).tolist()
+
+
 def distinct_records(records):
     """Deduplicate by torus distance: keep-first in sort_key order.
 
@@ -150,7 +159,7 @@ def distinct_records(records):
     exceeds DISTINCT_TOL, so a NaN distance drops it.  Only the close pairs of
     one cell-grid self-join are compared: memory is O(records + close pairs).
     """
-    ordered = sorted(records, key=lambda r: r.sort_key())
+    ordered = [records[i] for i in sort_order(records)]
     if not ordered or not np.isfinite(ordered[0].point).all():
         return ordered[:1]  # a non-finite first point is at NaN distance from all
     points = np.array([rec.point for rec in ordered], dtype=float)
@@ -258,14 +267,7 @@ def grow_manifold(system, record: PeriodicPointRecord, kind: str,
         cur = img
         if not complete or _polyline_length(cur) >= target_length:
             break
-    return ManifoldArc(
-        root=record,
-        kind=kind,
-        polyline=cur,
-        arc_length=_polyline_length(cur),
-        seed_direction=direction,
-        complete=complete,
-    )
+    return ManifoldArc(record, kind, cur, _polyline_length(cur), direction, complete)
 
 
 def grow_fan(system, record: PeriodicPointRecord, kind: str, target_length: float,
@@ -374,8 +376,7 @@ def heteroclinic_test(unstable_arc: ManifoldArc, stable_arc: ManifoldArc,
     """
     if unstable_arc.kind != "unstable" or stable_arc.kind != "stable":
         raise ValueError("expected (unstable, stable) arcs in that order")
-    a = unstable_arc.polyline
-    b = stable_arc.polyline
+    a, b = unstable_arc.polyline, stable_arc.polyline
     if len(a) == 0 or len(b) == 0:
         raise ValueError("both polylines need at least one vertex")
     d = a.shape[1]
@@ -409,7 +410,7 @@ def extract_skeleton(records, arcs, tol: float = 1e-4) -> SkeletonCandidate:
     n = len(records)
     if n == 0:
         raise ValueError("need at least one record")
-    indexes = sorted(range(n), key=lambda i: records[i].sort_key())
+    indexes = sort_order(records)
     for i in range(n):
         if not records[i].hyperbolic:
             raise NotHyperbolicError(f"record {i} is not hyperbolic")
@@ -441,9 +442,4 @@ def extract_skeleton(records, arcs, tol: float = 1e-4) -> SkeletonCandidate:
     for i in indexes:
         if all(not (conn[i, k] and conn[k, i]) for k in kept):
             kept.append(i)
-    return SkeletonCandidate(
-        members=[records[i] for i in kept],
-        distance_matrix=dist,
-        connection_matrix=conn,
-        warnings=warnings,
-    )
+    return SkeletonCandidate([records[i] for i in kept], dist, conn, warnings)

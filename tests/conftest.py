@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -27,9 +29,14 @@ def bump_bound(bump):
     return compute_M(bump)
 
 
+# the systems of the session fixtures below, which every later test shares
+SESSION_SYSTEMS = []
+
+
 @pytest.fixture(scope="session")
 def system(bump_bound):
-    return search_params(bump_bound, ParamCaps())
+    SESSION_SYSTEMS.append(search_params(bump_bound, ParamCaps()))
+    return SESSION_SYSTEMS[-1]
 
 
 @pytest.fixture(scope="session")
@@ -39,7 +46,36 @@ def params(system):
 
 @pytest.fixture(scope="session")
 def tilde(system):
-    return system.make_tilde(0.05)
+    SESSION_SYSTEMS.append(system.make_tilde(0.05))
+    return SESSION_SYSTEMS[-1]
+
+
+def method_overrides(obj):
+    """Names in vars(obj) that shadow a method of its class.  Undoing
+    monkeypatch.setattr(obj, name, ...) leaves one: it sets back the bound
+    method that getattr returned, and copy.copy(obj) then carries it, bound to
+    obj, into the copy."""
+    return sorted(name for name in vars(obj) if callable(getattr(type(obj), name, None)))
+
+
+def with_method(obj, name, fn):
+    """A shallow copy of obj whose attribute name is fn; obj is left as it was."""
+    twin = copy.copy(obj)
+    setattr(twin, name, fn)
+    return twin
+
+
+@pytest.fixture(autouse=True)
+def session_systems_keep_their_methods():
+    """Fails a test that leaves a method override on a session system fixture
+    (and removes it, so that later tests see the class's method)."""
+    yield
+    for obj in SESSION_SYSTEMS:
+        leaked = method_overrides(obj)
+        for name in leaked:
+            delattr(obj, name)
+        if leaked:
+            pytest.fail(f"the test left instance overrides of {leaked} on a session system")
 
 
 @pytest.fixture()

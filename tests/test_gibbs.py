@@ -1,6 +1,9 @@
+import math
 import os
 import re
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from phlab.gibbs import (
 from phlab.product import LinearSystem
 from phlab.torus import CAT_MAP, ToralAutomorphism, reduce_torus, torus_displacement
 
-from conftest import chart_points
+from conftest import chart_points, with_method
 
 
 @pytest.fixture(scope="module")
@@ -262,27 +265,61 @@ def test_bin_counts_refuse_nan():
 
 
 def _per_step_push(system, plaque, n_steps, grid):
-    """cesaro_push before the shared counting buffer: from_points on every step."""
-    pts, acc = plaque.points(), np.zeros(grid)
+    """cesaro_push before the shared count array: from_points on every step.
+    Gives the sum of the step counts over N n_steps, the former fold
+    sum_j fl(c_j / N) / n_steps, and the first and last step masses."""
+    pts, acc, counts = plaque.points(), np.zeros(grid), np.zeros(grid, np.int64)
     for j in range(n_steps):
         mass = EmpiricalMeasure.from_points(pts, grid).mass
         acc += mass
+        counts += _bin_counts(pts, grid)
         if j == 0:
             first = mass
         if j < n_steps - 1:
             pts = system.step(pts)
-    return acc / n_steps, first, EmpiricalMeasure.from_points(system.step(pts), grid).mass, pts
+    last = EmpiricalMeasure.from_points(system.step(pts), grid).mass
+    return counts / (len(pts) * n_steps), acc / n_steps, first, last, pts
+
+
+def _assert_exact_ratio(mass, ratio, fold, n_steps):
+    """mass is the count ratio bitwise, and within 2 n_steps eps (relative) of
+    the former float fold of the step masses."""
+    assert mass.tobytes() == ratio.tobytes()
+    assert np.all(np.abs(mass - fold) <= 2 * n_steps * np.finfo(float).eps * mass)
 
 
 @pytest.mark.parametrize("n_steps, grid", [(1, (16,) * 4), (40, (16,) * 4), (40, (3, 5, 7, 2))])
 def test_cesaro_push_matches_per_step_from_points(system, n_steps, grid):
     plq = seed_plaque(system, np.array([0.21, 0.43, 0.65, 0.87]), 0.1, 3000)
     state = cesaro_push(system, plq, n_steps, grid)
-    acc, first, last, pts = _per_step_push(system, plq, n_steps, grid)
-    assert state.accumulated.mass.tobytes() == acc.tobytes()
+    ratio, fold, first, last, pts = _per_step_push(system, plq, n_steps, grid)
+    _assert_exact_ratio(state.accumulated.mass, ratio, fold, n_steps)
     assert state.first_step.mass.tobytes() == first.tobytes()
     assert state.last_step.mass.tobytes() == last.tobytes()
     assert state.samples.tobytes() == pts.tobytes()
+
+
+def test_cesaro_masses_are_the_correctly_rounded_count_ratios(cat):
+    """Each accumulated mass is Fraction(count, N n_steps) rounded once, the
+    count taken point by point with floor(x g); the former float fold of the
+    step masses misses that rounding in some bins."""
+    plq = UnstablePlaque(anchor=np.array([0.1, 0.3]), direction=np.array([0.6, 0.8]),
+                         half_length=0.2, sample_count=7)
+    n_steps, grid = 9, (3, 5)
+    state = cesaro_push(cat, plq, n_steps, grid)
+    counts, fold, pts = Counter(), np.zeros(grid), plq.points()
+    for _ in range(n_steps):
+        step = Counter(tuple(math.floor(v * g) for v, g in zip(x, grid))
+                       for x in reduce_torus(pts).tolist())
+        counts.update(step)
+        for cell, c in step.items():
+            fold[cell] += c / len(pts)
+        pts = cat.step(pts)
+    want = np.zeros(grid)
+    for cell, c in counts.items():
+        want[cell] = float(Fraction(c, len(pts) * n_steps))
+    assert state.accumulated.mass.tobytes() == want.tobytes()
+    assert np.any(fold / n_steps != want)
 
 
 def test_from_points_single_point_matches_add_at():
@@ -443,7 +480,7 @@ def _full_batch_center_step(system, pts, dirs):
     return float(np.sum(np.log(g))), w / g[:, None]
 
 
-def test_center_tracker_norm_matches_linalg_norm(system, rng, monkeypatch):
+def test_center_tracker_norm_matches_linalg_norm(system, rng):
     """The screened observe equals the full-batch one bitwise: on a batch with
     no screened row, on one row at p and one at q, on batches of 2 and 100
     that each hold one in-cube row, and on a mixed batch; jacobian_chart only
@@ -461,22 +498,20 @@ def test_center_tracker_norm_matches_linalg_norm(system, rng, monkeypatch):
             batches.append(batch)
 
     seen = []
-    jacobian_chart = system.jacobian_chart
 
     def screened_only(x):
         seen.append(len(x))
         assert np.all(system.screen(x) != 0)
-        return jacobian_chart(x)
+        return system.jacobian_chart(x)
 
+    screened = with_method(system, "jacobian_chart", screened_only)
     for pts in batches:
         dirs = rng.standard_normal((len(pts), 2))
         want_sum, want_dirs = _full_batch_center_step(system, pts, dirs)
-        tracker = CenterGrowthTracker(system, len(pts), warmup=0)
+        tracker = CenterGrowthTracker(screened, len(pts), warmup=0)
         tracker.dirs = dirs.copy()
         record = system.step_record(pts)[1]
-        with monkeypatch.context() as m:
-            m.setattr(system, "jacobian_chart", screened_only)
-            tracker.observe(0, pts, record)
+        tracker.observe(0, pts, record)
         assert tracker.log_sum == want_sum
         assert tracker.dirs.tobytes() == want_dirs.tobytes()
     # one call per observe, empty on the batch with no screened row
@@ -518,9 +553,12 @@ def _former_tracked_push(system, plaque, n_steps, grid, trackers):
     trackers' own screens, and the last step taken after the loop."""
     pts = plaque.points()
     acc, step_mass = np.zeros(grid), np.empty(grid)
+    counts = np.zeros(grid, np.int64)
     for j in range(n_steps):
-        np.divide(_bin_counts(pts, grid), len(pts), out=step_mass)
+        step_counts = _bin_counts(pts, grid)
+        np.divide(step_counts, len(pts), out=step_mass)
         acc += step_mass
+        counts += step_counts
         if j == 0:
             first = step_mass.copy()
         for tracker in trackers:
@@ -528,11 +566,11 @@ def _former_tracked_push(system, plaque, n_steps, grid, trackers):
         if j < n_steps - 1:
             pts = system.step(pts)
     last = EmpiricalMeasure.from_points(system.step(pts), grid).mass
-    return acc / n_steps, first, last, pts
+    return counts / (len(pts) * n_steps), acc / n_steps, first, last, pts
 
 
 @pytest.mark.parametrize("eps_tilde, n_steps", [(0.0, 1), (0.0, 40), (0.05, 40)])
-def test_tracked_cesaro_push_matches_former_loop_bitwise(system, monkeypatch, eps_tilde, n_steps):
+def test_tracked_cesaro_push_matches_former_loop_bitwise(system, eps_tilde, n_steps):
     """Trackers fed by step_record against the former loop: the measures, the
     samples and both trackers bitwise, on a plaque through the p cube's band,
     so that the chart pass runs."""
@@ -543,22 +581,20 @@ def test_tracked_cesaro_push_matches_former_loop_bitwise(system, monkeypatch, ep
                          sample_count=2000)
     grid = (16,) * 4
     charted = []
-    jacobian_chart = sys_.jacobian_chart
 
     def counting(x):
         charted.append(len(x))
-        return jacobian_chart(x)
+        return sys_.jacobian_chart(x)
 
-    slab, center = SlabMassTracker(sys_), CenterGrowthTracker(sys_, 2000, warmup=0)
-    with monkeypatch.context() as m:
-        m.setattr(sys_, "jacobian_chart", counting)
-        state = cesaro_push(sys_, plq, n_steps, grid, trackers=(slab, center))
+    counted = with_method(sys_, "jacobian_chart", counting)
+    slab, center = SlabMassTracker(counted), CenterGrowthTracker(counted, 2000, warmup=0)
+    state = cesaro_push(counted, plq, n_steps, grid, trackers=(slab, center))
     former_slab, former_center = _FormerSlab(sys_), _FormerCenter(sys_, 2000, warmup=0)
-    acc, first, last, pts = _former_tracked_push(sys_, plq, n_steps, grid,
-                                                 (former_slab, former_center))
+    ratio, fold, first, last, pts = _former_tracked_push(sys_, plq, n_steps, grid,
+                                                         (former_slab, former_center))
     assert len(charted) == n_steps and sum(charted) > 100
     assert state.steps == n_steps
-    assert state.accumulated.mass.tobytes() == acc.tobytes()
+    _assert_exact_ratio(state.accumulated.mass, ratio, fold, n_steps)
     assert state.first_step.mass.tobytes() == first.tobytes()
     assert state.last_step.mass.tobytes() == last.tobytes()
     assert state.samples.tobytes() == pts.tobytes()

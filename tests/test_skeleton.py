@@ -264,6 +264,22 @@ def test_distinct_records_matches_pairwise_reference(seed):
     assert 40 < len(want) < len(clean)
 
 
+def test_sort_order_is_the_sort_key_order_ties_included():
+    """np.lexsort over (period, rounded point) against sorted(key=sort_key):
+    exact copies, points equal after rounding to 10 places, +-0.0, equal
+    first coordinates and mixed periods, in shuffled order; with a NaN point
+    the order is Python's."""
+    rng = make_rng(7, 23)
+    base = rng.random((60, 2))
+    base[:20, 0] = base[20:40, 0]
+    cloud = np.concatenate([base, base[:15], base[15:30] + 1e-12, [[0.0, 0.5], [-0.0, 0.5]]])
+    for points in (cloud, np.concatenate([cloud, [[np.nan, 0.5], [0.5, np.nan]]])):
+        records = [r for period in (1, 2, 3) for r in _records(points, period)]
+        records = [records[i] for i in rng.permutation(len(records))]
+        want = sorted(range(len(records)), key=lambda i: records[i].sort_key())
+        assert skeleton.sort_order(records) == want
+
+
 def test_distinct_records_tolerance_edges():
     tol = skeleton.DISTINCT_TOL
     a = np.array([0.25 * tol, 0.5])  # first in sort order; its neighbours lie across the wrap
