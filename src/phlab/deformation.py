@@ -32,10 +32,11 @@ plus half a cell diagonal), and two gathers and an & give every row its
 candidate cubes; most steps have none and return at once.  Only candidate
 rows are looked up in a chart (ChartBox.to_chart, elementwise on the 2x2
 blocks, so a row rounds the same alone and in any batch; a matmul would not),
-and moved and filled through index arrays.  step_record(x) screens a batch
-once, runs the loop on its candidate rows alone and hands back f(x) with a
-StepRecord of the screen (cells and candidate rows), so a caller that needs
-the screen of the same cloud (the Cesaro trackers in gibbs) takes no other.
+and moved and filled through index arrays.  step_record(x) screens a reduced
+batch once, runs the loop on its candidate rows alone and hands back f(x)
+with a StepRecord of the screen ((uu, ss) table bits and candidate rows), so
+a caller that needs the screen of the same cloud (the Cesaro trackers in
+gibbs) takes no other.
 
 A single point, shape (4,), never builds a batch: advance, step,
 step_inverse, deform, deform_inverse and jacobian_chart hand it to the
@@ -177,10 +178,11 @@ class ChartBox:
 
 
 class StepRecord(NamedTuple):
-    """What a batch step saw of its input: ``cells``, the screen_cells of the
-    reduced rows, and ``rows``, the candidate rows (screen bits != 0)."""
+    """What a batch step saw of its reduced input: ``uu_ss``, each row's bits
+    in the (uu, ss) screen table (its screen_cells column 0 looked up), and
+    ``rows``, the candidate rows (screen bits != 0)."""
 
-    cells: np.ndarray
+    uu_ss: np.ndarray
     rows: np.ndarray
 
 
@@ -603,21 +605,21 @@ class DeformedSystem:
         return self.auto.apply(self.deform(x))
 
     def step_record(self, x):
-        """f on a batch x (N, 4), and the StepRecord of its input.
+        """f on a reduced batch x (N, 4), and the StepRecord of x.
 
-        One reduce_torus, one screen_cells and the two table gathers serve the
-        whole batch; the cube pass runs on the candidate rows alone.  Its rows
-        are independent, so f(x) has the bytes of step(x).
+        One screen_cells and the two table gathers serve the whole batch; the
+        cube pass runs on the candidate rows alone, and x is copied only when
+        there are some.  Its rows are independent, so f(x) has the bytes of
+        step(x).
         """
-        pts = reduce_torus(x)
-        cells = screen_cells(pts)
-        uu_ss, u_s = self.screen_tables
-        rows = (uu_ss[cells[:, 0]] & u_s[cells[:, 1]]).nonzero()[0]
+        cells, (uu_ss_table, u_s_table) = screen_cells(x), self.screen_tables
+        uu_ss = uu_ss_table[cells[:, 0]]
+        rows = (uu_ss & u_s_table[cells[:, 1]]).nonzero()[0]
         if rows.size:
-            cand = pts[rows]
+            x, cand = x.copy(), x[rows]
             self._cube_loop(cand, True)
-            pts[rows] = cand
-        return self.auto.apply(pts), StepRecord(cells, rows)
+            x[rows] = cand
+        return self.auto.apply(x), StepRecord(uu_ss, rows)
 
     def step_inverse(self, x):
         """f^{-1} = I_eps^{-1} o A^{-1}."""

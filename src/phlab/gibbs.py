@@ -10,7 +10,8 @@ Samples, not curve segments, are pushed: stretching opens gaps that only cost
 spatial resolution, which the grid tolerance absorbs.  from_points counts a
 cloud's cell indices (_cell_index) with one ``np.bincount``; cesaro_push adds
 each step's into one int64 array of exact counts, so the accumulated measure
-is one rounding of an exact count ratio.
+is one rounding of an exact count ratio.  The pushed cloud is reduced once,
+by plaque.points, then by each step's A mod 1 alone.
 ``EmpiricalMeasure.csv_lines`` yields the CSV lines of the occupied bins one
 slab of the first axis at a time, so the 16^4-bin measure CSV streams to disk
 without a row list; the masses are few distinct values (small counts over
@@ -20,9 +21,9 @@ The trackers use the exact structure of f on the batch: outside the two cubes
 Df is diag(rates), so only screened rows are charted.  With trackers,
 cesaro_push steps through DeformedSystem.step_record, and each tracker reads
 that step's one screen of the cloud from its StepRecord: SlabMassTracker the
-(uu, ss) cells, whose p-cube rows it checks on the (uu, ss) chart pair alone,
-and CenterGrowthTracker the candidate rows, which it charts, carrying every
-other row's center direction by diag(lu, ls).
+(uu, ss) table bits, whose p-cube rows it checks on the (uu, ss) chart pair
+alone, and CenterGrowthTracker the candidate rows, which it charts, carrying
+every other row's center direction by diag(lu, ls) on two contiguous rows.
 """
 
 from __future__ import annotations
@@ -95,30 +96,31 @@ class EmpiricalMeasure:
 
 
 def _cell_index(points, grid):
-    """Flat C-order cell index (N,) of points (N, d) on the grid over [0, 1)^d.
+    """Flat C-order cell index (N,) of reduced points (N, d) on the grid over [0, 1)^d.
 
-    The cloud is reduced once, scaled by the grid and floored in place; the
-    matvec by the C-order strides sums integers below prod(grid) < 2^53, so
-    it is exact.  A reduced coordinate is at most 1 - 2^-53, so x * g <=
-    g - g 2^-53 lies below the midpoint of g and the double under it, and
-    floor(x * g) is always a cell.  A NaN has no cell and raises, and so does
-    an empty cloud or one whose width is not len(grid).
+    The cloud is scaled by the grid (one scalar when all sides are equal, the
+    same products) and floored in place; the matvec by the C-order strides
+    sums integers below prod(grid) < 2^53, so it is exact.  A reduced
+    coordinate is at most 1 - 2^-53, so x * g <= g - g 2^-53 lies below the
+    midpoint of g and the double under it, and floor(x * g) is always a cell.
+    A NaN makes its row's index NaN and raises, and so does an empty cloud or
+    one whose width is not len(grid).
     """
     if points.ndim != 2 or not len(points) or points.shape[1] != len(grid):
         raise ValueError(f"points of shape {points.shape} cannot be binned on grid {grid}: "
                          f"need (N, {len(grid)}) with N >= 1")
-    cells = reduce_torus(points)
-    if np.isnan(cells).any():
-        raise ValueError("points must be finite to be binned")
-    cells *= grid
+    cells = points * (grid[0] if min(grid) == max(grid) else grid)
     np.floor(cells, out=cells)
-    strides = np.cumprod((1,) + grid[:0:-1])[::-1]
-    return (cells @ strides).astype(np.intp)
+    index = cells @ np.cumprod((1,) + grid[:0:-1])[::-1]
+    if np.isnan(index).any():
+        raise ValueError("points must be finite to be binned")
+    return index.astype(np.intp)
 
 
 def _bin_counts(points, grid):
     """Points (N, d) per cell of the grid, as exact integers of shape grid."""
-    return np.bincount(_cell_index(points, grid), minlength=math.prod(grid)).reshape(grid)
+    index = _cell_index(reduce_torus(points), grid)
+    return np.bincount(index, minlength=math.prod(grid)).reshape(grid)
 
 
 def total_variation(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> float:
@@ -138,11 +140,11 @@ class UnstablePlaque:
     sample_count: int
 
     def points(self):
-        """Equally spaced midpoint samples of the uniform segment measure
-        (none for sample_count 0)."""
+        """Equally spaced midpoint samples of the uniform segment measure,
+        reduced (none for sample_count 0)."""
         n = self.sample_count
         if self.half_length == 0.0 or n <= 1:
-            return np.broadcast_to(self.anchor, (n, self.anchor.size)).copy()
+            return reduce_torus(np.broadcast_to(self.anchor, (n, self.anchor.size)))
         t = -self.half_length + (np.arange(n) + 0.5) * (2.0 * self.half_length / n)
         return reduce_torus(self.anchor[None, :] + t[:, None] * self.direction[None, :])
 
@@ -203,7 +205,8 @@ def cesaro_push(system, plaque: UnstablePlaque, n_steps: int, grid,
     the orbit or screening the cloud again.  Without trackers the push takes
     system.step.  Either way the loop makes n_steps steps, the last one to
     the cloud of last_step; ``samples`` is the cloud before it.  Each
-    accumulated mass is an exact count over N n_steps, rounded once.
+    accumulated mass is an exact count over N n_steps, rounded once.  The
+    cloud is reduced on entry (plaque.points) and then by each step alone.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -234,7 +237,6 @@ class SlabMassTracker:
     """Cesaro-weighted mass of the chart slab (base cross-section of the cube)."""
 
     def __init__(self, system):
-        self.table = system.screen_tables[0]  # the (uu, ss) factor's cells
         chart = system.chart_p
         self.center, self.axes = chart.center[:2], chart.axes[:2, :2]  # the (uu, ss) block
         self.half_width = chart.half_width
@@ -244,13 +246,13 @@ class SlabMassTracker:
     def observe(self, _step, pts, record):
         """Counts the points pts (N, 4) in the slab.
 
-        Only rows whose (uu, ss) screen cell (record.cells[:, 0], the
-        StepRecord of pts) carries the p bit can lie in the slab, and only
-        the (uu, ss) chart coordinates bound it: each is
-        d[0] a[0, i] + d[1] a[1, i], ChartBox.to_chart's two products and one
-        sum, on the rows' (uu, ss) displacement d alone.
+        Only rows whose (uu, ss) screen bits (record.uu_ss, the StepRecord of
+        pts) carry the p bit can lie in the slab, and only the (uu, ss) chart
+        coordinates bound it: each is d[0] a[0, i] + d[1] a[1, i],
+        ChartBox.to_chart's two products and one sum, on the rows' (uu, ss)
+        displacement d alone.
         """
-        rows = (self.table[record.cells[:, 0]] & CUBE_BITS[0]).nonzero()[0]
+        rows = (record.uu_ss & CUBE_BITS[0]).nonzero()[0]
         d = torus_displacement(pts[rows, :2], self.center)
         coords = d[:, :1] * self.axes[0]
         coords += d[:, 1:] * self.axes[1]
@@ -273,30 +275,28 @@ class CenterGrowthTracker:
     cubes, so only the candidate rows of the step's screen (record.rows, the
     StepRecord of pts) go through jacobian_chart; the rest are scaled by
     (lu, ls), the bits of the full-batch product with the diagonal block but
-    for the sign of a zero.  The system needs jacobian_chart and rates.
+    for the sign of a zero.  dirs (2, N) holds the directions as two
+    contiguous rows.  The system needs jacobian_chart and rates.
     """
 
     def __init__(self, system, sample_count, warmup: int = 50):
         self.system = system
-        # Df on the (u, s) plane off the screen, one row per sample: a product of
-        # equal shapes is one contiguous loop, one with a broadcast (2,) row is N
-        self.center_rates = np.tile(system.rates[2:4], (sample_count, 1))
+        self.rates = system.rates[2:4, None]  # diag(lu, ls), one column
         self.warmup = warmup
-        self.dirs = np.broadcast_to(np.array([1.0, 0.0]), (sample_count, 2)).copy()
+        self.dirs = np.array([[1.0], [0.0]]).repeat(sample_count, axis=1)
         self.log_sum = 0.0
         self.count = 0
 
     def observe(self, step, pts, record):
-        w = self.dirs * self.center_rates
+        w = self.dirs * self.rates
         rows = record.rows
-        jac = self.system.jacobian_chart(pts[rows])[:, 2:4, 2:4]
-        w[rows] = np.einsum("nij,nj->ni", jac, self.dirs[rows])
-        g = np.sqrt(w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1])  # bitwise np.linalg.norm(w, axis=1)
+        jac = self.system.jacobian_chart(pts[rows])[:, 2:4, 2:4]  # called on empty rows too
+        w.T[rows] = np.einsum("nij,nj->ni", jac, self.dirs.T[rows])
+        g = np.sqrt(w[0] * w[0] + w[1] * w[1])  # bitwise np.linalg.norm(w, axis=0)
         if step >= self.warmup:
             self.log_sum += float(np.sum(np.log(g)))
             self.count += len(pts)
-        for column in w.T:  # w / g[:, None], a column at a time
-            column /= g
+        w /= g
         self.dirs = w
 
     @property

@@ -144,16 +144,14 @@ def _rounding_floor(m):
 
 
 def sort_order(records):
-    """Indexes of records in sort_key order, ties in input order, by one np.lexsort;
-    with a NaN, which compares with nothing, by Python's sort as before."""
+    """Indexes of records in sort_key order, ties in input order, by one np.lexsort:
+    a total order, with a NaN coordinate after every number at its place."""
     points = np.round(np.array([r.point for r in records], dtype=float), 10)
-    if np.isnan(points).any():
-        return sorted(range(len(records)), key=lambda i: records[i].sort_key())
     return np.lexsort((*points.T[::-1], [r.period for r in records])).tolist()
 
 
 def distinct_records(records):
-    """Deduplicate by torus distance: keep-first in sort_key order.
+    """Deduplicate by torus distance: keep-first in sort_order.
 
     A record is kept when its torus distance to every record kept before it
     exceeds DISTINCT_TOL, so a NaN distance drops it.  Only the close pairs of

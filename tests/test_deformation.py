@@ -549,7 +549,7 @@ def test_advance_matches_step_and_jacobian_chart_bitwise(system, rng, eps_tilde)
 @pytest.mark.parametrize("eps_tilde", [0.0, 0.05])
 def test_step_record_is_step_and_its_screen_bitwise(system, rng, eps_tilde):
     """step_record's image has the bytes of step, its rows are the nonzero rows
-    of screen and its cells screen_cells of the reduced batch: on band and
+    of screen and its uu_ss the (uu, ss) table at screen_cells: on band and
     off-band rows of both cubes, p, q and a NaN row, each alone among far rows
     in batches of 2 and 100, all together, and among 1e4 random rows."""
     sys_ = system if eps_tilde == 0.0 else system.make_tilde(eps_tilde)
@@ -566,12 +566,14 @@ def test_step_record_is_step_and_its_screen_bitwise(system, rng, eps_tilde):
             batches.append(batch)
     moved = 0
     for pts in batches:
+        before = pts.copy()
         img, record = sys_.step_record(pts)
+        assert _same_bits(pts, before)  # the cube pass moved a copy
         want = sys_.step(pts)
         assert _same_bits(img, want)
         assert np.array_equal(record.rows, sys_.screen(pts).nonzero()[0])
-        cells = screen_cells(reduce_torus(pts))
-        assert record.cells.dtype == cells.dtype and np.array_equal(record.cells, cells)
+        uu_ss = sys_.screen_tables[0][screen_cells(pts)[:, 0]]
+        assert record.uu_ss.dtype == uu_ss.dtype and np.array_equal(record.uu_ss, uu_ss)
         moved += np.count_nonzero((want.view(np.int64) != sys_.auto.apply(pts).view(np.int64))
                                   .any(axis=1))
     assert moved > 20  # the cube pass moved band rows of both cubes

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from phlab import deformation, gibbs, torus
 from phlab.deformation import CUBE_BITS, screen_cells
 from phlab.errors import SplittingNotConvergedError
 from phlab.gibbs import (
@@ -16,6 +17,7 @@ from phlab.gibbs import (
     SlabMassTracker,
     UnstablePlaque,
     _bin_counts,
+    _cell_index,
     cesaro_push,
     seed_plaque,
     total_variation,
@@ -264,6 +266,98 @@ def test_bin_counts_refuse_nan():
         _bin_counts(pts, (16, 16))
 
 
+@pytest.mark.parametrize("grid", [(8, 8), (3, 5)])
+def test_bin_counts_reduce_unreduced_clouds(rng, grid):
+    """_bin_counts reduces before _cell_index: negative points, points >= 1
+    and exact integers bin as np.add.at bins their reduced values, bitwise."""
+    integers = rng.integers(-4, 5, (300, 2)).astype(float)
+    pts = np.concatenate([rng.random((1000, 2)) * 20.0 - 10.0, rng.random((1000, 2)) + 1.0,
+                          -rng.random((1000, 2)), integers, integers + 0.5])
+    assert _bin_counts(pts, grid).astype(float).tobytes() == _add_at_counts(pts, grid).tobytes()
+
+
+def test_cell_index_refuses_nan_in_the_last_column():
+    pts = np.full((4, 2), 0.5)
+    pts[2, 1] = np.nan
+    for grid in ((16, 16), (3, 5)):
+        with pytest.raises(ValueError, match="finite"):
+            _cell_index(pts, grid)
+
+
+class _NanStep:
+    """A system whose step puts a NaN in the last column of one row, once."""
+
+    def __init__(self, system, at):
+        self.system, self.at, self.calls = system, at, 0
+
+    def step(self, x):
+        self.calls += 1
+        out = self.system.step(x)
+        if self.calls == self.at:
+            out[3, -1] = np.nan
+        return out
+
+
+def test_cesaro_push_refuses_a_nan_mid_push(cat):
+    plq = UnstablePlaque(anchor=np.array([0.37, 0.61]), direction=cat.axes[:, 0],
+                         half_length=0.2, sample_count=10)
+    stub = _NanStep(cat, 3)
+    with pytest.raises(ValueError, match="finite"):
+        cesaro_push(stub, plq, 6, (8, 8))
+    assert stub.calls == 3
+
+
+def _same_push(a, b):
+    return all(x.tobytes() == y.tobytes() for x, y in zip(
+        (a.accumulated.mass, a.first_step.mass, a.last_step.mass, a.samples),
+        (b.accumulated.mass, b.first_step.mass, b.last_step.mass, b.samples)))
+
+
+@pytest.mark.parametrize("n_steps", [1, 5])
+def test_degenerate_plaque_off_the_unit_cube_pushes_as_its_reduced_anchor(system, n_steps):
+    """A half_length 0 plaque whose anchor lies outside [0, 1) gives the bytes
+    of the push from its reduced anchor, samples included, with and without
+    trackers."""
+    anchor = np.array([1.21, -0.57, 2.65, -3.13])
+    plaques = [UnstablePlaque(anchor=a, direction=system.chart_p.axes[:, 0], half_length=0.0,
+                              sample_count=20) for a in (anchor, reduce_torus(anchor))]
+    assert _same_push(*(cesaro_push(system, p, n_steps, (8,) * 4) for p in plaques))
+    runs = []
+    for plq in plaques:
+        slab, center = SlabMassTracker(system), CenterGrowthTracker(system, 20, warmup=0)
+        runs.append((cesaro_push(system, plq, n_steps, (8,) * 4, trackers=(slab, center)),
+                     slab.hits, center.log_sum, center.dirs.tobytes()))
+    (a, *rest_a), (b, *rest_b) = runs
+    assert _same_push(a, b) and rest_a == rest_b
+
+
+def test_tracked_push_reduces_the_cloud_once_per_step(system, monkeypatch):
+    """A tracked push whose cloud never meets the screen calls reduce_torus
+    n_steps + 2 times: once per step (A mod 1), once on entry
+    (plaque.points) and once for last_step; no step reduces a second time."""
+    calls = []
+    original = torus.reduce_torus
+
+    def counting(x):
+        calls.append(len(x))
+        return original(x)
+
+    for module in (torus, gibbs, deformation):
+        monkeypatch.setattr(module, "reduce_torus", counting)
+    rows = []
+
+    class Rows:
+        def observe(self, _step, _pts, record):
+            rows.append(record.rows.size)
+
+    plq = UnstablePlaque(anchor=np.array([0.21, 0.43, 0.65, 0.87]),
+                         direction=system.chart_p.axes[:, 0], half_length=1e-3, sample_count=50)
+    n_steps = 8
+    cesaro_push(system, plq, n_steps, (8,) * 4, trackers=(Rows(),))
+    assert rows == [0] * n_steps
+    assert calls == [50] * (n_steps + 2)
+
+
 def _per_step_push(system, plaque, n_steps, grid):
     """cesaro_push before the shared count array: from_points on every step.
     Gives the sum of the step counts over N n_steps, the former fold
@@ -509,11 +603,11 @@ def test_center_tracker_norm_matches_linalg_norm(system, rng):
         dirs = rng.standard_normal((len(pts), 2))
         want_sum, want_dirs = _full_batch_center_step(system, pts, dirs)
         tracker = CenterGrowthTracker(screened, len(pts), warmup=0)
-        tracker.dirs = dirs.copy()
+        tracker.dirs = dirs.T.copy()
         record = system.step_record(pts)[1]
         tracker.observe(0, pts, record)
         assert tracker.log_sum == want_sum
-        assert tracker.dirs.tobytes() == want_dirs.tobytes()
+        assert tracker.dirs.T.tobytes() == want_dirs.tobytes()
     # one call per observe, empty on the batch with no screened row
     assert len(seen) == len(batches) and seen[0] == 0 and seen[1] == seen[2] == 1
     assert max(seen) < 1000
@@ -522,6 +616,10 @@ def test_center_tracker_norm_matches_linalg_norm(system, rng):
 # --- the Cesaro loop before the step record: every screen taken again ---
 
 class _FormerSlab(SlabMassTracker):
+    def __init__(self, system):
+        super().__init__(system)
+        self.table = system.screen_tables[0]
+
     def observe(self, _step, pts):
         cells = screen_cells(pts)[:, 0]
         rows = (self.table[cells] & CUBE_BITS[0]).nonzero()[0]
@@ -534,6 +632,13 @@ class _FormerSlab(SlabMassTracker):
 
 
 class _FormerCenter(CenterGrowthTracker):
+    """Directions as (N, 2) rows, scaled by a tiled (N, 2) rate array."""
+
+    def __init__(self, system, sample_count, warmup=50):
+        super().__init__(system, sample_count, warmup)
+        self.center_rates = np.tile(system.rates[2:4], (sample_count, 1))
+        self.dirs = np.broadcast_to(np.array([1.0, 0.0]), (sample_count, 2)).copy()
+
     def observe(self, step, pts):
         w = self.dirs * self.center_rates
         rows = self.system.screen(pts).nonzero()[0]
@@ -600,4 +705,4 @@ def test_tracked_cesaro_push_matches_former_loop_bitwise(system, eps_tilde, n_st
     assert state.samples.tobytes() == pts.tobytes()
     assert slab.value == former_slab.value and slab.hits > 0
     assert center.value == former_center.value
-    assert center.dirs.tobytes() == former_center.dirs.tobytes()
+    assert center.dirs.T.tobytes() == former_center.dirs.tobytes()

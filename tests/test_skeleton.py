@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -213,11 +214,17 @@ def test_stacked_newton_empty_stack(cat):
     assert newton_periodic(cat, np.empty((0, 2)), 2) == []
 
 
+def _total_key(rec):
+    """sort_key made total: a NaN coordinate after every number at its place."""
+    period, point = rec.sort_key()
+    return period, tuple((math.isnan(v), 0.0 if math.isnan(v) else v) for v in point)
+
+
 def _distinct_records_pairwise(records):
-    """The former deduplication, one torus_distance call per pair: the
-    reference the one-pass distinct_records must equal."""
+    """The former deduplication, one torus_distance call per pair, in the total
+    order: the reference the one-pass distinct_records must equal."""
     kept = []
-    for rec in sorted(records, key=lambda r: r.sort_key()):
+    for rec in sorted(records, key=_total_key):
         if all(torus_distance(rec.point, k.point) > skeleton.DISTINCT_TOL for k in kept):
             kept.append(rec)
     return kept
@@ -267,8 +274,8 @@ def test_distinct_records_matches_pairwise_reference(seed):
 def test_sort_order_is_the_sort_key_order_ties_included():
     """np.lexsort over (period, rounded point) against sorted(key=sort_key):
     exact copies, points equal after rounding to 10 places, +-0.0, equal
-    first coordinates and mixed periods, in shuffled order; with a NaN point
-    the order is Python's."""
+    first coordinates and mixed periods, in shuffled order; with NaN points,
+    against the total order that puts a NaN after every number."""
     rng = make_rng(7, 23)
     base = rng.random((60, 2))
     base[:20, 0] = base[20:40, 0]
@@ -276,8 +283,19 @@ def test_sort_order_is_the_sort_key_order_ties_included():
     for points in (cloud, np.concatenate([cloud, [[np.nan, 0.5], [0.5, np.nan]]])):
         records = [r for period in (1, 2, 3) for r in _records(points, period)]
         records = [records[i] for i in rng.permutation(len(records))]
-        want = sorted(range(len(records)), key=lambda i: records[i].sort_key())
+        want = sorted(range(len(records)), key=lambda i: _total_key(records[i]))
         assert skeleton.sort_order(records) == want
+        if not np.isnan(points).any():
+            assert want == sorted(range(len(records)), key=lambda i: records[i].sort_key())
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_distinct_records_is_independent_of_order_with_a_nan(order):
+    """A NaN point sorts last, so the same three records give the same sorted
+    finite pair in every input order."""
+    points = [(0.5, 0.5), (np.nan, 0.5), (0.1, 0.5)]
+    kept = distinct_records(_records([points[i] for i in order]))
+    assert [r.point.tolist() for r in kept] == [[0.1, 0.5], [0.5, 0.5]]
 
 
 def test_distinct_records_tolerance_edges():
