@@ -21,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ergodic import push_forward
+from .ergodic import push_forward, require_int
 
 #: angular gap between extraction depths n and n-1 below which a bundle counts
 #: as converged
 SPLITTING_TOL = 1e-8
 #: relative rounding allowance below the growth sandwich's lower bound
 SANDWICH_RTOL = 1e-12
+BUNDLES = ("uu", "cu", "cs", "ss")  #: extract_splitting's bundles, in its rows' order
 
 
 @dataclass(frozen=True)
@@ -145,16 +146,9 @@ def verify_invariance(system, cone: ConeField, direction: str = "forward",
     worst_ratio = float(post.flat[k])
     gamma = float(np.min(growth))
     violation = max(0.0, worst_ratio / cone.width - 1.0)
-    return InvarianceReport(
-        cone=cone.name,
-        direction=direction,
-        theta=theta,
-        growth_gamma=gamma,
-        samples=quot.size,
-        worst_violation=violation,
-        witness_point=witness,
-        witness_ratio=worst_ratio,
-    )
+    return InvarianceReport(cone=cone.name, direction=direction, theta=theta,
+                            growth_gamma=gamma, samples=quot.size, worst_violation=violation,
+                            witness_point=witness, witness_ratio=worst_ratio)
 
 
 def plane_invariance_residual(system, n_points: int = 200, rng=None) -> float:
@@ -201,16 +195,6 @@ class SplittingEstimate:
     tolerance: float = SPLITTING_TOL
 
 
-def _push(mats, seed):
-    """Push ``seed`` through mats[0], mats[1], ..., normalizing after each.
-    Norms are math.sqrt(v.dot(v)), np.linalg.norm's own 1-D formula."""
-    v = seed / math.sqrt(seed.dot(seed))
-    for m in mats:
-        v = m @ v
-        v /= math.sqrt(v.dot(v))
-    return v
-
-
 def _aligned_residual(v, w):
     s = np.sign(np.dot(v, w))
     s = 1.0 if s == 0 else s
@@ -218,58 +202,70 @@ def _aligned_residual(v, w):
     return math.sqrt(d.dot(d))
 
 
-def extract_splitting(system, x, n_iter: int = 60) -> SplittingEstimate:
+def extract_splitting(system, x, n_iter: int = 60, shifts=None):
     """Power-iterate cone directions along the orbit of x.
 
     uu: push a seed from f^{-n}(x) forward.  cu: same inside the invariant
     (u, s) plane.  ss and cs: pull seeds back from f^{n}(x).  The residual of
     each bundle is the angular gap between extraction depths n and n-1; one
     of SPLITTING_TOL or more flags the estimate as not converged (no error).
+
+    With ``shifts``, integers s, it returns the list of estimates at the
+    points f^s(x), in that order, from one walk of x's orbit: n - min(shifts)
+    backward advance steps and n + max(shifts) forward ones, their chart
+    Jacobians inverted by one inv.  Without, it returns the estimate at x.
+    All pushes run as one stacked loop of one-row matmuls (products and norms),
+    so each row has the bits of its own one-point push.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
+    single = shifts is None
+    shifts = [0] if single else [require_int("shifts", s) for s in shifts]
+    lo, hi = min(shifts, default=0), max(shifts, default=0)
     x = np.asarray(x, dtype=float)
-    ax = system.chart_p.axes
-
-    # Df(f^-i x), i = n..1, ordered to push toward x
-    jac_fwd, y = [], x
-    for _ in range(n_iter):
-        y, jac = system.advance(y, forward=False, full=True)
-        jac_fwd.append(jac)
-    jac_fwd.reverse()
-    # inverses of Df(f^(j-1) x), j = n..1, pulling back from f^n(x) toward x
-    jac_bwd, y = [], x
-    for _ in range(n_iter):
-        y, jac = system.advance(y, forward=True, full=True)
-        jac_bwd.append(jac)
-    jac_bwd = np.linalg.inv(np.array(jac_bwd[::-1]))
+    back = max(n_iter - lo, 0)
+    # points[back + j] is f^j(x) and jacs[back + j] Df(f^j x), from backward
+    # advance for j < 0, then (the backward lists reversed) forward for j >= 0
+    points, jacs = [x], []
+    for forward, steps in ((False, back), (True, max(n_iter + hi, 0))):
+        points.reverse()
+        jacs.reverse()
+        y = x
+        for _ in range(steps):
+            y, jac = system.advance(y, forward=forward, full=True)
+            points.append(y)
+            jacs.append(jac)
+    jacs = np.array(jacs)
+    inv = np.linalg.inv(jacs[back + lo:])  # inv[j - lo] is Df(f^j x)^-1
 
     # cu and cs live in the exactly invariant (u, s) plane.  The chart
     # Jacobians' uu and ss rows vanish off the diagonal, so cu keeps exact
     # zeros; inv may pivot on a cube row and leave rounding in the inverses'
     # (uu, ss) x (u, s) corner, so cs is pushed with that corner cleared.
-    plane_bwd = jac_bwd.copy()
-    plane_bwd[:, :2, 2:] = 0.0
-    e = np.eye(4)
-    directions = {}
-    residuals = {}
-    for name, mats, seed in [
-        ("uu", jac_fwd, e[0]),
-        ("cu", jac_fwd, e[2]),
-        ("cs", plane_bwd, e[3]),
-        ("ss", jac_bwd, e[1]),
-    ]:
-        v, w = _push(mats, seed), _push(mats[1:], seed)
-        residuals[name] = _aligned_residual(v, w)
-        directions[name] = ax @ v  # back to ambient coordinates
-    converged = all(r < SPLITTING_TOL for r in residuals.values())
-    return SplittingEstimate(
-        point=x,
-        directions=directions,
-        residuals=residuals,
-        n_iter=n_iter,
-        converged=converged,
-    )
+    pool = np.concatenate([jacs, inv, inv, np.eye(4)[None]])
+    pool[len(jacs) + len(inv):-1, :2, 2:] = 0.0  # the cs copy of inv
+    # one row per bundle (uu, cu, cs, ss) and shift s: uu and cu through
+    # Df(f^{s-n} x) ... Df(f^{s-1} x), ss and cs back through the inverses of
+    # Df(f^{s+n-1} x) ... Df(f^s x); then the same rows at depth n - 1, whose
+    # first step is the identity, exact on the unit seeds
+    t, col = np.arange(n_iter), np.array(shifts, dtype=int)[:, None]
+    up = back - n_iter + col + t
+    down = len(jacs) - lo + n_iter - 1 + col - t
+    rows = np.tile(np.concatenate([up, up, down + len(inv), down]), (2, 1))
+    rows[len(rows) // 2:, 0] = len(pool) - 1
+    v = np.tile(np.repeat(np.eye(4)[[0, 2, 3, 1]], len(shifts), axis=0), (2, 1))[..., None]
+    for step in rows.T:
+        v = np.matmul(pool[step], v)
+        v /= np.sqrt(np.matmul(v.transpose(0, 2, 1), v))
+    v = v[..., 0].reshape(2, 4, len(shifts), 4)
+
+    ax, estimates = system.chart_p.axes, []
+    for k, s in enumerate(shifts):
+        res = {name: _aligned_residual(v[0, b, k], v[1, b, k]) for b, name in enumerate(BUNDLES)}
+        estimates.append(SplittingEstimate(
+            points[back + s], {name: ax @ v[0, b, k] for b, name in enumerate(BUNDLES)}, res,
+            n_iter, all(r < SPLITTING_TOL for r in res.values())))
+    return estimates[0] if single else estimates
 
 
 def growth_sandwich_check(system, x, v, n: int, cone: ConeField, rate: float):

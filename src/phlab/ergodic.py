@@ -29,6 +29,7 @@ within three standard errors of the full mean.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -316,15 +317,22 @@ def push_forward(system, x, v, n: int):
     """Propagate the direction of v for n steps from x along system.jacobians(x),
     renormalizing.  Returns (unit image direction, per-step log growths); the
     log growths add up to log ||Df^n u|| for the unit vector u = v / ||v||.
+    As in _benettin, a read-only Df that repeats the last step's object is a
+    linear map's constant Df: once it maps the direction to its own bytes,
+    every later step would too, so the rest of the logs take this step's log.
     """
     v = np.asarray(v, dtype=float)
     v = v / np.linalg.norm(v)
-    logs = np.empty(n)
+    logs, last = np.empty(n), None
     for t, jac in zip(range(n), system.jacobians(x)):
         w = jac @ v
         g = math.sqrt(w.dot(w))  # np.linalg.norm(w), undispatched
         logs[t] = math.log(g)
-        v = w / g
+        w /= g
+        if jac is last and not jac.flags.writeable and w.tobytes() == v.tobytes():
+            logs[t:] = logs[t]
+            break
+        v, last = w, jac
     return v, logs
 
 
@@ -342,8 +350,15 @@ class PesinBlockQuery:
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.l < 1 or self.horizon < 1:
+        if require_int("l", self.l) < 1 or require_int("horizon", self.horizon) < 1:
             raise ValueError("l and horizon must be >= 1")
+
+
+def require_int(name, value):
+    """value; a ValueError naming ``name`` unless it is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def orbit_jacobian(system, x, n: int, forward: bool):
@@ -373,22 +388,24 @@ def pesin_block_membership(system, x, query: PesinBlockQuery):
     Checks, for every n up to the horizon, the two cumulative inequalities:
     contraction of the (cs+ss) plane under Df^l along the forward orbit, and
     contraction of the (uu+cu) plane under Df^{-l} along the backward orbit.
-    Each plane comes from extract_splitting (40 iterations) at the orbit
-    point, and each Df^{+-l} from orbit_jacobian.  Returns (member,
-    first_failure_n) with first_failure_n = None on success; failing at some
-    n rules out membership for every larger horizon.
+    The planes at the orbit points f^{il}(x), |i| < horizon, come from one
+    extract_splitting call (40 iterations, one walk of x's orbit), and each
+    Df^{+-l} from orbit_jacobian, whose points are that walk's.  Returns
+    (member, first_failure_n) with first_failure_n = None on success; failing
+    at some n rules out membership for every larger horizon.
     """
     from .cones import extract_splitting
 
     x = np.asarray(x, dtype=float)
-    log_bound = -query.alpha * query.l
-    for bundles, forward in ((("cs", "ss"), True), (("uu", "cu"), False)):
-        log_prod = 0.0
-        y = x
-        for i in range(query.horizon):
-            est = extract_splitting(system, y, n_iter=40)
-            basis = np.column_stack([est.directions[b] for b in bundles])
-            m, y = orbit_jacobian(system, y, query.l, forward)
+    l, horizon = query.l, query.horizon
+    shifts = range(-(horizon - 1) * l, horizon * l, l)
+    planes = dict(zip(shifts, extract_splitting(system, x, n_iter=40, shifts=shifts)))
+    log_bound = -query.alpha * l
+    for bundles, sign in ((("cs", "ss"), 1), (("uu", "cu"), -1)):
+        log_prod, y = 0.0, x
+        for i in range(horizon):
+            basis = np.column_stack([planes[sign * i * l].directions[b] for b in bundles])
+            m, y = orbit_jacobian(system, y, l, sign > 0)
             log_prod += math.log(np.linalg.norm(m @ basis, ord=2))
             if log_prod > (i + 1) * log_bound + 1e-12:
                 return False, i + 1

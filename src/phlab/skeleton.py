@@ -64,9 +64,6 @@ class PeriodicPointRecord:
     def hyperbolic(self) -> bool:
         return bool(np.all(np.abs(self.multipliers - 1.0) > HYPERBOLIC_MULTIPLIER_TOL))
 
-    def sort_key(self):
-        return (self.period, tuple(np.round(self.point, 10)))
-
 
 def newton_periodic(system, guess, period: int, max_iter: int = 50):
     """Newton iteration for period-``period`` points near one guess (d,), which
@@ -144,8 +141,9 @@ def _rounding_floor(m):
 
 
 def sort_order(records):
-    """Indexes of records in sort_key order, ties in input order, by one np.lexsort:
-    a total order, with a NaN coordinate after every number at its place."""
+    """Indexes of records by period, then by the point rounded to 10 places
+    (coordinate by coordinate), ties in input order, by one np.lexsort: a
+    total order, with a NaN coordinate after every number at its place."""
     points = np.round(np.array([r.point for r in records], dtype=float), 10)
     return np.lexsort((*points.T[::-1], [r.period for r in records])).tolist()
 

@@ -266,6 +266,56 @@ def test_extract_splitting_matches_oracle_across_param_caps(bump, bump_bound, da
     _assert_extraction_matches_oracle(system, pts, (1, 40))
 
 
+@pytest.mark.parametrize("kind", ["plain", "tilde", "pure_A"])
+def test_extract_splitting_shift_zero_is_the_plain_call(system, tilde_half, pure_A, kind):
+    """shifts=[0] walks the orbit of the call without shifts: the same bits."""
+    sys_ = {"plain": system, "tilde": tilde_half, "pure_A": pure_A}[kind]
+    for x in _advance_points(system, make_rng(53), 1):
+        for n_iter in (1, 40):
+            want = extract_splitting(sys_, x, n_iter=n_iter)
+            (got,) = extract_splitting(sys_, x, n_iter=n_iter, shifts=[0])
+            assert got.point.tobytes() == want.point.tobytes()
+            for name in want.directions:
+                assert got.directions[name].tobytes() == want.directions[name].tobytes()
+                assert got.residuals[name] == want.residuals[name]
+            assert got.converged == want.converged
+
+
+def _orbit_point(sys_, x, s):
+    for _ in range(abs(s)):
+        x = sys_.step(x) if s > 0 else sys_.step_inverse(x)
+    return x
+
+
+@pytest.mark.parametrize("kind", ["plain", "tilde", "pure_A"])
+def test_extract_splitting_shifts_match_per_point_extraction(system, tilde, pure_A, kind):
+    """The estimate at shift s, from one walk of x's orbit, is that of a call
+    at f^s(x) of step / step_inverse, up to the rounding of the walk's points:
+    random points, p and q, shifts out of order and repeated."""
+    sys_ = {"plain": system, "tilde": tilde, "pure_A": pure_A}[kind]
+    shifts = [2, -3, 0, 5, -1, 2, 1]
+    starts = [*make_rng(59).random((3, 4)), system.chart_p.center, system.chart_q.center]
+    for x in starts:
+        for s, est in zip(shifts, extract_splitting(sys_, x, n_iter=40, shifts=shifts)):
+            y = _orbit_point(sys_, x, s)
+            assert est.point.tobytes() == y.tobytes()
+            want = extract_splitting(sys_, y, n_iter=40)
+            for name, d in want.directions.items():
+                cos = abs(d @ est.directions[name]) / (
+                    np.linalg.norm(d) * np.linalg.norm(est.directions[name]))
+                assert 1.0 - cos < 1e-14, (s, name)
+            assert est.converged == want.converged
+
+
+def test_extract_splitting_refuses_non_integer_shifts(system):
+    for bad in ([0.5], [0, True], [np.float64(1.0)], ["1"]):
+        with pytest.raises(ValueError, match="shifts must be an integer"):
+            extract_splitting(system, np.zeros(4), n_iter=3, shifts=bad)
+    assert extract_splitting(system, np.zeros(4), n_iter=3, shifts=[]) == []
+    (est,) = extract_splitting(system, np.zeros(4), n_iter=3, shifts=[np.int64(2)])
+    assert np.array_equal(est.point, system.step(system.step(np.zeros(4))))
+
+
 def test_extract_splitting_linear_exact(pure_A, rng):
     x = rng.random(4)
     est = extract_splitting(pure_A, x, n_iter=20)

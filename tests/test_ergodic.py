@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from phlab.cones import extract_splitting
 from phlab.deformation import DeformationParams, build_deformed_system
 from phlab.ergodic import (
     OrbitDivergedError,
@@ -17,6 +18,7 @@ from phlab.ergodic import (
     entropy_volume_identity,
     lyapunov_spectrum,
     make_rng,
+    orbit_jacobian,
     pesin_block_membership,
     push_forward,
 )
@@ -25,7 +27,7 @@ from phlab.errors import ParameterTooLargeError
 from phlab.product import LinearSystem, build_product
 from phlab.torus import CAT_MAP, IntegerMatrix, ToralAutomorphism, cat_power_product
 
-from conftest import eps1_for
+from conftest import eps1_for, with_method
 from test_deformation import _advance_points, _rate_feasible_pairs
 
 
@@ -384,6 +386,80 @@ def test_pesin_alpha_positive_required():
         PesinBlockQuery(alpha=0.0, l=1, horizon=3)
 
 
+@pytest.mark.parametrize("field, bad", [("l", 1.5), ("horizon", 2.0), ("l", True),
+                                        ("horizon", "3")])
+def test_pesin_query_refuses_non_integers(field, bad):
+    kwargs = {"alpha": 0.1, "l": 1, "horizon": 2, field: bad}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        PesinBlockQuery(**kwargs)
+    assert PesinBlockQuery(alpha=0.1, l=np.int64(2), horizon=3).l == 2
+
+
+def _pesin_per_point(system, x, query):
+    """pesin_block_membership as it was: one extract_splitting per orbit point."""
+    x = np.asarray(x, dtype=float)
+    log_bound = -query.alpha * query.l
+    for bundles, forward in ((("cs", "ss"), True), (("uu", "cu"), False)):
+        log_prod = 0.0
+        y = x
+        for i in range(query.horizon):
+            est = extract_splitting(system, y, n_iter=40)
+            basis = np.column_stack([est.directions[b] for b in bundles])
+            m, y = orbit_jacobian(system, y, query.l, forward)
+            log_prod += math.log(np.linalg.norm(m @ basis, ord=2))
+            if log_prod > (i + 1) * log_bound + 1e-12:
+                return False, i + 1
+    return True, None
+
+
+@pytest.mark.parametrize("kind", ["plain", "tilde", "pure_A"])
+def test_pesin_one_walk_matches_per_point_loop(system, tilde, pure_A, kind):
+    """The same (member, first failure) as the per-point loop, for l in {1, 2},
+    horizons 1, 3 and 5, alphas on both sides of the verdicts, at random
+    starts, p and q."""
+    sys_ = {"plain": system, "tilde": tilde, "pure_A": pure_A}[kind]
+    lu = np.abs(pure_A.auto.splitting.eigenvalues)[1] if kind == "pure_A" else system.lu
+    starts = [*make_rng(61).random((2, 4)), system.chart_p.center, system.chart_q.center]
+    verdicts = set()
+    for x in starts:
+        for l, horizon in itertools.product((1, 2), (1, 3, 5)):
+            for alpha in (0.05, 0.5 * math.log(lu), 1.1 * math.log(lu)):
+                q = PesinBlockQuery(alpha=alpha, l=l, horizon=horizon)
+                got = pesin_block_membership(sys_, x, q)
+                assert got == _pesin_per_point(sys_, x, q), (x, q)
+                verdicts.add(got)
+    assert (True, None) in verdicts and (False, 1) in verdicts
+
+
+@pytest.mark.parametrize("l, horizon", [(1, 1), (1, 4), (2, 3)])
+def test_pesin_walks_one_orbit(system, monkeypatch, l, horizon):
+    """One pesin_block_membership makes 2 * 40 + 2 (horizon - 1) l advance
+    steps inside extract_splitting, one walk for every orbit point it tests
+    (orbit_jacobian's own steps are not counted)."""
+    from phlab import cones
+
+    calls, inside = [0], [False]
+    extract, advance = cones.extract_splitting, type(system).advance
+
+    def counted_extract(*args, **kwargs):
+        inside[0] = True
+        try:
+            return extract(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def counted_advance(self, *args, **kwargs):
+        calls[0] += inside[0]
+        return advance(self, *args, **kwargs)
+
+    monkeypatch.setattr(cones, "extract_splitting", counted_extract)
+    monkeypatch.setattr(type(system), "advance", counted_advance)
+    q = PesinBlockQuery(alpha=0.5 * math.log(system.lu), l=l, horizon=horizon)
+    member, _ = pesin_block_membership(system, make_rng(67).random(4), q)
+    assert member
+    assert calls[0] == 2 * 40 + 2 * (horizon - 1) * l
+
+
 def test_entropy_volume_deformed(system, rng):
     est, log_rate, gap = entropy_volume_identity(
         system, OrbitSpec(start=rng.random(4), length=5000, transient=0))
@@ -422,6 +498,34 @@ def test_push_forward_matches_linalg_norm_loop_bitwise(system, rng):
             got, want = push_forward(sys_, x, v, n), _push_forward_oracle(sys_, x, v, n)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_push_forward_stops_on_a_repeated_fixed_direction(pure_A, rng):
+    """The repeat rule changes no bit of the logs or the direction: against
+    the same loop on fresh writeable copies of each Df (never a repeat), on
+    the shipped product and on pure_A, from exact axes and off them.  From the
+    product's unstable axis it stops after a few of the 8000 steps."""
+    product = _cat_product()
+    seeds = {product: [product.skew_unstable_bundle()[0], rng.standard_normal(4)],
+             pure_A: [*pure_A.axes.T, rng.standard_normal(4)]}
+    for sys_, vs in seeds.items():
+        drawn = [0]
+
+        def counted(x, jacobians=sys_.jacobians):
+            for jac in jacobians(x):
+                drawn[0] += 1
+                yield jac
+
+        fresh = with_method(sys_, "jacobians",
+                            lambda x, jacobians=sys_.jacobians: (j.copy() for j in jacobians(x)))
+        for v in vs:
+            x, drawn[0] = rng.random(4), 0
+            got = push_forward(with_method(sys_, "jacobians", counted), x, v, 8000)
+            want = push_forward(fresh, x, v, 8000)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            if sys_ is product and v is vs[0]:
+                assert drawn[0] < 100
 
 
 @pytest.mark.parametrize("which", ["system", "tilde"])

@@ -214,9 +214,15 @@ def test_stacked_newton_empty_stack(cat):
     assert newton_periodic(cat, np.empty((0, 2)), 2) == []
 
 
+def _sort_key(rec):
+    """The reference order of sort_order on finite points: period, then the
+    point rounded to 10 places."""
+    return rec.period, tuple(np.round(rec.point, 10))
+
+
 def _total_key(rec):
-    """sort_key made total: a NaN coordinate after every number at its place."""
-    period, point = rec.sort_key()
+    """_sort_key made total: a NaN coordinate after every number at its place."""
+    period, point = _sort_key(rec)
     return period, tuple((math.isnan(v), 0.0 if math.isnan(v) else v) for v in point)
 
 
@@ -272,7 +278,7 @@ def test_distinct_records_matches_pairwise_reference(seed):
 
 
 def test_sort_order_is_the_sort_key_order_ties_included():
-    """np.lexsort over (period, rounded point) against sorted(key=sort_key):
+    """np.lexsort over (period, rounded point) against sorted(key=_sort_key):
     exact copies, points equal after rounding to 10 places, +-0.0, equal
     first coordinates and mixed periods, in shuffled order; with NaN points,
     against the total order that puts a NaN after every number."""
@@ -286,7 +292,7 @@ def test_sort_order_is_the_sort_key_order_ties_included():
         want = sorted(range(len(records)), key=lambda i: _total_key(records[i]))
         assert skeleton.sort_order(records) == want
         if not np.isnan(points).any():
-            assert want == sorted(range(len(records)), key=lambda i: records[i].sort_key())
+            assert want == sorted(range(len(records)), key=lambda i: _sort_key(records[i]))
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
