@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ergodic import push_forward, require_int
+from .torus import chart_inverse
 
 #: angular gap between extraction depths n and n-1 below which a bundle counts
 #: as converged
@@ -213,9 +214,9 @@ def extract_splitting(system, x, n_iter: int = 60, shifts=None):
     With ``shifts``, integers s, it returns the list of estimates at the
     points f^s(x), in that order, from one walk of x's orbit: n - min(shifts)
     backward advance steps and n + max(shifts) forward ones, their chart
-    Jacobians inverted by one inv.  Without, it returns the estimate at x.
-    All pushes run as one stacked loop of one-row matmuls (products and norms),
-    so each row has the bits of its own one-point push.
+    Jacobians inverted by one chart_inverse.  Without, it returns the estimate
+    at x.  All pushes run as one stacked loop of one-row matmuls (products and
+    norms), so each row has the bits of its own one-point push.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
@@ -232,18 +233,16 @@ def extract_splitting(system, x, n_iter: int = 60, shifts=None):
         jacs.reverse()
         y = x
         for _ in range(steps):
-            y, jac = system.advance(y, forward=forward, full=True)
+            y, jac = system.advance(y, forward=forward)
             points.append(y)
             jacs.append(jac)
     jacs = np.array(jacs)
-    inv = np.linalg.inv(jacs[back + lo:])  # inv[j - lo] is Df(f^j x)^-1
+    inv = chart_inverse(jacs[back + lo:])  # inv[j - lo] is Df(f^j x)^-1
 
     # cu and cs live in the exactly invariant (u, s) plane.  The chart
-    # Jacobians' uu and ss rows vanish off the diagonal, so cu keeps exact
-    # zeros; inv may pivot on a cube row and leave rounding in the inverses'
-    # (uu, ss) x (u, s) corner, so cs is pushed with that corner cleared.
-    pool = np.concatenate([jacs, inv, inv, np.eye(4)[None]])
-    pool[len(jacs) + len(inv):-1, :2, 2:] = 0.0  # the cs copy of inv
+    # Jacobians' uu and ss rows vanish off the diagonal, and so do their
+    # closed-form inverses' (uu, ss) x (u, s) corners, so both keep exact zeros.
+    pool = np.concatenate([jacs, inv, np.eye(4)[None]])
     # one row per bundle (uu, cu, cs, ss) and shift s: uu and cu through
     # Df(f^{s-n} x) ... Df(f^{s-1} x), ss and cs back through the inverses of
     # Df(f^{s+n-1} x) ... Df(f^s x); then the same rows at depth n - 1, whose
@@ -251,7 +250,7 @@ def extract_splitting(system, x, n_iter: int = 60, shifts=None):
     t, col = np.arange(n_iter), np.array(shifts, dtype=int)[:, None]
     up = back - n_iter + col + t
     down = len(jacs) - lo + n_iter - 1 + col - t
-    rows = np.tile(np.concatenate([up, up, down + len(inv), down]), (2, 1))
+    rows = np.tile(np.concatenate([up, up, down, down]), (2, 1))
     rows[len(rows) // 2:, 0] = len(pool) - 1
     v = np.tile(np.repeat(np.eye(4)[[0, 2, 3, 1]], len(shifts), axis=0), (2, 1))[..., None]
     for step in rows.T:

@@ -39,8 +39,8 @@ a caller that needs the screen of the same cloud (the Cesaro trackers in
 gibbs) takes no other.
 
 A single point, shape (4,), never builds a batch: advance, step,
-step_inverse, deform, deform_inverse and jacobian_chart hand it to the
-one-row kernel advance_point (or its cube pass _point_cubes) as four Python
+step_inverse, deform and deform_inverse hand it to the one-row kernel
+advance_point (or its cube pass _point_cubes) as four Python
 floats.  Everything but A's one-row matmul (ToralAutomorphism.apply_point)
 runs in floats: reduce_torus as reduce_point, the same screen cells, then
 each operation of to_chart and of the cube in its batch order (np.exp for the
@@ -54,16 +54,17 @@ the input on the explicit side (one SmoothBump.profile call on r and ky),
 the root on the solved side (a call on r; the solve's own s, s').  I_eps
 moves only axis j, so z and r are the preimage's too, and a backward pass
 never looks the preimage up again.  Off the bump's transition band, as at p
-and q, profile evaluates no exponential.  deform / deform_inverse and
-jacobian_chart wrap the loop, and advance(x, forward, full) returns one step
-of f with its chart Jacobian (the (u, s) block unless full): (f(x), Df(x)),
-bit for bit step and jacobian_chart, or (f^-1(x), Df(f^-1(x))), the image
-bit for bit step_inverse.  The backward in-cube Jacobian rows differ from
-jacobian_chart at the preimage, which looks it up again, by the rounding of
-the field point times the row's slope in it, which grows like k in the bump's
-band: below 1e-9 of the row's largest entry on the shipped system, up to
-2e-8 at k = 1e4, et = 0.9.  Outside both cubes Df is diag(rates), built
-once, with no field arithmetic at all.
+and q, profile evaluates no exponential.  deform / deform_inverse wrap the
+loop without Jacobians; advance(x, forward) returns one step of f with its
+4x4 chart Jacobian: (f(x), Df(x)), bit for bit step (jacobian_chart is this
+Df), or (f^-1(x), Df(f^-1(x))), the image bit for bit step_inverse.  The
+backward in-cube rows differ from jacobian_chart at the preimage, which
+looks it up again, by the rounding of the field point times the row's slope
+in it, which grows like k in the bump's band: below 1e-9 of the row's
+largest entry on the shipped system, up to 2e-8 at k = 1e4, et = 0.9.
+Outside both cubes Df is diag(rates), built once, with no field arithmetic.
+Every chart Df is block lower triangular in the axes (uu, ss | u, s), so
+jacobian_inverse inverts it in closed form (torus.chart_inverse).
 
 The set-up is one-dimensional (bump.py).  A cross partial of a field is
 y s(ky) coef s'(r) a / r, a an unchanged axis, so its sup over the cube is
@@ -97,6 +98,7 @@ from .torus import (
     IntegerMatrix,
     ToralAutomorphism,
     cat_power_product,
+    chart_inverse,
     enumerate_periodic,
     periodic_order,
     reduce_point,
@@ -294,9 +296,8 @@ class DeformedSystem:
         self.dim = 4
         luu, lss, lu, ls = eigenvalue_rates(params.n, params.m)
         self.rates = np.array([luu, lss, lu, ls])
-        # Df outside both cubes, as the 4x4 (lo = 0) and the (u, s) block (lo = 2)
-        self._diag = {lo: np.diag(self.rates[lo:]) for lo in (0, 2)}
-        self._diag_rows = {lo: d.tolist() for lo, d in self._diag.items()}
+        self._diag = np.diag(self.rates)  # Df outside both cubes, also as rows of floats
+        self._diag_rows = self._diag.tolist()
         self.luu, self.lss, self.lu, self.ls = luu, lss, lu, ls
         et = params.eps_tilde
         self.cubes = (
@@ -448,28 +449,26 @@ class DeformedSystem:
             np.bitwise_and(uu_ss[cells[:, 0]], u_s[cells[:, 1]], out=bits[i:i + SCREEN_BLOCK])
         return bits
 
-    def _cube_loop(self, pts, forward, lo=None):
+    def _cube_loop(self, pts, forward, with_jac=False):
         """The one pass over the cube table, on reduced points pts of shape (N, 4).
 
         Moves pts in place to I_eps(pts) (forward) or I_eps^-1(pts): the screen
         picks each cube's candidate rows, and only those are looked up in its
         chart; axis j of the rows inside changes by the explicit F div/mul or
-        by the root solve.  With ``lo``, returns jac: diag(rates) restricted
-        to rows and columns lo..3 (lo = 0 the 4x4, lo = 2 the (u, s) block),
-        with row j of each point in a cube that of Df at the forward input
-        point (pts forward, its image backward): grad F, or its implicit row
-        at q, at the field point z, from the same bump values.
+        by the root solve.  With ``with_jac``, returns the 4x4 chart Df of each
+        point: diag(rates), with row j of each point in a cube that of Df at
+        the forward input point (pts forward, its image backward): grad F, or
+        its implicit row at q, at the field point z, from the same bump values.
         """
         jac = None
-        if lo is not None:
-            jac = np.empty((pts.shape[0], 4 - lo, 4 - lo))
-            jac[...] = self._diag[lo]
+        if with_jac:
+            jac = np.empty((pts.shape[0], 4, 4))
+            jac[...] = self._diag
         bits = self.screen(pts)
         cand = bits.nonzero()[0]
         if not cand.size:
             return jac
         bits = bits[cand]
-        rows = jac is not None
         k = self.params.k
         for bit, cube in zip(CUBE_BITS, self.cubes):
             look = cand.compress(bits & bit)
@@ -482,20 +481,20 @@ class DeformedSystem:
             j, sub = cube.j, coords[inside]
             y, r = cube.split(sub)
             if forward == cube.forward_explicit:  # s, s' at r and at ky in one call
-                s, ds = self.bump.profile(np.concatenate((r, k * y)), derivative=rows)
+                s, ds = self.bump.profile(np.concatenate((r, k * y)), derivative=with_jac)
                 sr, sky = s.reshape(2, -1)
-                dsr, dsky = ds.reshape(2, -1) if rows else (None, None)
+                dsr, dsky = ds.reshape(2, -1) if with_jac else (None, None)
                 new, z = self._field_y(cube, y, sky, sr) * cube.div / cube.mul, y
             else:  # the solve needs s(r) first
-                sr, dsr = self.bump.profile(r, derivative=rows)
+                sr, dsr = self.bump.profile(r, derivative=with_jac)
                 new, sky, dsky = self._solve(cube, y, sr)
                 z = new
-            if rows:  # grad F at the field point z
+            if with_jac:  # grad F at the field point z
                 row = g = self._gradient(cube, sub, z, r, sky, dsky, sr, dsr)
                 if not cube.forward_explicit:  # implicit differentiation of F(u) = y mul/div
                     row = -self.rates[j] * g / g[..., j:j + 1]
                     row[..., j] = 1.0 / g[..., j]
-                jac[at, j - lo, :] = row[..., lo:]
+                jac[at, j] = row
             shift = (new - y)[:, None] * cube.chart.axes[:, j]
             pts[at] = reduce_torus(pts[at] + shift)
         return jac
@@ -515,15 +514,15 @@ class DeformedSystem:
         uu_ss, u_s = self._screen_bytes
         return uu_ss[cells[0] + 256 * cells[1]] & u_s[cells[2] + 256 * cells[3]]
 
-    def _point_cubes(self, x, forward, lo=None):
+    def _point_cubes(self, x, forward, with_jac=False):
         """_cube_loop on one reduced point x, a list of four floats, in Python
         floats: each operation of the batch code in its order, so the bits of
         its row in any batch, the chart lookup included (point_to_chart).
         Only the exponentials of the bump band and the root solve (on
-        one-element arrays) stay numpy.  Moves x in place; with ``lo``
-        returns _cube_loop's jac for the point as lists of floats (rows).
+        one-element arrays) stay numpy.  Moves x in place; with ``with_jac``
+        returns _cube_loop's jac for the point as four lists of floats (rows).
         """
-        rows = None if lo is None else list(self._diag_rows[lo])  # rows are replaced, not changed
+        rows = list(self._diag_rows) if with_jac else None  # rows are replaced, not changed
         bits = self._point_bits(x)
         if not bits:
             return rows
@@ -553,7 +552,7 @@ class DeformedSystem:
                     rate, dj = -self.rates[j].item(), row[j]
                     row = [rate * v / dj for v in row]
                     row[j] = 1.0 / dj
-                rows[j - lo] = row[lo:]
+                rows[j] = row
             d = new - y
             for i, a in enumerate(cube.column):  # reduce_torus(x + d * axis j)
                 v = x[i] + d * a
@@ -561,21 +560,20 @@ class DeformedSystem:
                 x[i] = 0.0 if v >= 1.0 else v
         return rows
 
-    def advance_point(self, x, forward=True, lo=None):
+    def advance_point(self, x, forward=True):
         """The one-row kernel: advance on one point x, a sequence of four
-        floats, returning the image as a list of four floats and, with
-        ``lo``, Df's rows and columns lo..3 as lists (lo = 2 the (u, s)
-        block, lo = 0 the 4x4), else None.  Everything but A's one-row
-        matmul (ToralAutomorphism.apply_point) runs on Python floats:
-        reduce_torus as reduce_point, then the cube pass _point_cubes.  So
-        the point gets the bits of a (1, 4) batch through advance.
+        floats, returning the image as a list of four floats and the 4x4
+        chart Df as four lists of floats.  Everything but A's one-row matmul
+        (ToralAutomorphism.apply_point) runs on Python floats: reduce_torus
+        as reduce_point, then the cube pass _point_cubes.  So the point gets
+        the bits of a (1, 4) batch through advance.
         """
         if forward:
             x = reduce_point(x)
-            rows = self._point_cubes(x, True, lo)
+            rows = self._point_cubes(x, True, True)
             return self.auto.apply_point(x), rows
         x = self.auto.apply_point(x, inverse=True)
-        return x, self._point_cubes(x, False, lo)
+        return x, self._point_cubes(x, False, True)
 
     def _deform(self, x, forward):
         """I_eps (forward) or its inverse: the cube loop without Jacobian rows."""
@@ -628,29 +626,27 @@ class DeformedSystem:
             return np.array(self.advance_point(x.tolist(), False)[0])
         return self.deform_inverse(self.auto.apply_inverse(x))
 
-    def advance(self, x, forward=True, full=False):
-        """One step of f with its chart Jacobian, from one cube pass.
+    def advance(self, x, forward=True):
+        """One step of f with its 4x4 chart Jacobian, from one cube pass.
 
         Forward returns (f(x), Df(x)), backward (f^{-1}(x), Df(f^{-1}(x))).
-        Df is the (u, s) center block, shape (..., 2, 2), or with ``full`` the
-        4x4 chart Jacobian.  All is bit for bit step / step_inverse and
-        jacobian_chart, except backward Df's in-cube rows: taken at the field
-        point in hand, they differ from jacobian_chart at the preimage, which
-        looks it up again, by the rounding of the field point times the row's
-        slope in it (module docstring).  A single point takes advance_point.
+        All is bit for bit step / step_inverse and the forward Df, except
+        backward Df's in-cube rows: taken at the field point in hand, they
+        differ from the forward Df at the preimage, which looks it up again,
+        by the rounding of the field point times the row's slope in it (module
+        docstring).  A single point takes advance_point.
         """
         x = np.asarray(x, dtype=float)
-        lo = 0 if full else 2
         if x.ndim == 1:
-            out, rows = self.advance_point(x.tolist(), forward, lo)
+            out, rows = self.advance_point(x.tolist(), forward)
             return np.array(out), np.array(rows)
         if forward:
             pts = reduce_torus(x)
-            jac = self._cube_loop(pts, True, lo)
+            jac = self._cube_loop(pts, True, True)
             return self.auto.apply(pts), jac
         # apply_inverse already reduces into a fresh array
         out = self.auto.apply_inverse(x)
-        return out, self._cube_loop(out, False, lo)
+        return out, self._cube_loop(out, False, True)
 
     def jacobian_chart(self, x):
         """Analytic Df in the global eigenbasis, shape (..., 4, 4).
@@ -659,10 +655,7 @@ class DeformedSystem:
         diag(luu, lss, lu, 1); outside both cubes diag(luu, lss, lu, ls).
         In a cube only row j differs: grad P at p, the implicit row at q.
         """
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.array(self._point_cubes(reduce_point(x.tolist()), True, 0))
-        return self._cube_loop(reduce_torus(x), True, 0)
+        return self.advance(x)[1]
 
     def jacobian(self, x):
         """Analytic Df in ambient coordinates (conjugated by the eigenbasis)."""
@@ -674,14 +667,14 @@ class DeformedSystem:
         """jacobian along the forward orbit of one point x, one advance_point a step."""
         axes, x = self.chart_p.axes, np.asarray(x, dtype=float).tolist()
         while True:
-            x, rows = self.advance_point(x, True, 0)
+            x, rows = self.advance_point(x)
             yield axes @ np.array(rows) @ axes.T
 
     def jacobian_inverse(self, x):
         """Analytic Jacobian of f^{-1} at x, i.e. inv(Df) at the preimage, from
-        one backward advance."""
+        one backward advance, inverted in closed form (chart_inverse)."""
         axes = self.chart_p.axes
-        return np.linalg.inv(axes @ self.advance(x, False, True)[1] @ axes.T)
+        return axes @ chart_inverse(self.advance(x, False)[1]) @ axes.T
 
     # -- variants --------------------------------------------------------------
 

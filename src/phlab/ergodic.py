@@ -3,16 +3,17 @@
 A system of T^4 with an ``advance`` (the deformed map, a linear map) has a
 block lower-triangular chart Jacobian: the uu and ss rows are exactly
 diagonal and the (u, s) plane is exactly invariant.  So its spectrum is
-{log luu, log lss} and that of the 2x2 center cocycle B (Barreira & Pesin
-2007), which one forward pass of ``system.advance`` steps gives as a
-closed-form 2x2 QR: with w = B v, g = |w| and v renormalized to w / g each
-step, the log R diagonals are log g, whose average is the cu exponent, and
-log|det B| - log g, whose average is the derived cs exponent, the top rate of
-the contracting plane cs + ss.  The seed starts on the u axis; a transient
-prefix is discarded.  Any other system (a ProductSystem, a map of T^2)
-takes the QR (Benettin) scheme on the full Df from system.jacobians(x), as
-push_forward does: a linear map's is one read-only Df, repeated, on which a
-step whose frame has the last QR's input bytes reuses that QR's outputs.
+{log luu, log lss} and that of the center cocycle B (Barreira & Pesin 2007),
+the (u, s) block of the 4x4 chart Df that one forward pass of
+``system.advance`` gives, as a closed-form 2x2 QR: with w = B v, g = |w|
+and v renormalized to w / g each step, the log R diagonals are log g, whose
+average is the cu exponent, and log|det B| - log g, whose average is the
+derived cs exponent, the top rate of the contracting plane cs + ss.  The
+seed starts on the u axis; a transient prefix is discarded.  Any other
+system (a ProductSystem, a map of T^2) takes the QR (Benettin) scheme on the
+full Df from system.jacobians(x), as push_forward does: a linear map's is
+one read-only Df, repeated, on which a step whose frame has the last QR's
+input bytes reuses that QR's outputs.
 
 A single orbit (bundle_exponent, a one-row bundle_exponent_batch, and the
 2x2 path of lyapunov_spectrum) runs on the system's one-row kernel
@@ -109,17 +110,17 @@ def _benettin(jacs, frame):
 
 
 def _center_cocycle(system, x, v):
-    """The closed-form 2x2 QR of the center cocycle along the forward orbits of
-    the rows of x (N, 4), from frames with first columns v (N, 2): yields per
-    step the log R diagonals as a (2, N) array, refilled at the next step, and
-    log|det B|.  w = B v is formed in np.einsum("nij,nj->ni")'s order, so log g
-    has the bits of that product and of np.linalg.norm."""
+    """The closed-form 2x2 QR of the center cocycle B = Df[2:4, 2:4] along
+    the forward orbits of the rows of x (N, 4), from frames with first
+    columns v (N, 2): yields per step the log R diagonals as a (2, N) array,
+    refilled at the next step, and log|det B|.  w = B v is formed in
+    np.einsum("nij,nj->ni")'s order: log g has its bits and np.linalg.norm's."""
     v0, v1 = v[:, 0], v[:, 1]
     logs = np.empty((2, len(v)))
     log_g, log_cs = logs
     while True:
-        x, b = system.advance(x, True, False)
-        b00, b01, b10, b11 = b[:, 0, 0], b[:, 0, 1], b[:, 1, 0], b[:, 1, 1]
+        x, b = system.advance(x)
+        b00, b01, b10, b11 = b[:, 2, 2], b[:, 2, 3], b[:, 3, 2], b[:, 3, 3]
         w0 = b00 * v0 + b01 * v1
         w1 = b10 * v0 + b11 * v1
         g = np.sqrt(w0 * w0 + w1 * w1)
@@ -138,7 +139,7 @@ def _point_cocycle(system, x, v):
     step the log R diagonals as a pair of floats and log|det B|."""
     v0, v1 = v
     while True:
-        x, ((b00, b01), (b10, b11)) = system.advance_point(x, True, 2)
+        x, (_, _, (_, _, b00, b01), (_, _, b10, b11)) = system.advance_point(x)
         w0 = b00 * v0 + b01 * v1
         w1 = b10 * v0 + b11 * v1
         g = math.sqrt(w0 * w0 + w1 * w1)

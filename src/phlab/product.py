@@ -10,10 +10,6 @@ RATE_MARGIN of 10%:
     fiber unstable rate  >  base stable rate, fiber stable rate
 
 so the product carries the splitting  base-uu > fiber-u > (fiber-s + base-s).
-
-A private ``coupling`` hook lets tests corrupt the fiber coordinate with a
-base-dependent shift; the commuting-diagram check, which compares g with the
-independent factor maps, must then detect a nonzero residual (negative control).
 """
 
 from __future__ import annotations
@@ -80,19 +76,15 @@ class LinearSystem:
     def jacobian_chart(self, x):
         return _broadcast(x, self._jac_chart)
 
-    def advance(self, x, forward=True, full=False):
-        """(A x, Df) forward, (A^-1 x, Df) backward; Df is the constant chart
-        Jacobian, or its (u, s) block unless ``full``."""
+    def advance(self, x, forward=True):
+        """(A x, Df) forward, (A^-1 x, Df) backward, Df the constant chart Jacobian."""
         out = self.step(x) if forward else self.step_inverse(x)
-        jac = self.jacobian_chart(out)
-        return out, (jac if full else jac[..., 2:4, 2:4])
+        return out, self.jacobian_chart(out)
 
-    def advance_point(self, x, forward=True, lo=None):
-        """The one-row kernel, as DeformedSystem.advance_point: A x (A^-1 x)
-        for one point x of floats as a list of floats, and with ``lo`` the
-        constant chart Jacobian's rows and columns lo.. as lists."""
-        out = self.auto.apply_point(x, inverse=not forward)
-        return out, (None if lo is None else [r[lo:] for r in self._jac_chart_rows[lo:]])
+    def advance_point(self, x, forward=True):
+        """The one-row kernel, as DeformedSystem.advance_point: A x (A^-1 x) of
+        one point x of floats, and the constant chart Jacobian, as lists."""
+        return self.auto.apply_point(x, inverse=not forward), list(self._jac_chart_rows)
 
     @property
     def chart_p(self):
@@ -119,26 +111,18 @@ class ProductSystem:
     The base is linear, so Df is constant; Df^-1 and the step matrices are
     built on first use: the rate pre-check takes bases that are never stepped."""
 
-    def __init__(self, base, fiber: ToralAutomorphism, coupling=None):
+    def __init__(self, base, fiber: ToralAutomorphism):
         self.base = base
         self.fiber = fiber
         self.d1 = base.dim
         self.d2 = fiber.dim
         self.dim = self.d1 + self.d2
-        self._coupling = coupling
         self._jac = _block_diag(base.jacobian(np.zeros(self.d1)), fiber.matrix.to_float())
 
     def step(self, z):
-        z = np.asarray(z, dtype=float)
-        out = reduce_torus(z @ self._step_matrix)
-        if self._coupling is not None:
-            fib = out[..., self.d1 :]
-            fib[...] = reduce_torus(fib + self._coupling(z[..., : self.d1]))
-        return out
+        return reduce_torus(np.asarray(z, dtype=float) @ self._step_matrix)
 
     def step_inverse(self, z):
-        if self._coupling is not None:
-            raise NotImplementedError("coupled test systems are forward-only")
         return reduce_torus(np.asarray(z, dtype=float) @ self._step_inverse_matrix)
 
     @cached_property
@@ -169,7 +153,7 @@ class ProductSystem:
         return np.concatenate([axis, np.zeros(self.d2)]), rate
 
 
-def build_product(base_system, fiber, coupling=None) -> ProductSystem:
+def build_product(base_system, fiber) -> ProductSystem:
     """Assemble base x fiber after the domination pre-check on exact rates.
 
     Rejects anything but a 2-dimensional base (the 4-torus deformation is a
@@ -202,7 +186,7 @@ def build_product(base_system, fiber, coupling=None) -> ProductSystem:
         raise IncompatibleFiberError(
             f"fiber unstable {fiber_u:.4f} must dominate fiber stable {fiber_s:.4f}"
         )
-    return ProductSystem(base_system, fiber, coupling=coupling)
+    return ProductSystem(base_system, fiber)
 
 
 def commuting_diagram_check(ps: ProductSystem, n_points: int = 1000, rng=None):

@@ -174,6 +174,27 @@ class SpectralSplitting:
 CHART_ORDER = [0, 3, 1, 2]
 
 
+def chart_inverse(jac):
+    """The inverse of chart Jacobians jac, shape (..., 4, 4), in closed form.
+
+    In the chart axes (uu, ss | u, s) a Df is block lower triangular,
+    [[diag(a), 0], [C, B]], so its inverse is [[diag(1/a), 0],
+    [-B^-1 C diag(1/a), B^-1]], B^-1 by elimination on B's first column.  All
+    is elementwise, so a matrix rounds the same alone and in any stack.
+    """
+    jac = np.asarray(jac, dtype=float)
+    out = np.zeros(jac.shape)
+    d = out[..., [0, 1], [0, 1]] = 1.0 / jac[..., [0, 1], [0, 1]]
+    p, q, r, s = jac[..., 2, 2], jac[..., 2, 3], jac[..., 3, 2], jac[..., 3, 3]
+    h, l = q / p, r / p
+    u = s - l * q
+    b = out[..., 2:, 2:]
+    b[...] = np.stack([1 / p + h * l / u, -h / u, -l / u, 1 / u], -1).reshape(b.shape)
+    c = jac[..., 2:, :2] * d[..., None, :]  # C diag(1/a)
+    out[..., 2:, :2] = -(b[..., :1] * c[..., :1, :] + b[..., 1:] * c[..., 1:, :])
+    return out
+
+
 def _eigen_2x2(entries):
     """Closed-form eigenpairs of a 2x2 integer matrix, sorted by |lambda| desc."""
     (a, b), (c, d) = entries

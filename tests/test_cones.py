@@ -20,7 +20,7 @@ from phlab.deformation import DeformationParams, build_deformed_system
 from phlab.ergodic import make_rng
 from phlab.errors import ParameterTooLargeError
 from phlab.product import LinearSystem
-from phlab.torus import cat_power_product
+from phlab.torus import cat_power_product, chart_inverse
 
 from conftest import eps1_for
 from test_deformation import _advance_points, _rate_feasible_pairs
@@ -194,7 +194,7 @@ def test_invariance_rejects_bad_args(system):
 
 def _extract_splitting_oracle(system, x, n_iter, tolerance=1e-8):
     """extract_splitting before it walked its orbit with advance: point lists
-    from step / step_inverse, one jacobian_chart and one inv per matrix, and
+    from step / step_inverse, one jacobian_chart and one chart_inverse per matrix, and
     cu / cs pushed through the 2x2 (u, s) slices.  Returns (directions,
     residuals, converged)."""
     def push_pair(mats, seed):
@@ -216,7 +216,7 @@ def _extract_splitting_oracle(system, x, n_iter, tolerance=1e-8):
         back.append(system.step_inverse(back[-1]))
         fwd.append(system.step(fwd[-1]))
     jac_fwd = [system.jacobian_chart(back[j]) for j in range(n_iter, 0, -1)]
-    jac_bwd = [np.linalg.inv(system.jacobian_chart(fwd[j - 1])) for j in range(n_iter, 0, -1)]
+    jac_bwd = [chart_inverse(system.jacobian_chart(fwd[j - 1])) for j in range(n_iter, 0, -1)]
     e = np.eye(4)
     pairs = {"uu": push_pair(jac_fwd, e[0]), "ss": push_pair(jac_bwd, e[1])}
     zero = [0.0, 0.0]

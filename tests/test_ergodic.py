@@ -172,23 +172,25 @@ def test_derived_cs_matches_forward_qr_oracle(which, request):
 
 
 class _RandomCocycle:
-    """A stand-in system whose advance returns full random 2x2 blocks, which
-    the deformed map never has (its center block is triangular in each cube):
-    rotations times diag(singular values in [1/2, 2]) times rotations, so that
-    log|det| is well conditioned."""
+    """A stand-in system whose advance returns full random 2x2 (u, s) blocks,
+    which the deformed map never has (its center block is triangular in each
+    cube), in a 4x4 diagonal: rotations times diag(singular values in
+    [1/2, 2]) times rotations, so that log|det| is well conditioned."""
 
     def __init__(self, n):
         self.rng = make_rng(43)
         self.n = n
 
-    def advance(self, x, forward, full):
+    def advance(self, x, forward=True):
         c, s = (f(self.rng.random((2, self.n)) * 2 * np.pi) for f in (np.cos, np.sin))
         rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)  # (2, n, 2, 2)
         sigma = self.rng.uniform(0.5, 2.0, (self.n, 2))
-        return x, rot[0] * sigma[:, None, :] @ rot[1]
+        jac = np.tile(np.eye(4), (self.n, 1, 1))
+        jac[:, 2:, 2:] = rot[0] * sigma[:, None, :] @ rot[1]
+        return x, jac
 
-    def advance_point(self, x, forward, lo):
-        return x, self.advance(None, forward, lo == 0)[1][0].tolist()
+    def advance_point(self, x, forward=True):
+        return x, self.advance(None, forward)[1][0].tolist()
 
 
 def test_center_cocycle_on_full_blocks():
@@ -201,7 +203,7 @@ def test_center_cocycle_on_full_blocks():
     replay = _RandomCocycle(n)
     v = np.tile((0.6, 0.8), (n, 1))
     for _ in range(200):
-        (got, log_det), (_, b) = next(logs), replay.advance(None, True, False)
+        (got, log_det), b = next(logs), replay.advance(None)[1][:, 2:, 2:]
         frames = np.stack([v, v @ np.array([[0.0, 1.0], [-1.0, 0.0]])], axis=2)
         r22 = np.linalg.qr(b @ frames)[1][:, 1, 1]
         w = np.einsum("nij,nj->ni", b, v)
@@ -248,8 +250,8 @@ def _backward_cs_oracle(system, starts, length, transient):
     tally = _Tally(x.shape[0], length, transient)
     vs = np.tile((0.0, 1.0), (x.shape[0], 1))
     for t in range(length):
-        x, m = system.advance(x, False, False)
-        w = np.linalg.solve(m, vs[:, :, None])[:, :, 0]
+        x, m = system.advance(x, False)
+        w = np.linalg.solve(m[:, 2:, 2:], vs[:, :, None])[:, :, 0]
         g = np.sqrt(np.add.reduce(w * w, axis=1))
         tally.add(t, -np.log(g))
         vs = w / g[:, None]
@@ -619,8 +621,8 @@ def _center_cocycle_oracle(system, x, v):
     logs = np.empty((2, len(v)))
     log_g, log_cs = logs
     while True:
-        x, b = system.advance(x, True, False)
-        b00, b01, b10, b11 = b[:, 0, 0], b[:, 0, 1], b[:, 1, 0], b[:, 1, 1]
+        x, b = system.advance(x)
+        b00, b01, b10, b11 = b[:, 2, 2], b[:, 2, 3], b[:, 3, 2], b[:, 3, 3]
         w0 = b00 * v0 + b01 * v1
         w1 = b10 * v0 + b11 * v1
         g = np.sqrt(w0 * w0 + w1 * w1)
@@ -707,9 +709,8 @@ _ODD_POINTS = np.array([[np.nan, 0.1, 0.2, 0.3], [0.1, np.inf, 0.2, 0.3],
 def test_one_row_kernel_is_the_batch_row_bitwise(bump, bump_bound, data):
     """Across ParamCaps, tilde systems and k up to 1e4 included: a single
     point through the one-row kernel gives the bytes of its (1, 4) batch,
-    which takes the batch cube loop, in advance (both directions, with and
-    without full), step, step_inverse, deform, deform_inverse and
-    jacobian_chart, or raises the same
+    which takes the batch cube loop, in advance (both directions), step,
+    step_inverse, deform, deform_inverse and jacobian_chart, or raises the same
     exception: on random points, band and off-band points of both cubes, p
     and q, and _ODD_POINTS.  One-orbit bundle_exponent and lyapunov_spectrum
     from a band point of either cube give the bits of the array oracle on a
@@ -728,8 +729,7 @@ def test_one_row_kernel_is_the_batch_row_bitwise(bump, bump_bound, data):
     pts = _advance_points(system, make_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")), 4)
     maps = [system.step, system.step_inverse, system.deform, system.deform_inverse,
             system.jacobian_chart]
-    maps += [lambda x, f=f, full=full: system.advance(x, f, full)
-             for f in (True, False) for full in (False, True)]
+    maps += [lambda x, f=f: system.advance(x, f) for f in (True, False)]
     for x in np.concatenate([pts, _ODD_POINTS]):
         for fn in maps:
             assert _row_outcome(fn, x) == _row_outcome(fn, x[None]), x
