@@ -39,8 +39,8 @@ a caller that needs the screen of the same cloud (the Cesaro trackers in
 gibbs) takes no other.
 
 A single point, shape (4,), never builds a batch: advance, step,
-step_inverse, deform and deform_inverse hand it to the one-row kernel
-advance_point (or its cube pass _point_cubes) as four Python
+step_inverse, deform, deform_inverse and jacobian_chart hand it to the
+one-row kernel advance_point (or its cube pass _point_cubes) as four Python
 floats.  Everything but A's one-row matmul (ToralAutomorphism.apply_point)
 runs in floats: reduce_torus as reduce_point, the same screen cells, then
 each operation of to_chart and of the cube in its batch order (np.exp for the
@@ -57,8 +57,8 @@ never looks the preimage up again.  Off the bump's transition band, as at p
 and q, profile evaluates no exponential.  deform / deform_inverse wrap the
 loop without Jacobians; advance(x, forward) returns one step of f with its
 4x4 chart Jacobian: (f(x), Df(x)), bit for bit step (jacobian_chart is this
-Df), or (f^-1(x), Df(f^-1(x))), the image bit for bit step_inverse.  The
-backward in-cube rows differ from jacobian_chart at the preimage, which
+Df without A), or (f^-1(x), Df(f^-1(x))), the image bit for bit step_inverse.
+The backward in-cube rows differ from jacobian_chart at the preimage, which
 looks it up again, by the rounding of the field point times the row's slope
 in it, which grows like k in the bump's band: below 1e-9 of the row's
 largest entry on the shipped system, up to 2e-8 at k = 1e4, et = 0.9.
@@ -560,6 +560,13 @@ class DeformedSystem:
                 x[i] = 0.0 if v >= 1.0 else v
         return rows
 
+    def _forward_cubes(self, x):
+        """advance's forward pass but A: I_eps of the reduced x, and the chart Df
+        at x; _cube_loop on rows (N, 4), else _point_cubes on one point (lists)."""
+        if isinstance(x, np.ndarray) and x.ndim == 2:
+            return (x := reduce_torus(x)), self._cube_loop(x, True, True)
+        return (x := reduce_point(x)), self._point_cubes(x, True, True)
+
     def advance_point(self, x, forward=True):
         """The one-row kernel: advance on one point x, a sequence of four
         floats, returning the image as a list of four floats and the 4x4
@@ -569,8 +576,7 @@ class DeformedSystem:
         the bits of a (1, 4) batch through advance.
         """
         if forward:
-            x = reduce_point(x)
-            rows = self._point_cubes(x, True, True)
+            x, rows = self._forward_cubes(x)
             return self.auto.apply_point(x), rows
         x = self.auto.apply_point(x, inverse=True)
         return x, self._point_cubes(x, False, True)
@@ -641,8 +647,7 @@ class DeformedSystem:
             out, rows = self.advance_point(x.tolist(), forward)
             return np.array(out), np.array(rows)
         if forward:
-            pts = reduce_torus(x)
-            jac = self._cube_loop(pts, True, True)
+            pts, jac = self._forward_cubes(x)
             return self.auto.apply(pts), jac
         # apply_inverse already reduces into a fresh array
         out = self.auto.apply_inverse(x)
@@ -655,7 +660,8 @@ class DeformedSystem:
         diag(luu, lss, lu, 1); outside both cubes diag(luu, lss, lu, ls).
         In a cube only row j differs: grad P at p, the implicit row at q.
         """
-        return self.advance(x)[1]
+        x = np.asarray(x, dtype=float)
+        return np.asarray(self._forward_cubes(x.tolist() if x.ndim == 1 else x)[1])
 
     def jacobian(self, x):
         """Analytic Df in ambient coordinates (conjugated by the eigenbasis)."""

@@ -11,9 +11,12 @@ average is the cu exponent, and log|det B| - log g, whose average is the
 derived cs exponent, the top rate of the contracting plane cs + ss.  The
 seed starts on the u axis; a transient prefix is discarded.  Any other
 system (a ProductSystem, a map of T^2) takes the QR (Benettin) scheme on the
-full Df from system.jacobians(x), as push_forward does: a linear map's is
-one read-only Df, repeated, on which a step whose frame has the last QR's
-input bytes reuses that QR's outputs.
+full Df from system.jacobians(x), as push_forward does.  The repeat rule: a
+step is a pure function of its state, so once one maps its state to its own
+bits, every later step repeats its output, taken without stepping.  The
+state is the frame under a linear map's one read-only Df (_benettin,
+push_forward) or the orbit point and frame column (_point_cocycle), so an
+orbit on a float fixed point such as p costs one step.
 
 A single orbit (bundle_exponent, a one-row bundle_exponent_batch, and the
 2x2 path of lyapunov_spectrum) runs on the system's one-row kernel
@@ -29,6 +32,7 @@ within three standard errors of the full mean.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -96,8 +100,7 @@ class LyapunovSpectrum:
 
 def _benettin(jacs, frame):
     """QR steps of the Df of jacs from frame: yields the log R diagonals (a list
-    of floats) and log|det Df| of each step, reused where Df is the last QR's
-    read-only object and the frame has that QR's input bytes (the same bits)."""
+    of floats) and log|det Df| of each step, under the repeat rule."""
     last = key = out = None
     for jac in jacs:
         if (new := frame.tobytes()) != key or jac is not last or jac.flags.writeable:
@@ -132,21 +135,26 @@ def _center_cocycle(system, x, v):
 
 
 def _point_cocycle(system, x, v):
-    """_center_cocycle on one orbit, from the point x and the first frame
-    column v (each a sequence of floats), on system.advance_point: the same
-    operations in the same order on Python floats, so the same bits; only
-    the two logs stay np.log, which rounds apart from math.log.  Yields per
-    step the log R diagonals as a pair of floats and log|det B|."""
+    """_center_cocycle on one orbit, from the point x (a list of floats) and
+    the first frame column v (two floats), on system.advance_point, a pure
+    function of its point, in Python floats with the same bits.  Yields per
+    step the log R diagonals as a pair of floats and log|det B|, under the
+    repeat rule: the state's values are compared first, which a moving orbit
+    fails at once, then its reprs (shortest round-trip), which tell -0.0 from 0.0."""
     v0, v1 = v
     while True:
-        x, (_, _, (_, _, b00, b01), (_, _, b10, b11)) = system.advance_point(x)
+        y, (_, _, (_, _, b00, b01), (_, _, b10, b11)) = system.advance_point(x)
         w0 = b00 * v0 + b01 * v1
         w1 = b10 * v0 + b11 * v1
         g = math.sqrt(w0 * w0 + w1 * w1)
-        v0, v1 = w0 / g, w1 / g
+        u0, u1 = w0 / g, w1 / g
         log_g = float(np.log(g))
         log_det = float(np.log(abs(b00 * b11 - b01 * b10)))
-        yield (log_g, log_det - log_g), log_det
+        out = (log_g, log_det - log_g), log_det
+        if y == x and (u0, u1) == (v0, v1) and repr((y, u0, u1)) == repr((x, v0, v1)):
+            yield from itertools.repeat(out)
+        yield out
+        x, v0, v1 = y, u0, u1
 
 
 def lyapunov_spectrum(system, orbit: OrbitSpec, frame0=None) -> LyapunovSpectrum:
@@ -316,12 +324,8 @@ def bundle_exponent(system, orbit: OrbitSpec):
 
 def push_forward(system, x, v, n: int):
     """Propagate the direction of v for n steps from x along system.jacobians(x),
-    renormalizing.  Returns (unit image direction, per-step log growths); the
-    log growths add up to log ||Df^n u|| for the unit vector u = v / ||v||.
-    As in _benettin, a read-only Df that repeats the last step's object is a
-    linear map's constant Df: once it maps the direction to its own bytes,
-    every later step would too, so the rest of the logs take this step's log.
-    """
+    renormalizing, under the repeat rule.  Returns (unit image direction,
+    per-step log growths), which add up to log ||Df^n u|| for u = v / ||v||."""
     v = np.asarray(v, dtype=float)
     v = v / np.linalg.norm(v)
     logs, last = np.empty(n), None

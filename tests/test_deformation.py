@@ -41,7 +41,7 @@ from phlab.torus import (
     torus_distance,
 )
 
-from conftest import chart_points, eps1_for
+from conftest import chart_points, eps1_for, with_method
 from test_bump import _profile_oracle
 
 
@@ -542,6 +542,28 @@ def test_advance_matches_step_and_jacobian_chart_bitwise(system, rng, eps_tilde)
     # random; per cube in band, in band at r < delta/2, r >= delta, out of band; p, q
     singles = [0, 200, 400, 600, 800, 1000, 1200, 1400, 1600, n - 2, n - 1]
     _assert_advance_is_step_and_jacobian_chart(sys_, pts, singles)
+
+
+class _NoAutomorphism:
+    """Stands in for DeformedSystem.auto: any use of A fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"A was used: auto.{name}")
+
+
+@pytest.mark.parametrize("eps_tilde", [0.0, 0.05])
+def test_jacobian_chart_is_the_forward_pass_without_A(system, rng, eps_tilde):
+    """jacobian_chart is advance(x)[1] bit for bit, on _advance_points' kinds
+    (random, in band, out of band, r < delta/2, r >= delta in both cubes, p
+    and q) as one batch and one point at a time, and never applies A."""
+    sys_ = system if eps_tilde == 0.0 else system.make_tilde(eps_tilde)
+    pts = _advance_points(sys_, rng, 50)
+    want = sys_.advance(pts)[1]
+    no_a = with_method(sys_, "auto", _NoAutomorphism())
+    assert _same_bits(no_a.jacobian_chart(pts), want)
+    for x, jac in zip(pts, want):
+        assert _same_bits(no_a.jacobian_chart(x), jac), x
+        assert _same_bits(sys_.advance(x)[1], jac), x
 
 
 @pytest.mark.parametrize("eps_tilde", [0.0, 0.05])

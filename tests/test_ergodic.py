@@ -180,6 +180,7 @@ class _RandomCocycle:
     def __init__(self, n):
         self.rng = make_rng(43)
         self.n = n
+        self.point_calls = 0
 
     def advance(self, x, forward=True):
         c, s = (f(self.rng.random((2, self.n)) * 2 * np.pi) for f in (np.cos, np.sin))
@@ -190,7 +191,9 @@ class _RandomCocycle:
         return x, jac
 
     def advance_point(self, x, forward=True):
-        return x, self.advance(None, forward)[1][0].tolist()
+        """A moving point, x + 1, so that no step repeats its state."""
+        self.point_calls += 1
+        return [v + 1.0 for v in x], self.advance(None, forward)[1][0].tolist()
 
 
 def test_center_cocycle_on_full_blocks():
@@ -218,12 +221,127 @@ def test_point_cocycle_is_the_one_row_cocycle_bitwise():
     """On arbitrary 2x2 blocks, whose logs spread widely, the Python-float
     cocycle of one orbit gives the bits of the array cocycle on one row, both
     log R diagonals and log|det B|, step by step."""
+    fake = _RandomCocycle(1)
     rows = _center_cocycle(_RandomCocycle(1), np.zeros((1, 4)), np.array([[0.6, 0.8]]))
-    point = _point_cocycle(_RandomCocycle(1), [0.0] * 4, (0.6, 0.8))
-    for _ in range(5000):
+    point = _point_cocycle(fake, [0.0] * 4, (0.6, 0.8))
+    for t in range(1, 5001):
         (logs, log_det), (vals, det) = next(rows), next(point)
         assert np.array(vals).tobytes() == logs[:, 0].tobytes()
         assert det.hex() == float(log_det[0]).hex()
+        assert fake.point_calls == t  # one advance_point a step, none skipped
+
+
+def _point_cocycle_former(system, x, v):
+    """_point_cocycle before the repeat rule: one advance_point a step."""
+    v0, v1 = v
+    while True:
+        x, (_, _, (_, _, b00, b01), (_, _, b10, b11)) = system.advance_point(x)
+        w0 = b00 * v0 + b01 * v1
+        w1 = b10 * v0 + b11 * v1
+        g = math.sqrt(w0 * w0 + w1 * w1)
+        v0, v1 = w0 / g, w1 / g
+        log_g = float(np.log(g))
+        log_det = float(np.log(abs(b00 * b11 - b01 * b10)))
+        yield (log_g, log_det - log_g), log_det
+
+
+def _assert_point_cocycle_is_former(system, start, length, transient, frame=(1.0, 0.0)):
+    """_point_cocycle against _point_cocycle_former from start, bit for bit:
+    every step's log R diagonals and log|det B|, the _PointTally results of
+    both, and from the u axis bundle_exponent_batch's on the one row."""
+    pairs = zip(_point_cocycle(system, list(start), frame),
+                _point_cocycle_former(system, list(start), frame))
+    tallies = [_PointTally(length, transient) for _ in range(2)]
+    for t, (a, b) in zip(range(length), pairs):
+        assert repr(a) == repr(b), t  # repr tells -0.0 from 0.0
+        tallies[0].add(t, a[0])
+        tallies[1].add(t, b[0])
+    want, results = tallies[1].result(), [tallies[0].result()]
+    if frame == (1.0, 0.0):
+        results.append(bundle_exponent_batch(system, np.array([start]), length, transient))
+    for mean, converged in results:
+        assert mean.tobytes() == want[0].tobytes()
+        assert np.array_equal(converged, want[1])
+
+
+@pytest.mark.parametrize("which", ["system", "tilde"])
+def test_point_cocycle_repeat_rule_is_the_former_loop_bitwise(which, request):
+    """The repeat rule changes no bit: at p and q (float fixed points, where it
+    stops stepping), at random starts and at band starts of both cubes, for
+    lengths 1, 2, 3 and 2000 with transients 0 and 200; at p and q from a
+    frame off the axes, which the point's repeat alone does not fix; and the
+    one-orbit bundle_exponent and lyapunov_spectrum keep the array oracle's
+    bits."""
+    sys_ = request.getfixturevalue(which)
+    starts = np.concatenate([[sys_.chart_p.center, sys_.chart_q.center],
+                             make_rng(59).random((2, 4)), _band_starts(sys_, make_rng(59), 1)])
+    for start in starts:
+        for length, transient in ((1, 0), (2, 0), (3, 0), (2000, 0), (2000, 200)):
+            _assert_point_cocycle_is_former(sys_, start.tolist(), length, transient)
+        assert _assert_orbit_matches_oracle(
+            sys_, OrbitSpec(start=start, length=2000, transient=200)) is None
+    for center in starts[:2]:  # a fixed point whose frame turns for many steps
+        _assert_point_cocycle_is_former(sys_, center.tolist(), 2000, 0, (0.6, 0.8))
+
+
+def _counting(system):
+    """A copy of system whose advance_point counts its calls in .calls."""
+    calls = []
+
+    def counted(x, forward=True):
+        calls.append(x)
+        return system.advance_point(x, forward)
+
+    twin = with_method(system, "advance_point", counted)
+    twin.calls = calls
+    return twin
+
+
+@pytest.mark.parametrize("which", ["system", "tilde"])
+def test_point_cocycle_steps_once_on_a_fixed_point(which, request):
+    """From p or q, 2000 steps of bundle_exponent or lyapunov_spectrum make at
+    most two advance_point calls; a moving orbit makes exactly one a step."""
+    sys_ = request.getfixturevalue(which)
+    for center in (sys_.chart_p.center, sys_.chart_q.center):
+        for run in (bundle_exponent, lyapunov_spectrum):
+            twin = _counting(sys_)
+            run(twin, OrbitSpec(start=center, length=2000, transient=0))
+            assert len(twin.calls) <= 2
+    for start in np.concatenate([make_rng(61).random((2, 4)), _band_starts(sys_, make_rng(61), 1)]):
+        for run in (bundle_exponent, lyapunov_spectrum):
+            twin = _counting(sys_)
+            run(twin, OrbitSpec(start=start, length=500, transient=0))
+            assert len(twin.calls) == 500
+
+
+class _SignedZero:
+    """A fake one-row kernel whose point stays at the origin (x = -0.0 maps to
+    +0.0) and whose (u, s) block is diag(2, 1) where x[0] is -0.0, else
+    diag(3, 1): a step from -0.0 and one from +0.0 differ."""
+
+    def advance_point(self, x, forward=True):
+        b = 2.0 if math.copysign(1.0, x[0]) < 0 else 3.0
+        return [0.0] * 4, [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, b, 0.0], [0, 0, 0.0, 1.0]]
+
+
+def test_point_cocycle_tells_minus_zero_from_zero(system):
+    """A state holding -0.0 is not the state holding +0.0 that it maps to:
+    on _SignedZero the second step takes log 3, not the first step's log 2;
+    on the deformed map a start at -0.0 takes one more step than p, with the
+    former loop's bits."""
+    got = _point_cocycle(_SignedZero(), [-0.0, 0.0, 0.0, 0.0], (1.0, 0.0))
+    want = _point_cocycle_former(_SignedZero(), [-0.0, 0.0, 0.0, 0.0], (1.0, 0.0))
+    steps = [next(got) for _ in range(4)]
+    assert steps == [next(want) for _ in range(4)]
+    assert [vals[0] for vals, _ in steps] == np.log([2.0, 3.0, 3.0, 3.0]).tolist()
+    for start, frame in (([-0.0, 0.0, 0.0, 0.0], (1.0, 0.0)), ([0.0] * 4, (1.0, -0.0))):
+        _assert_point_cocycle_is_former(system, start, 2000, 0, frame)
+    counts = []
+    for start in ([0.0] * 4, [-0.0, 0.0, 0.0, 0.0]):
+        twin = _counting(system)
+        bundle_exponent_batch(twin, np.array([start]), 2000, 0)
+        counts.append(len(twin.calls))
+    assert counts == [1, 2]
 
 
 def test_point_tally_is_the_one_row_tally_bitwise():
